@@ -14,14 +14,7 @@ from __future__ import annotations
 
 from . import model as m
 from .model import PatternKind, ProcessModel, TransitionDecl
-from .patterns import classify
-
-
-def _folded_guard(t: TransitionDecl) -> tuple:
-    lits = list(t.shared_guard.literals) if t.shared_guard else []
-    if len(t.outputs) == 1 and t.outputs[0].guard:
-        lits.extend(t.outputs[0].guard.literals)
-    return tuple(lits)
+from .patterns import classify, effective_guard_literals
 
 
 def _branch_guards(t: TransitionDecl) -> tuple:
@@ -70,7 +63,7 @@ def transition_signature(model: ProcessModel, t: TransitionDecl, kind: PatternKi
         guards = ("per-branch", _branch_guards(t))
         mandatory = tuple(b.guard is None for b in t.outputs)
     else:
-        guards = ("folded", _folded_guard(t))
+        guards = ("folded", effective_guard_literals(t))
         mandatory = tuple(False for _ in t.outputs)
     targets = tuple(m.leaf_path(model, b.target) for b in t.outputs)
     join_class = (

@@ -29,7 +29,7 @@ from .errors import (
 from .feature import format_feature, parse_feature
 from .infer import infer_model
 from .patterns import lint as lint_model
-from .replay import check_suite
+from .replay import check_suite, report_for
 from .skeletons import emit_skeletons, skeletons_to_json
 from .xmlio import parse_xml
 
@@ -169,42 +169,19 @@ def _cmd_reverse(args, stdout, stderr) -> int:
 def _cmd_check(args, stdout, stderr) -> int:
     model = _load_model(args.model, args.format)
     verdicts = []
-    covered: set[str] = set()
     for path in args.features:
         doc = _load_feature(path)
         mode = args.mode or doc.mode_hint or "strict"
-        report = check_suite(model, doc, mode.replace("-", "_"))
-        verdicts.extend(report.verdicts)
-        for _name, verdict in report.verdicts:
-            if verdict.passed:
-                covered.update(verdict.fired)
-    total = len(model.transitions)
-    coverage = 1.0 if total == 0 else len(covered) / total
-    uncovered = [t.id for t in model.transitions if t.id not in covered]
-    payload = {
-        "verdicts": [
-            {
-                "scenario": name,
-                "passed": v.passed,
-                "mismatches": [
-                    {"expected": e, "observed": o, "position": p}
-                    for e, o, p in v.mismatches
-                ],
-                "fired": list(v.fired),
-            }
-            for name, v in verdicts
-        ],
-        "coverage": coverage,
-        "uncovered": uncovered,
-    }
+        verdicts.extend(check_suite(model, doc, mode.replace("-", "_")).verdicts)
+    report = report_for(model, verdicts)
     if args.json is not None:
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps(report.to_json(), indent=2) + "\n"
         if args.json == "-":
             stdout.write(text)
         else:
             Path(args.json).write_text(text, encoding="utf-8")
     else:
-        for name, verdict in verdicts:
+        for name, verdict in report.verdicts:
             if verdict.passed:
                 stdout.write(f"PASS {name}\n")
             else:
@@ -213,10 +190,10 @@ def _cmd_check(args, stdout, stderr) -> int:
                     stdout.write(
                         f"  at {position}: expected {expected!r}, observed {observed!r}\n"
                     )
-        stdout.write(f"coverage: {coverage:.4f}\n")
-        if uncovered:
-            stdout.write("uncovered: " + ", ".join(uncovered) + "\n")
-    return OK if all(v.passed for _n, v in verdicts) else CHECK_FAILED
+        stdout.write(f"coverage: {report.coverage:.4f}\n")
+        if report.uncovered:
+            stdout.write("uncovered: " + ", ".join(report.uncovered) + "\n")
+    return OK if report.passed else CHECK_FAILED
 
 
 def _cmd_steps(args, stdout, stderr) -> int:

@@ -9,19 +9,16 @@ transition contributes one edge labeled ``event [guard] / actions``.
 from __future__ import annotations
 
 from . import model as m
+from .dsl import quote
 from .model import ProcessModel, TransitionDecl
-
-
-def _q(text: str) -> str:
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def _node_lines(node: m.StateNode, indent: str) -> list[str]:
     if not node.composite:
-        return [f"{indent}{_q(node.path)} [shape=box];"]
+        return [f"{indent}{quote(node.path)} [shape=box];"]
     lines = [f"{indent}subgraph cluster_{node.path.replace('.', '_')} {{"]
-    lines.append(f"{indent}  label={_q(node.name)};")
-    lines.append(f"{indent}  {_q(node.path)} [shape=tab];")
+    lines.append(f"{indent}  label={quote(node.name)};")
+    lines.append(f"{indent}  {quote(node.path)} [shape=tab];")
     for child in node.children:
         lines.extend(_node_lines(child, indent + "  "))
     lines.append(f"{indent}}}")
@@ -47,16 +44,16 @@ def _edge_label(t: TransitionDecl, inp: m.InBranch, out: m.OutBranch) -> str:
 def render_dot(model: ProcessModel) -> str:
     """Render a deterministic DOT digraph for a valid model."""
     lines = ["digraph process {", "  rankdir=LR;"]
-    lines.append(f"  {_q(model.initial_name)} [shape=point];")
+    lines.append(f"  {quote(model.initial_name)} [shape=point];")
     if any(b.target == model.final_name for t in model.transitions for b in t.outputs):
-        lines.append(f"  {_q(model.final_name)} [shape=doublecircle];")
+        lines.append(f"  {quote(model.final_name)} [shape=doublecircle];")
     for node in model.states:
         lines.extend(_node_lines(node, "  "))
     for t in model.transitions:
         for inp in t.inputs:
             for out in t.outputs:
                 label = _edge_label(t, inp, out)
-                attr = f" [label={_q(label)}]" if label else ""
-                lines.append(f"  {_q(inp.source)} -> {_q(out.target)}{attr};")
+                attr = f" [label={quote(label)}]" if label else ""
+                lines.append(f"  {quote(inp.source)} -> {quote(out.target)}{attr};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -435,7 +435,8 @@ def parse_dsl(text: str, filename: str = "<string>") -> m.ProcessModel:
 # ---------------------------------------------------------------------------
 
 
-def _quote(text: str) -> str:
+def quote(text: str) -> str:
+    """A double-quoted string with backslash escapes, as DSL and DOT read it."""
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
@@ -482,20 +483,23 @@ def serialize_dsl(model: m.ProcessModel) -> str:
     """Render a model back to canonical DSL text.
 
     Declaration order is preserved, so ``parse_dsl(serialize_dsl(m))``
-    reproduces ``m`` exactly.
+    reproduces ``m`` exactly for a model read from DSL.  For a model built
+    otherwise (``infer_model`` does this), shared actions of a single-input
+    transition come back as that input branch's actions: the result is
+    ``isomorphic`` to ``m`` but not equal.
     """
-    lines = [f"process {_quote(model.title)} {{"]
+    lines = [f"process {quote(model.title)} {{"]
     for key, value in (
         ("role", model.role),
         ("feature", model.feature),
         ("benefit", model.benefit),
     ):
         if value:
-            lines.append(f"  {key} {_quote(value)}")
+            lines.append(f"  {key} {quote(value)}")
     if model.initial_name != m.DEFAULT_INITIAL:
-        lines.append(f"  initialname {_quote(model.initial_name)}")
+        lines.append(f"  initialname {quote(model.initial_name)}")
     if model.final_name != m.DEFAULT_FINAL:
-        lines.append(f"  finalname {_quote(model.final_name)}")
+        lines.append(f"  finalname {quote(model.final_name)}")
     for node in model.states:
         lines.extend(_state_lines(node, "  "))
     for t in model.transitions:

@@ -19,16 +19,13 @@ Two modes:
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from . import model as m
 from .errors import TooManyChoiceBranches
 from .feature import ActionSeq, FeatureDoc, Scenario, StateTerm, Term, scenario_from_clauses
-from .model import PatternKind, ProcessModel, TransitionDecl
+from .model import COMPLETION_EVENT, PatternKind, ProcessModel, TransitionDecl
 from .patterns import classify, effective_guard_literals
 
 MODES = ("paper_exact", "strict")
-COMPLETION_EVENT = "_done"
 MAX_CHOICE_BRANCHES = 10
 
 
@@ -47,31 +44,36 @@ def enumerate_choice_subsets(branches):
         raise ValueError("at least one branch is required")
     if len(items) > MAX_CHOICE_BRANCHES:
         raise TooManyChoiceBranches(len(items), MAX_CHOICE_BRANCHES)
-    subsets = []
-    for size in range(1, len(items) + 1):
-        for picked in combinations(range(len(items)), size):
-            subsets.append(tuple(items[i] for i in picked))
-    return subsets
+    return m.nonempty_subsets(items)
 
 
-def _subset_indices(n: int) -> list[tuple[int, ...]]:
-    out = []
-    for size in range(1, n + 1):
-        out.extend(combinations(range(n), size))
-    return out
+# -- THEN item shapes --------------------------------------------------------
 
 
-def _guard_term(atom: str, negated: bool) -> Term:
-    return Term(atom, negated, "guard")
+def _trace_items(plan: m.FiringPlan) -> list:
+    """The whole trace as one sequence, then the resulting leaves."""
+    trace = plan.trace()
+    items: list = [ActionSeq(tuple(trace))] if trace else []
+    return items + [StateTerm(leaf) for leaf in plan.result_leaves()]
 
 
-def _state_term(path: str) -> Term:
-    return Term(path, False, "state")
+def _action_items(plan: m.FiringPlan) -> list:
+    """One term per action, or the resulting leaves when there are none."""
+    return [ActionSeq((a,)) for a in plan.trace()] or [
+        StateTerm(leaf) for leaf in plan.result_leaves()
+    ]
 
 
-def _event_terms(events: list[str]) -> list[Term]:
-    terms = [Term(e, False, "event") for e in events]
-    return terms or [Term(COMPLETION_EVENT, False, "event")]
+def _special_items(plan: m.FiringPlan, outputs) -> list:
+    """Entry/exit styling: one term per action, and per output its entry
+    actions standing in for the resulting state when there are any."""
+    prefix = plan.exit_actions + plan.input_actions + plan.shared_actions
+    items: list = [ActionSeq((a,)) for a in prefix]
+    for out in outputs:
+        items.extend(ActionSeq((a,)) for a in out.branch.actions + out.entry_actions)
+        if not out.entry_actions:
+            items.append(StateTerm(out.leaf))
+    return items
 
 
 class _Emitter:
@@ -81,34 +83,24 @@ class _Emitter:
         instances, _ = classify(model)
         self.kinds = {inst.transition_id: inst.kind for inst in instances}
 
-    # -- shared pieces -------------------------------------------------
-
-    def events_of(self, consumed, transition) -> list[str]:
-        events = [b.event for b in consumed if b.event]
-        if transition.shared_event:
-            events.append(transition.shared_event)
-        return events
-
-    def given_terms(self, sources, lits) -> list[Term]:
-        return [_state_term(s) for s in sources] + [
-            _guard_term(a, n) for a, n in lits
-        ]
-
-    def scenario(self, name, given, when, then) -> Scenario:
-        return scenario_from_clauses(name, given, when, then)
+    def row(self, name, t, consumed, items, given_lits=(), when_lits=()) -> Scenario:
+        """GIVEN the consumed sources and ``given_lits``; WHEN their events,
+        then ``when_lits``, else the completion event."""
+        given = [Term(b.source, False, "state") for b in consumed]
+        given.extend(Term(a, n, "guard") for a, n in given_lits)
+        when = [Term(b.event, False, "event") for b in consumed if b.event]
+        if t.shared_event:
+            when.append(Term(t.shared_event, False, "event"))
+        when.extend(Term(a, n, "guard") for a, n in when_lits)
+        return scenario_from_clauses(
+            name, given, when or [Term(COMPLETION_EVENT, False, "event")], items
+        )
 
     # -- strict mode -----------------------------------------------------
 
     def strict_firing(self, name, t, consumed, fired, lits) -> Scenario:
         plan = m.firing_plan(self.model, t, consumed, fired)
-        trace = plan.trace()
-        items: list = []
-        if trace:
-            items.append(ActionSeq(tuple(trace)))
-        items.extend(StateTerm(leaf) for leaf in plan.result_leaves())
-        given = self.given_terms([b.source for b in consumed], lits)
-        when = _event_terms(self.events_of(consumed, t))
-        return self.scenario(name, given, when, items)
+        return self.row(name, t, consumed, _trace_items(plan), lits)
 
     def strict_scenarios(self, t: TransitionDecl, kind: PatternKind) -> list[Scenario]:
         base = f"{kind.value} {t.id}"
@@ -118,13 +110,12 @@ class _Emitter:
                 for i, (fired, lits) in enumerate(self.choice_cases(t))
             ]
         if kind in (PatternKind.SIMPLE_MERGE, PatternKind.MULTIPLE_MERGE):
-            shared = list(t.shared_guard.literals) if t.shared_guard else []
+            shared = t.shared_guard.literals if t.shared_guard else ()
             return [
                 self.strict_firing(f"{base} {i + 1}", t, (inp,), None, shared)
                 for i, inp in enumerate(t.inputs)
             ]
-        lits = list(effective_guard_literals(t))
-        return [self.strict_firing(base, t, t.inputs, None, lits)]
+        return [self.strict_firing(base, t, t.inputs, None, effective_guard_literals(t))]
 
     # -- choice enumeration ------------------------------------------------
 
@@ -132,13 +123,9 @@ class _Emitter:
         """(fired output indices, guard literals) per nonempty guard subset."""
         guarded = [i for i, b in enumerate(t.outputs) if b.guard]
         always = [i for i, b in enumerate(t.outputs) if not b.guard]
-        if len(guarded) > MAX_CHOICE_BRANCHES:
-            raise TooManyChoiceBranches(len(guarded), MAX_CHOICE_BRANCHES)
-        shared = list(t.shared_guard.literals) if t.shared_guard else []
+        shared = t.shared_guard.literals if t.shared_guard else ()
         cases = []
-        for subset in _subset_indices(len(guarded)):
-            included = [guarded[k] for k in subset]
-            fired = tuple(sorted(always + included))
+        for included in enumerate_choice_subsets(guarded) if guarded else ():
             lits = list(shared)
             seen = {atom for atom, _ in lits}
             for i in included:
@@ -154,7 +141,7 @@ class _Emitter:
                         seen.add(atom)
                         lits.append((atom, not neg))
                         break
-            cases.append((fired, lits))
+            cases.append((tuple(sorted(always + list(included))), lits))
         return cases
 
     # -- paper-exact mode ---------------------------------------------------
@@ -173,139 +160,48 @@ class _Emitter:
 
     def paper_scenarios(self, t: TransitionDecl, kind: PatternKind) -> list[Scenario]:
         base = f"{kind.value} {t.id}"
+        lits = effective_guard_literals(t)
         if kind == PatternKind.SYNCHRONIZE_MERGE:
-            plan = m.firing_plan(self.model, t)
-            items: list = []
-            trace = plan.trace()
-            if trace:
-                items.append(ActionSeq(tuple(trace)))
-            items.extend(StateTerm(p.leaf) for p in plan.outputs)
-            given = self.given_terms(
-                [b.source for b in t.inputs],
-                list(effective_guard_literals(t)),
-            )
-            when = _event_terms(self.events_of(t.inputs, t))
-            return [self.scenario(base, given, when, items)]
-
-        if kind == PatternKind.MULTIPLE_MERGE:
-            scenarios = []
-            shared = list(t.shared_guard.literals) if t.shared_guard else []
-            for i, inp in enumerate(t.inputs):
-                plan = m.firing_plan(self.model, t, (inp,), None)
-                items = []
-                trace = plan.trace()
-                if trace:
-                    items.append(ActionSeq(tuple(trace)))
-                items.extend(StateTerm(p.leaf) for p in plan.outputs)
-                when = [Term(e, False, "event") for e in self.events_of((inp,), t)]
-                when.extend(_guard_term(a, n) for a, n in shared)
-                if not when:
-                    when = _event_terms([])
-                scenarios.append(
-                    self.scenario(f"{base} {i + 1}", [_state_term(inp.source)], when, items)
-                )
-            return scenarios
-
-        if kind in (PatternKind.SYNCHRONIZATION, PatternKind.SIMPLE_MERGE):
-            scenarios = []
-            shared = list(t.shared_guard.literals) if t.shared_guard else []
-            for i, inp in enumerate(t.inputs):
-                plan = m.firing_plan(self.model, t, (inp,), None)
-                actions = plan.trace()
-                items: list = [ActionSeq((a,)) for a in actions]
-                if not items:
-                    items = [StateTerm(p.leaf) for p in plan.outputs]
-                when = [Term(e, False, "event") for e in self.events_of((inp,), t)]
-                when.extend(_guard_term(a, n) for a, n in shared)
-                if not when:
-                    when = _event_terms([])
-                scenarios.append(
-                    self.scenario(
-                        f"{base} {i + 1}", [_state_term(inp.source)], when, items
-                    )
-                )
-            return scenarios
-
-        if kind == PatternKind.MULTIPLE_CHOICE:
-            scenarios = []
-            src = [b.source for b in t.inputs]
-            for i, (fired, lits) in enumerate(self.choice_cases(t)):
-                plan = m.firing_plan(self.model, t, t.inputs, fired)
-                actions = plan.trace()
-                items = [ActionSeq((a,)) for a in actions]
-                if not items:
-                    items = [StateTerm(p.leaf) for p in plan.outputs]
-                scenarios.append(
-                    self.scenario(
-                        f"{base} {i + 1}",
-                        self.given_terms(src, lits),
-                        _event_terms(self.events_of(t.inputs, t)),
-                        items,
-                    )
-                )
-            return scenarios
-
-        if kind == PatternKind.EXCLUSIVE_CHOICE:
-            plan = m.firing_plan(self.model, t)
-            actions = plan.trace()
-            items = [ActionSeq((a,)) for a in actions]
-            if not items:
-                items = [StateTerm(p.leaf) for p in plan.outputs]
-            when = [Term(e, False, "event") for e in self.events_of(t.inputs, t)]
-            when.extend(_guard_term(a, n) for a, n in effective_guard_literals(t))
-            if not when:
-                when = _event_terms([])
+            return [self.strict_firing(base, t, t.inputs, None, lits)]
+        if kind in (
+            PatternKind.MULTIPLE_MERGE,
+            PatternKind.SYNCHRONIZATION,
+            PatternKind.SIMPLE_MERGE,
+        ):
+            items = _trace_items if kind == PatternKind.MULTIPLE_MERGE else _action_items
+            shared = t.shared_guard.literals if t.shared_guard else ()
             return [
-                self.scenario(base, [_state_term(t.inputs[0].source)], when, items)
-            ]
-
-        # Sequence and parallel split; special-case styling applies here.
-        if kind == PatternKind.PARALLEL_SPLIT and self.special_involved(t):
-            scenarios = []
-            plan = m.firing_plan(self.model, t)
-            prefix = list(plan.exit_actions) + list(plan.input_actions) + list(
-                plan.shared_actions
-            )
-            for i, out in enumerate(plan.outputs):
-                actions = prefix + list(out.branch.actions)
-                items = [ActionSeq((a,)) for a in actions]
-                if out.entry_actions:
-                    items.extend(ActionSeq((a,)) for a in out.entry_actions)
-                else:
-                    items.append(StateTerm(out.leaf))
-                scenarios.append(
-                    self.scenario(
-                        f"{base} {i + 1}",
-                        [_state_term(b.source) for b in t.inputs],
-                        _event_terms(self.events_of(t.inputs, t)),
-                        items,
-                    )
+                self.row(
+                    f"{base} {i + 1}",
+                    t,
+                    (inp,),
+                    items(m.firing_plan(self.model, t, (inp,))),
+                    when_lits=shared,
                 )
-            return scenarios
-
+                for i, inp in enumerate(t.inputs)
+            ]
+        if kind == PatternKind.MULTIPLE_CHOICE:
+            return [
+                self.row(
+                    f"{base} {i + 1}",
+                    t,
+                    t.inputs,
+                    _action_items(m.firing_plan(self.model, t, t.inputs, fired)),
+                    given_lits=case,
+                )
+                for i, (fired, case) in enumerate(self.choice_cases(t))
+            ]
+        # Exclusive choice, sequence and parallel split; special-case styling
+        # applies to the latter two.
         plan = m.firing_plan(self.model, t)
-        given = [_state_term(b.source) for b in t.inputs]
-        when = [Term(e, False, "event") for e in self.events_of(t.inputs, t)]
-        when.extend(_guard_term(a, n) for a, n in effective_guard_literals(t))
-        if not when:
-            when = _event_terms([])
-        if self.special_involved(t):
-            prefix = list(plan.exit_actions) + list(plan.input_actions) + list(
-                plan.shared_actions
-            )
-            items = [ActionSeq((a,)) for a in prefix]
-            for out in plan.outputs:
-                items.extend(ActionSeq((a,)) for a in out.branch.actions)
-                if out.entry_actions:
-                    items.extend(ActionSeq((a,)) for a in out.entry_actions)
-                else:
-                    items.append(StateTerm(out.leaf))
-            return [self.scenario(base, given, when, items)]
-        actions = plan.trace()
-        items = [ActionSeq((a,)) for a in actions]
-        if not items:
-            items = [StateTerm(p.leaf) for p in plan.outputs]
-        return [self.scenario(base, given, when, items)]
+        special = kind != PatternKind.EXCLUSIVE_CHOICE and self.special_involved(t)
+        if special and kind == PatternKind.PARALLEL_SPLIT:
+            return [
+                self.row(f"{base} {i + 1}", t, t.inputs, _special_items(plan, (out,)))
+                for i, out in enumerate(plan.outputs)
+            ]
+        items = _special_items(plan, plan.outputs) if special else _action_items(plan)
+        return [self.row(base, t, t.inputs, items, when_lits=lits)]
 
     # -- entry point ---------------------------------------------------------
 

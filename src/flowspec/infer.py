@@ -29,9 +29,7 @@ from dataclasses import dataclass
 from . import model as m
 from .errors import Diagnostic
 from .feature import ActionSeq, FeatureDoc, Scenario
-from .model import PatternKind, ProcessModel
-
-COMPLETION_EVENT = "_done"
+from .model import COMPLETION_EVENT, PatternKind, ProcessModel
 
 _NAME_RE = re.compile(
     r"^(Sequence|ParallelSplit|Synchronization|ExclusiveChoice|SimpleMerge|"

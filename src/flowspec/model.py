@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import Diagnostic, UnknownState
 
@@ -18,6 +19,8 @@ IDENT_RE = re.compile(r"[A-Za-z0-9_]+(?:\.[A-Za-z0-9_]+)*$")
 
 DEFAULT_INITIAL = "alpha"
 DEFAULT_FINAL = "Beta"
+# Placeholder WHEN term of a transition without an event; reserved as a name.
+COMPLETION_EVENT = "_done"
 
 
 def is_ident(text: str) -> bool:
@@ -245,6 +248,17 @@ def state_paths(model: ProcessModel) -> set[str]:
     return {node.path for node in iter_states(model)}
 
 
+def namespaces(model: ProcessModel) -> dict[str, set[str]]:
+    """The four name spaces, in the order bare feature terms are classified:
+    state (pseudostates included), event, guard, action."""
+    return {
+        "state": state_paths(model) | {model.initial_name, model.final_name},
+        "event": event_names(model),
+        "guard": guard_atoms(model),
+        "action": action_names(model),
+    }
+
+
 # ---------------------------------------------------------------------------
 # Configurations
 # ---------------------------------------------------------------------------
@@ -294,6 +308,18 @@ def initial_configuration(model: ProcessModel) -> Configuration:
     return Configuration.of(model.initial_name)
 
 
+def _claim_children(child_of: dict[str, str], path: str) -> tuple[str, str, str] | None:
+    """Record in ``child_of`` the child each ancestor of ``path`` is entered
+    through.  Returns (state, recorded child, new child) when ``path`` needs a
+    second child of a state, since no two children are ever active together."""
+    segs = chain(path)
+    for parent, child in zip(segs, segs[1:]):
+        seen = child_of.setdefault(parent, child)
+        if seen != child:
+            return parent, seen, child
+    return None
+
+
 def legal_configuration(model: ProcessModel, config: Configuration) -> str | None:
     """Return None when legal, else a human-readable reason.
 
@@ -315,19 +341,25 @@ def legal_configuration(model: ProcessModel, config: Configuration) -> str | Non
             return f"nonpositive count on {path}"
         if count > 1 and path not in multi_targets:
             return f"count {count} on {path} which is not a multi-join target"
-        segs = chain(path)
-        for parent, child in zip(segs, segs[1:]):
-            seen = child_of.get(parent)
-            if seen is None:
-                child_of[parent] = child
-            elif seen != child:
-                return f"two active children of {parent}: {seen} and {child}"
+        conflict = _claim_children(child_of, path)
+        if conflict:
+            return "two active children of {}: {} and {}".format(*conflict)
     return None
 
 
 # ---------------------------------------------------------------------------
 # Firing geometry (shared by emission, replay and canonicalization)
 # ---------------------------------------------------------------------------
+
+
+def nonempty_subsets(items) -> list[tuple]:
+    """All nonempty subsets of ``items``, smallest first, then by order."""
+    items = list(items)
+    return [
+        tuple(items[i] for i in picked)
+        for size in range(1, len(items) + 1)
+        for picked in combinations(range(len(items)), size)
+    ]
 
 
 @dataclass(frozen=True)
@@ -542,6 +574,20 @@ def validate(model: ProcessModel) -> list[Diagnostic]:
             report.append(_diag("JoinKindRequired", loc, "multiple inputs need a join kind"))
         if len(t.outputs) > 1 and t.split_kind == "none":
             report.append(_diag("SplitKindRequired", loc, "multiple outputs need a split kind"))
+        if t.join_kind == "and":
+            child_of: dict[str, str] = {}
+            for b in t.inputs:
+                conflict = _claim_children(child_of, b.source)
+                if conflict:
+                    report.append(
+                        _diag(
+                            "UnsatisfiableJoin",
+                            loc,
+                            "and-join inputs {1} and {2} are different children "
+                            "of {0}, never active together".format(*conflict),
+                        )
+                    )
+                    break
         if t.split_kind == "or" and not any(b.guard for b in t.outputs):
             report.append(
                 _diag("OrSplitNeedsGuardedOutput", loc, "or-split has no guarded output")
@@ -581,12 +627,16 @@ def validate(model: ProcessModel) -> list[Diagnostic]:
         for a in node.entry_actions + node.exit_actions:
             check_plain(a, "action", node.path)
 
-    spaces = {
-        "state": state_paths(model) | {model.initial_name, model.final_name},
-        "event": event_names(model),
-        "guard": guard_atoms(model),
-        "action": action_names(model),
-    }
+    spaces = namespaces(model)
+    for kind, names in spaces.items():
+        if COMPLETION_EVENT in names:
+            report.append(
+                _diag(
+                    "ReservedName",
+                    COMPLETION_EVENT,
+                    f"{kind} name {COMPLETION_EVENT} is reserved for the completion event",
+                )
+            )
     kinds = list(spaces)
     for i, ka in enumerate(kinds):
         for kb in kinds[i + 1 :]:

@@ -125,30 +125,17 @@ def classify(model: ProcessModel) -> tuple[list[PatternInstance], list[StateSpec
 # Lint
 # ---------------------------------------------------------------------------
 
-MAX_OVERLAP_ATOMS = 16
-
-
 def guards_overlap(a, b) -> dict[str, bool] | None:
-    """Brute-force check whether two literal conjunctions can hold together.
+    """Whether two literal conjunctions can hold together.
 
-    Returns a witness valuation or None.  At most MAX_OVERLAP_ATOMS distinct
-    atoms are allowed between the two guards.
+    They can exactly when no atom appears with both polarities; the witness
+    valuation over their atoms is then unique.  Returns it, or None.
     """
-    atoms = []
-    for atom, _ in tuple(a) + tuple(b):
-        if atom not in atoms:
-            atoms.append(atom)
-    if len(atoms) > MAX_OVERLAP_ATOMS:
-        raise ValueError(f"too many guard atoms for overlap check: {len(atoms)}")
-
-    def holds(lits, valuation):
-        return all(valuation[atom] != neg for atom, neg in lits)
-
-    for bits in itertools.product((False, True), repeat=len(atoms)):
-        valuation = dict(zip(atoms, bits))
-        if holds(a, valuation) and holds(b, valuation):
-            return valuation
-    return None
+    witness: dict[str, bool] = {}
+    for atom, neg in tuple(a) + tuple(b):
+        if witness.setdefault(atom, not neg) == neg:
+            return None
+    return witness
 
 
 def _warn(code: str, location: str, message: str) -> Diagnostic:

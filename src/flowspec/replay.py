@@ -11,15 +11,19 @@ first).  Unmentioned guard atoms are false during replay.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from . import model as m
 from .errors import FlowspecError, IllegalGiven, NondeterminismConflict
 from .feature import FeatureDoc, Scenario, StateTerm
-from .model import Configuration, ProcessModel, TransitionDecl
+from .model import (
+    COMPLETION_EVENT,
+    Configuration,
+    ProcessModel,
+    TransitionDecl,
+    nonempty_subsets,
+)
 
 MAX_EXPLORE_DEPTH = 32
-COMPLETION_EVENT = "_done"
 
 
 @dataclass(frozen=True)
@@ -227,16 +231,9 @@ def _is_subsequence(needle, haystack) -> bool:
     return all(x in it for x in needle)
 
 
-def _classify_atom(model: ProcessModel, atom: str) -> str:
-    if atom in (model.initial_name, model.final_name) or atom in m.state_paths(model):
-        return "state"
-    if atom in m.event_names(model):
-        return "event"
-    if atom in m.guard_atoms(model):
-        return "guard"
-    if atom in m.action_names(model):
-        return "action"
-    return "unknown"
+def _classify_atom(spaces: dict[str, set[str]], atom: str) -> str:
+    """The first name space of ``model.namespaces`` that holds ``atom``."""
+    return next((kind for kind, names in spaces.items() if atom in names), "unknown")
 
 
 def replay_scenario(model: ProcessModel, scenario: Scenario, mode: str = "strict") -> Verdict:
@@ -251,10 +248,11 @@ def replay_scenario(model: ProcessModel, scenario: Scenario, mode: str = "strict
     if not scenario.structured:
         return Verdict(False, (("structured clauses", "free-text steps", scenario.name),))
 
+    spaces = m.namespaces(model)
     paths: list[str] = []
     valuation: dict[str, bool] = {}
     for term in scenario.given:
-        kind = _classify_atom(model, term.atom)
+        kind = _classify_atom(spaces, term.atom)
         if kind == "state" and not term.negated:
             paths.append(term.atom)
         elif kind == "guard":
@@ -272,7 +270,7 @@ def replay_scenario(model: ProcessModel, scenario: Scenario, mode: str = "strict
 
     events: set[str] = set()
     for term in scenario.when:
-        kind = _classify_atom(model, term.atom)
+        kind = _classify_atom(spaces, term.atom)
         if kind == "guard":
             valuation.setdefault(term.atom, not term.negated)
         elif term.atom != COMPLETION_EVENT:
@@ -286,7 +284,7 @@ def replay_scenario(model: ProcessModel, scenario: Scenario, mode: str = "strict
             continue
         run: list[str] = []
         for atom in item.actions:
-            if _classify_atom(model, atom) == "state":
+            if _classify_atom(spaces, atom) == "state":
                 if run:
                     expected_chunks.append(tuple(run))
                     run = []
@@ -375,23 +373,26 @@ class CheckReport:
         }
 
 
-def check_suite(model: ProcessModel, doc: FeatureDoc, mode: str = "strict") -> CheckReport:
-    """Replay every scenario; coverage counts transitions fired by at least
-    one passing scenario."""
-    verdicts: list[tuple[str, Verdict]] = []
-    covered: set[str] = set()
-    for scenario in doc.scenarios:
-        try:
-            verdict = replay_scenario(model, scenario, mode)
-        except (IllegalGiven, FlowspecError) as exc:
-            verdict = Verdict(False, (("replayable scenario", str(exc), scenario.name),))
-        verdicts.append((scenario.name, verdict))
-        if verdict.passed:
-            covered.update(verdict.fired)
+def report_for(model: ProcessModel, verdicts) -> CheckReport:
+    """Aggregate (scenario name, verdict) pairs; coverage counts transitions
+    fired by at least one passing scenario."""
+    covered = {tid for _, v in verdicts if v.passed for tid in v.fired}
     total = len(model.transitions)
     coverage = 1.0 if total == 0 else len(covered & {t.id for t in model.transitions}) / total
     uncovered = tuple(t.id for t in model.transitions if t.id not in covered)
     return CheckReport(tuple(verdicts), coverage, uncovered)
+
+
+def check_suite(model: ProcessModel, doc: FeatureDoc, mode: str = "strict") -> CheckReport:
+    """Replay every scenario and aggregate the verdicts with ``report_for``."""
+    verdicts: list[tuple[str, Verdict]] = []
+    for scenario in doc.scenarios:
+        try:
+            verdict = replay_scenario(model, scenario, mode)
+        except FlowspecError as exc:
+            verdict = Verdict(False, (("replayable scenario", str(exc), scenario.name),))
+        verdicts.append((scenario.name, verdict))
+    return report_for(model, verdicts)
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +433,8 @@ def _stimuli(model: ProcessModel, config: Configuration):
                 base_val[atom] = not neg
         if t.split_kind == "or":
             guarded = [i for i, b in enumerate(t.outputs) if b.guard]
-            for subset in _subset_indices(len(guarded)):
+            for included in nonempty_subsets(guarded):
                 valuation = dict(base_val)
-                included = {guarded[k] for k in subset}
                 ok = True
                 for i in guarded:
                     for atom, neg in t.outputs[i].guard.literals:
@@ -459,13 +459,6 @@ def _stimuli(model: ProcessModel, config: Configuration):
                     add(ev, valuation)
         else:
             add(base_events, valuation)
-    return out
-
-
-def _subset_indices(n: int):
-    out = []
-    for size in range(1, n + 1):
-        out.extend(combinations(range(n), size))
     return out
 
 

@@ -183,3 +183,60 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "THEN a1" in proc.stdout
+
+
+def test_check_several_feature_files(tmp_path):
+    m3 = str(DATA_DIR / "m3.pml")
+    strict_text = (DATA_DIR / "golden" / "m3.strict.feature").read_text()
+    mutated_text = strict_text.replace("Then a1; a2; a3 AND S3", "Then a2; a1; a3 AND S3")
+    assert mutated_text != strict_text
+    suites = {
+        "strict": strict_text,
+        "paper": (DATA_DIR / "golden" / "m3.paper.feature").read_text(),
+        "mutated": mutated_text,
+    }
+    paths = []
+    for name, text in suites.items():
+        path = tmp_path / f"m3.{name}.feature"
+        path.write_text(text)
+        paths.append(str(path))
+
+    single = [json.loads(invoke("check", m3, p, "--json")[1]) for p in paths]
+    code, out, _ = invoke("check", m3, *paths, "--json")
+    assert code == 1
+    report = json.loads(out)
+    # verdicts follow file order
+    assert report["verdicts"] == [v for r in single for v in r["verdicts"]]
+    # coverage is the union over passing verdicts of every file
+    assert [r["coverage"] for r in single] == [1.0, 0.5, 0.5]
+    assert report["coverage"] == 1.0 and report["uncovered"] == []
+    covered = {t for v in report["verdicts"] if v["passed"] for t in v["fired"]}
+    assert covered == {"t1", "t2"}
+
+    code_text, text, _ = invoke("check", m3, *paths)
+    assert code_text == code
+    expected = []
+    for v in report["verdicts"]:
+        expected.append(("PASS " if v["passed"] else "FAIL ") + v["scenario"])
+        for mm in v["mismatches"]:
+            expected.append(
+                f"  at {mm['position']}: expected {mm['expected']!r}, observed {mm['observed']!r}"
+            )
+    expected.append(f"coverage: {report['coverage']:.4f}")
+    assert text.splitlines() == expected
+
+
+def test_reverse_of_unrunnable_join_exits_one(tmp_path):
+    feature = tmp_path / "found.feature"
+    feature.write_text(
+        "# flowspec: mode=strict\n"
+        "Feature: found\n\n"
+        "Scenario: Synchronization t1\n"
+        "Given ev1 AND S1.y AND S1.x\n"
+        "When _done\n"
+        "Then S3; _done; g1\n"
+    )
+    code, _, err = invoke("reverse", str(feature))
+    assert code == 1
+    assert "error[UnsatisfiableJoin] at t1" in err
+    assert "error[ReservedName] at _done" in err

@@ -100,14 +100,89 @@ def test_namespace_collision_reported():
     assert "NamespaceCollision" in codes
 
 
+@pytest.mark.parametrize("kind", ["state", "event", "guard", "action"])
+def test_completion_event_is_reserved(kind):
+    name = m.COMPLETION_EVENT
+    states = (simple("S1"), simple(name if kind == "state" else "S2"))
+    bad = ProcessModel(
+        states=states,
+        transitions=(
+            TransitionDecl(
+                id="t1",
+                inputs=(InBranch("S1", event=name if kind == "event" else "e1"),),
+                outputs=(
+                    OutBranch(
+                        states[1].path,
+                        guard=guard(name) if kind == "guard" else None,
+                        actions=(name,) if kind == "action" else (),
+                    ),
+                ),
+            ),
+        ),
+    )
+    reserved = [d for d in validate(bad) if d.code == "ReservedName"]
+    assert [(d.location, d.message.split()[0]) for d in reserved] == [(name, kind)]
+
+
+def _join_model(*sources, join_kind="and"):
+    composite = StateNode(
+        name="C",
+        path="C",
+        children=(simple("a", "C.a"), simple("b", "C.b")),
+        initial_child="C.a",
+    )
+    return ProcessModel(
+        states=(simple("S1"), composite),
+        transitions=(
+            TransitionDecl(
+                id="t1",
+                inputs=tuple(InBranch(src) for src in sources),
+                outputs=(OutBranch("S1"),),
+                join_kind=join_kind,
+            ),
+        ),
+    )
+
+
+def test_and_join_over_sibling_children_is_unsatisfiable():
+    report = validate(_join_model("S1", "C.a", "C.b"))
+    assert [(d.code, d.location) for d in report] == [("UnsatisfiableJoin", "t1")]
+    assert "C.a and C.b" in report[0].message
+    # inputs that can be active together, or a join that needs only one input
+    assert validate(_join_model("S1", "C.a")) == []
+    assert validate(_join_model("C", "C.b")) == []
+    assert validate(_join_model("C.a", "C.b", join_kind="xor")) == []
+
+
+def test_unsatisfiable_join_reported_beside_unresolved_endpoints():
+    report = validate(_join_model("C.x", "C.y"))
+    assert [d.code for d in report] == [
+        "UnsatisfiableJoin",
+        "UnresolvedEndpoint",
+        "UnresolvedEndpoint",
+    ]
+
+
+def test_reversed_sibling_join_with_done_action_is_rejected():
+    from flowspec.feature import parse_feature
+    from flowspec.infer import infer_model
+
+    doc = parse_feature(
+        "# flowspec: mode=strict\n"
+        "Feature: found\n\n"
+        "Scenario: Synchronization t1\n"
+        "Given ev1 AND S1.y AND S1.x\n"
+        "When _done\n"
+        "Then S3; _done; g1\n"
+    )
+    _, diags = infer_model(doc)
+    errors = {(d.code, d.location) for d in diags if d.severity == "error"}
+    assert errors == {("UnsatisfiableJoin", "t1"), ("ReservedName", "_done")}
+
+
 def test_namespaces_disjoint_in_valid_models(fixtures):
     for model in fixtures.values():
-        spaces = [
-            m.state_paths(model) | {model.initial_name, model.final_name},
-            m.event_names(model),
-            m.guard_atoms(model),
-            m.action_names(model),
-        ]
+        spaces = list(m.namespaces(model).values())
         for i, a in enumerate(spaces):
             for b in spaces[i + 1 :]:
                 assert not (a & b)

@@ -1,6 +1,7 @@
 """Pattern classification and lint behavior."""
 
 import itertools
+import random
 
 import pytest
 
@@ -252,10 +253,19 @@ def test_guards_overlap_matches_analytic_oracle():
                     assert brute == (not _polarity_conflict(a, b)), (a, b)
 
 
-def test_guards_overlap_atom_budget():
-    wide = tuple((f"g{i}", False) for i in range(17))
-    with pytest.raises(ValueError):
-        guards_overlap(wide, wide)
+@pytest.mark.parametrize("width", [17, 40, 200])
+def test_guards_overlap_wide_guards(width):
+    rng = random.Random(width)
+    a = tuple((f"g{i}", rng.random() < 0.5) for i in range(width))
+    shared = dict(a[width // 2 :])
+    b = tuple(shared.items()) + tuple((f"h{i}", rng.random() < 0.5) for i in range(width))
+    witness = guards_overlap(a, b)
+    assert not _polarity_conflict(a, b)
+    assert witness == {atom: not neg for atom, neg in a + b}
+    for atom in (f"g{width - 1}", f"g{width // 2}"):
+        flipped = tuple((x, not neg if x == atom else neg) for x, neg in b)
+        assert _polarity_conflict(a, flipped)
+        assert guards_overlap(a, flipped) is None
 
 
 def test_classification_total_on_generated_models():

@@ -483,10 +483,11 @@ def serialize_dsl(model: m.ProcessModel) -> str:
     """Render a model back to canonical DSL text.
 
     Declaration order is preserved, so ``parse_dsl(serialize_dsl(m))``
-    reproduces ``m`` exactly for a model read from DSL.  For a model built
-    otherwise (``infer_model`` does this), shared actions of a single-input
-    transition come back as that input branch's actions: the result is
-    ``isomorphic`` to ``m`` but not equal.
+    reproduces ``m`` exactly for a valid model read from DSL or inferred by
+    ``infer_model``.  A model built by hand can differ: shared actions of a
+    single-input transition with no ``join``, ``split``, ``on`` or ``if``
+    line come back as that input branch's actions, ``isomorphic`` to ``m``
+    but not equal.
     """
     lines = [f"process {quote(model.title)} {{"]
     for key, value in (

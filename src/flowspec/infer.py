@@ -1,6 +1,6 @@
 """Reverse translation: rebuild a process model from a feature document.
 
-Two routes share one model builder:
+Two routes differ only in how they group rows into transitions:
 
 * documents produced by the emitter carry a mode stamp and scenario names of
   the form ``<Kind> <transition-id> [<index>]``; those names group the
@@ -10,10 +10,18 @@ Two routes share one model builder:
 * other documents go through term classification (hints win, negated terms
   are guards, GIVEN heads and dotted names are states, final THEN terms
   recurring in a GIVEN are states, leftover WHEN terms are events and
-  leftover THEN terms actions) followed by structural folding: rows sharing
-  GIVEN and WHEN collapse into and-splits, rows sharing a trailing action
-  suffix across distinct sources collapse into joins, and complemented
-  guard-subset families collapse into or-splits.
+  leftover THEN terms actions) followed by structural grouping: rows sharing
+  GIVEN and WHEN form and-splits, rows sharing targets and a last action
+  across distinct sources form joins, and complemented guard-subset
+  families form or-splits.
+
+Both routes read a row with one GIVEN splitter (``_split_given``: leading
+state terms are sources, the rest guard literals) and one THEN peel
+(``_peel``: trailing state terms are targets, the rest actions), and both
+build transitions with the same folds: ``one_row`` for a transition read
+from a single row, ``fold_split`` for an and-split over rows with one GIVEN
+and WHEN, ``fold_join`` for a join over rows with one target and a shared
+action suffix, and ``build`` for the model.
 
 Rows without a recoverable resulting state get a synthetic ``_after_...``
 sink so the graph stays drawable.  Ambiguities never abort; they surface as
@@ -31,19 +39,12 @@ from .errors import Diagnostic
 from .feature import ActionSeq, FeatureDoc, Scenario
 from .model import COMPLETION_EVENT, PatternKind, ProcessModel
 
+# Scenario names carry a transition's pattern kind, never a state special case.
+_STATE_CASES = {PatternKind.ENTRY_EXIT_CASE, PatternKind.EMBEDDED_STATES}
 _NAME_RE = re.compile(
-    r"^(Sequence|ParallelSplit|Synchronization|ExclusiveChoice|SimpleMerge|"
-    r"MultipleChoice|SynchronizeMerge|MultipleMerge)\s+([A-Za-z0-9_.]+)(?:\s+(\d+))?$"
+    rf"^({'|'.join(k.value for k in PatternKind if k not in _STATE_CASES)})"
+    r"\s+([A-Za-z0-9_.]+)(?:\s+(\d+))?$"
 )
-
-_SINGLE_TARGET_KINDS = {
-    PatternKind.SEQUENCE,
-    PatternKind.EXCLUSIVE_CHOICE,
-    PatternKind.SIMPLE_MERGE,
-    PatternKind.MULTIPLE_MERGE,
-    PatternKind.SYNCHRONIZATION,
-    PatternKind.SYNCHRONIZE_MERGE,
-}
 
 # Paper-shaped rows of these kinds always name the resulting state.
 _SHAPE_CARRIES_TARGET = {PatternKind.SYNCHRONIZE_MERGE, PatternKind.MULTIPLE_MERGE}
@@ -111,6 +112,26 @@ def _chunks_of(scenario: Scenario) -> list[tuple[str, ...]]:
     ]
 
 
+def _split_given(terms, is_state) -> tuple[list[str], list[tuple[str, bool]]]:
+    """Leading positive state terms are sources; the rest are guard literals."""
+    sources: list[str] = []
+    lits: list[tuple[str, bool]] = []
+    for term in terms:
+        if not lits and not term.negated and is_state(term.atom):
+            sources.append(term.atom)
+        else:
+            lits.append((term.atom, term.negated))
+    return sources, lits
+
+
+def _peel(chunks, is_state) -> tuple[list[str], list[str]]:
+    """Trailing single-atom state chunks are targets; the rest are actions."""
+    idx = len(chunks)
+    while idx > 0 and len(chunks[idx - 1]) == 1 and is_state(chunks[idx - 1][0]):
+        idx -= 1
+    return [a for c in chunks[:idx] for a in c], [c[0] for c in chunks[idx:]]
+
+
 @dataclass
 class _Draft:
     """A transition being assembled, kept in document order."""
@@ -143,14 +164,17 @@ class _Draft:
 
 @dataclass
 class _Row:
-    index: int
     scenario: Scenario
-    source: str | None
     sources: list[str]
     lits: list[tuple[str, bool]]
     events: list[str]
     actions: list[str]
     targets: list[str]
+    index: int = 0
+
+    @property
+    def source(self) -> str | None:
+        return self.sources[0] if self.sources else None
 
 
 class _Inferrer:
@@ -163,7 +187,10 @@ class _Inferrer:
         self.states: set[str] = set(self.hints.declared_states)
         self.states.update((self.initial, self.final))
         self.state_order: list[str] = []
-        for name in self.hints.declared_states:
+        # declared states in the order the document lists them, then any
+        # further hinted ones sorted: state order is output
+        listed = doc.hints.states
+        for name in (*listed, *sorted(self.hints.declared_states.difference(listed))):
             self.note_state(name)
         self.initial_children: dict[str, str] = {}
         self.sink_counter = 0
@@ -200,6 +227,9 @@ class _Inferrer:
         self.warn("SyntheticTarget", scenario_name, f"no resulting state; synthesized {name}")
         return name
 
+    def target_of(self, row: _Row) -> str:
+        return row.targets[0] if row.targets else self.sink_for(row.scenario.name)
+
     def note_entry(self, source: str, leaf: str):
         """Record default children of composites entered from outside."""
         if "." not in leaf:
@@ -219,28 +249,94 @@ class _Inferrer:
                     f"entered both via {seen} and via {child}; keeping {seen}",
                 )
 
-    # -- clause splitting ----------------------------------------------------
+    def attach_events(self, draft: _Draft, events: list[str], location: str):
+        k = len(draft.inputs)
+        if len(events) > k + 1:
+            self.warn("AmbiguousTerm", location, f"more events than event slots: {events}")
+        if 0 < len(events) < k:
+            self.warn("AmbiguousTerm", location, "fewer events than join inputs; pairing positionally")
+        for i in range(min(k, len(events))):
+            src, _, acts = draft.inputs[i]
+            draft.inputs[i] = (src, events[i], acts)
+        if len(events) > k:
+            draft.shared_event = events[k]
 
-    def split_given(self, scenario: Scenario):
-        sources: list[str] = []
-        lits: list[tuple[str, bool]] = []
-        for term in scenario.given:
-            if (
-                not lits
-                and not term.negated
-                and term.atom in self.states
-                and term.atom not in self.hints.declared_guards
-            ):
-                sources.append(term.atom)
-            else:
-                lits.append((term.atom, term.negated))
-        if not sources:
-            sources.append(scenario.given[0].atom)
-            lits = [(t.atom, t.negated) for t in scenario.given[1:]]
-        return sources, lits
+    # -- folds shared by both routes ------------------------------------------
 
-    def events_of(self, scenario: Scenario) -> list[str]:
-        return [t.atom for t in scenario.when if t.atom != COMPLETION_EVENT]
+    def one_row(self, order, tid, row: _Row, sources, targets, join_kind="none") -> _Draft:
+        """A transition read from one row; callers note its entries.
+
+        A lone input carries the row's actions, as the DSL reads them back.
+        """
+        lone = len(sources) == 1
+        draft = _Draft(
+            order,
+            tid,
+            inputs=[(src, None, tuple(row.actions) if lone else ()) for src in sources],
+            outputs=[(t, None, (), False) for t in targets],
+            join_kind=join_kind,
+            split_kind="and" if len(targets) > 1 else "none",
+            shared_guard=tuple(row.lits) or None,
+            shared_actions=() if lone else tuple(row.actions),
+        )
+        self.attach_events(draft, row.events, row.scenario.name)
+        return draft
+
+    def fold_split(self, order, tid, rows: list[_Row]) -> _Draft:
+        """An and-split: one output per row, the common action prefix shared."""
+        prefix = _common_prefix([tuple(r.actions) for r in rows])
+        outputs = []
+        for r in rows:
+            target = self.target_of(r)
+            self.note_entry(rows[0].source, target)
+            outputs.append((target, None, tuple(r.actions[len(prefix):]), False))
+        draft = _Draft(
+            order,
+            tid,
+            inputs=[(rows[0].source, None, ())],
+            outputs=outputs,
+            split_kind="and",
+            shared_guard=tuple(rows[0].lits) or None,
+            shared_actions=prefix,
+        )
+        self.attach_events(draft, rows[0].events, rows[0].scenario.name)
+        return draft
+
+    def fold_join(self, order, tid, rows: list[_Row], join_kind: str) -> _Draft:
+        """A join: one input per row, the common action suffix shared.
+
+        Where rows disagree, the first row's guard, target and shared event
+        win and each disagreement is a warning.
+        """
+        if len({tuple(r.lits) for r in rows}) > 1:
+            self.warn("AmbiguousTerm", tid, "merge branches disagree on guard literals")
+        named = [r.targets[0] for r in rows if r.targets]
+        for t in named[1:]:
+            if t != named[0]:
+                self.warn("AmbiguousTerm", tid, "merge branches disagree on target")
+        target = named[0] if named else self.sink_for(rows[0].scenario.name)
+        suffix = _common_suffix([tuple(r.actions) for r in rows])
+        draft = _Draft(
+            order,
+            tid,
+            inputs=[],
+            outputs=[(target, None, (), False)],
+            join_kind=join_kind,
+            shared_guard=tuple(rows[0].lits) or None,
+            shared_actions=suffix,
+        )
+        for r in rows:
+            if len(r.events) > 1:
+                if draft.shared_event is None:
+                    draft.shared_event = r.events[1]
+                elif draft.shared_event != r.events[1]:
+                    self.warn("AmbiguousTerm", tid, "merge branches disagree on shared event")
+            branch_actions = tuple(r.actions[: len(r.actions) - len(suffix)])
+            draft.inputs.append((r.source, r.events[0] if r.events else None, branch_actions))
+            self.note_entry(r.source, target)
+        return draft
+
+    # -- named reconstruction --------------------------------------------------
 
     def split_then(self, scenario: Scenario, shape: str):
         """Partition THEN chunks into action atoms and trailing state terms.
@@ -254,14 +350,12 @@ class _Inferrer:
         """
         chunks = _chunks_of(scenario)
         if shape == "strict-single" or shape == "target-last":
-            *front, last = chunks
-            if len(last) == 1 and (front or shape == "target-last" or last[0] in self.states):
-                return [a for c in front for a in c], [last[0]]
-            if len(last) == 1 and not front:
-                # single bare chunk: a state only if something says so
-                if last[0] in self.states:
-                    return [], [last[0]]
-                return [last[0]], []
+            last = chunks[-1]
+            # a single bare chunk is a state only if something says so
+            if len(last) == 1 and (
+                len(chunks) > 1 or shape == "target-last" or last[0] in self.states
+            ):
+                return [a for c in chunks[:-1] for a in c], [last[0]]
             return [a for c in chunks for a in c], []
         if shape == "strict-multi" and chunks and len(chunks[0]) > 1:
             actions = list(chunks[0])
@@ -277,42 +371,21 @@ class _Inferrer:
                     )
                     actions.extend(c)
             return actions, targets
-        idx = len(chunks)
-        while idx > 0 and len(chunks[idx - 1]) == 1 and chunks[idx - 1][0] in self.states:
-            idx -= 1
-        actions = [a for c in chunks[:idx] for a in c]
-        targets = [c[0] for c in chunks[idx:]]
-        return actions, targets
+        return _peel(chunks, self.states.__contains__)
 
-    def row(self, index: int, scenario: Scenario, shape: str) -> _Row:
-        sources, lits = self.split_given(scenario)
+    def row(self, scenario: Scenario, shape: str) -> _Row:
+        sources, lits = _split_given(
+            scenario.given,
+            lambda a: a in self.states and a not in self.hints.declared_guards,
+        )
+        if not sources:
+            sources = [scenario.given[0].atom]
+            lits = [(t.atom, t.negated) for t in scenario.given[1:]]
         actions, targets = self.split_then(scenario, shape)
         for t in targets:
             self.note_state(t)
-        return _Row(
-            index=index,
-            scenario=scenario,
-            source=sources[0],
-            sources=sources,
-            lits=lits,
-            events=self.events_of(scenario),
-            actions=actions,
-            targets=targets,
-        )
-
-    def attach_events(self, draft: _Draft, events: list[str], location: str):
-        k = len(draft.inputs)
-        if len(events) > k + 1:
-            self.warn("AmbiguousTerm", location, f"more events than event slots: {events}")
-        if 0 < len(events) < k:
-            self.warn("AmbiguousTerm", location, "fewer events than join inputs; pairing positionally")
-        for i in range(min(k, len(events))):
-            src, _, acts = draft.inputs[i]
-            draft.inputs[i] = (src, events[i], acts)
-        if len(events) > k:
-            draft.shared_event = events[k]
-
-    # -- named reconstruction --------------------------------------------------
+        events = [t.atom for t in scenario.when if t.atom != COMPLETION_EVENT]
+        return _Row(scenario, sources, lits, events, actions, targets)
 
     def named_state_evidence(self, groups):
         strict = self.doc.mode_hint == "strict"
@@ -355,79 +428,26 @@ class _Inferrer:
                 ):
                     drafts.append(self.named_sync(order, kind, tid, scens, shape))
                 else:
-                    drafts.append(self.named_merge(order, kind, tid, scens, shape))
+                    rows = [self.row(s, shape) for s in scens]
+                    drafts.append(self.fold_join(order, tid, rows, _JOIN_KIND_OF[kind]))
             elif kind == PatternKind.PARALLEL_SPLIT:
                 drafts.append(self.named_parallel(order, tid, scens, strict))
             elif kind == PatternKind.MULTIPLE_CHOICE:
                 drafts.append(self.named_choice(order, tid, scens, strict))
             else:
                 shape = "strict-single" if strict else "evidence"
-                drafts.append(self.named_single(order, kind, tid, scens, shape))
+                row = self.row(self.one_scenario(kind, tid, scens), shape)
+                target = self.target_of(row)
+                self.note_entry(row.source, target)
+                if len(row.targets) > 1:
+                    self.warn("AmbiguousTerm", tid, "single-target row names several states")
+                drafts.append(self.one_row(order, tid, row, [row.source], [target]))
         return drafts
 
     def one_scenario(self, kind, tid, scens) -> Scenario:
         if len(scens) != 1:
             self.warn("AmbiguousTerm", tid, f"{kind.value} expects one scenario, got {len(scens)}")
         return scens[0]
-
-    def named_single(self, order, kind, tid, scens, shape) -> _Draft:
-        row = self.row(0, self.one_scenario(kind, tid, scens), shape)
-        target = row.targets[0] if row.targets else self.sink_for(row.scenario.name)
-        self.note_state(target)
-        self.note_entry(row.source, target)
-        draft = _Draft(
-            order,
-            tid,
-            inputs=[(row.source, None, ())],
-            outputs=[(target, None, (), False)],
-            shared_guard=tuple(row.lits) or None,
-            shared_actions=tuple(row.actions),
-        )
-        if len(row.targets) > 1:
-            self.warn("AmbiguousTerm", tid, "single-target row names several states")
-        self.attach_events(draft, row.events, row.scenario.name)
-        return draft
-
-    def named_merge(self, order, kind, tid, scens, shape) -> _Draft:
-        rows = [self.row(i, s, shape) for i, s in enumerate(scens)]
-        lit_sets = {tuple(r.lits) for r in rows}
-        if len(lit_sets) > 1:
-            self.warn("AmbiguousTerm", tid, "merge branches disagree on guard literals")
-        shared_lits = tuple(rows[0].lits) or None
-        target = None
-        for r in rows:
-            if r.targets:
-                if target is None:
-                    target = r.targets[0]
-                elif target != r.targets[0]:
-                    self.warn("AmbiguousTerm", tid, "merge branches disagree on target")
-        if target is None:
-            target = self.sink_for(rows[0].scenario.name)
-        self.note_state(target)
-
-        shared_actions = _common_suffix([tuple(r.actions) for r in rows])
-        draft = _Draft(
-            order,
-            tid,
-            inputs=[],
-            outputs=[(target, None, (), False)],
-            join_kind=_JOIN_KIND_OF[kind],
-            shared_guard=shared_lits,
-            shared_actions=shared_actions,
-        )
-        shared_event = None
-        for r in rows:
-            branch_actions = tuple(r.actions[: len(r.actions) - len(shared_actions)])
-            event = r.events[0] if r.events else None
-            if len(r.events) > 1:
-                if shared_event is None:
-                    shared_event = r.events[1]
-                elif shared_event != r.events[1]:
-                    self.warn("AmbiguousTerm", tid, "merge branches disagree on shared event")
-            draft.inputs.append((r.source, event, branch_actions))
-            self.note_entry(r.source, target)
-        draft.shared_event = shared_event
-        return draft
 
     def named_sync(self, order, kind, tid, scens, shape) -> _Draft:
         s = self.one_scenario(kind, tid, scens)
@@ -437,63 +457,24 @@ class _Inferrer:
             if term.negated or term.atom in self.hints.declared_guards:
                 break
             self.note_state(term.atom)
-        row = self.row(0, s, shape)
-        target = row.targets[0] if row.targets else self.sink_for(row.scenario.name)
-        self.note_state(target)
-        draft = _Draft(
-            order,
-            tid,
-            inputs=[(src, None, ()) for src in row.sources],
-            outputs=[(target, None, (), False)],
-            join_kind=_JOIN_KIND_OF[kind],
-            shared_guard=tuple(row.lits) or None,
-            shared_actions=tuple(row.actions),
-        )
-        self.attach_events(draft, row.events, row.scenario.name)
+        row = self.row(s, shape)
+        target = self.target_of(row)
+        draft = self.one_row(order, tid, row, row.sources, [target], _JOIN_KIND_OF[kind])
         for src in row.sources:
             self.note_entry(src, target)
         return draft
 
     def named_parallel(self, order, tid, scens, strict) -> _Draft:
         if strict or len(scens) == 1:
-            row = self.row(0, scens[0], "strict-multi" if strict else "evidence")
+            row = self.row(scens[0], "strict-multi" if strict else "evidence")
             if len(scens) > 1:
                 self.warn("AmbiguousTerm", tid, "unexpected extra rows for a parallel split")
             targets = row.targets or [self.sink_for(row.scenario.name)]
             for t in targets:
-                self.note_state(t)
                 self.note_entry(row.source, t)
-            draft = _Draft(
-                order,
-                tid,
-                inputs=[(row.source, None, ())],
-                outputs=[(t, None, (), False) for t in targets],
-                split_kind="and" if len(targets) > 1 else "none",
-                shared_guard=tuple(row.lits) or None,
-                shared_actions=tuple(row.actions),
-            )
-            self.attach_events(draft, row.events, row.scenario.name)
-            return draft
-        # Per-output rows: shared prefix, then one branch per row.
-        rows = [self.row(i, s, "evidence") for i, s in enumerate(scens)]
-        prefix = _common_prefix([tuple(r.actions) for r in rows])
-        outputs = []
-        for r in rows:
-            target = r.targets[0] if r.targets else self.sink_for(r.scenario.name)
-            self.note_state(target)
-            self.note_entry(rows[0].source, target)
-            outputs.append((target, None, tuple(r.actions[len(prefix):]), False))
-        draft = _Draft(
-            order,
-            tid,
-            inputs=[(rows[0].source, None, ())],
-            outputs=outputs,
-            split_kind="and" if len(outputs) > 1 else "none",
-            shared_guard=tuple(rows[0].lits) or None,
-            shared_actions=tuple(prefix),
-        )
-        self.attach_events(draft, rows[0].events, rows[0].scenario.name)
-        return draft
+            return self.one_row(order, tid, row, [row.source], targets)
+        # per-output rows: shared prefix, then one branch per row
+        return self.fold_split(order, tid, [self.row(s, "evidence") for s in scens])
 
     def named_choice(self, order, tid, scens, strict) -> _Draft:
         shape = "strict-multi" if strict else "evidence"
@@ -506,7 +487,7 @@ class _Inferrer:
             if any(a in self.states for a in atoms):
                 for a in sorted(atoms):
                     self.note_state(a)
-        rows = [self.row(i, s, shape) for i, s in enumerate(scens)]
+        rows = [self.row(s, shape) for s in scens]
         count = len(rows)
         n = (count + 1).bit_length() - 1
         if 2**n - 1 != count or n == 0:
@@ -548,13 +529,11 @@ class _Inferrer:
             i: tuple(singles[i].actions[len(prefix):] if count > 1 else singles[i].actions)
             for i in range(n)
         }
-        shared_actions = tuple(prefix) if count > 1 else ()
 
         outputs: list[tuple[str, tuple | None, tuple[str, ...], bool]] = []
         placed: set[int] = set()
         for t in full.targets:
             if t in always:
-                self.note_state(t)
                 outputs.append((t, None, (), True))
                 continue
             for i in range(n):
@@ -565,19 +544,16 @@ class _Inferrer:
         for i in range(n):
             if i not in placed:
                 outputs.append((branch_targets[i], tuple(own[i]), branch_actions[i], False))
-                placed.add(i)
-        src = full.source
         for t, _g, _a, _mand in outputs:
-            self.note_state(t)
-            self.note_entry(src, t)
+            self.note_entry(full.source, t)
         draft = _Draft(
             order,
             tid,
-            inputs=[(src, None, ())],
+            inputs=[(full.source, None, ())],
             outputs=outputs,
             split_kind="or",
             shared_guard=tuple(shared_lits) or None,
-            shared_actions=shared_actions,
+            shared_actions=tuple(prefix),
         )
         self.attach_events(draft, full.events, full.scenario.name)
         return draft
@@ -617,14 +593,13 @@ class _Inferrer:
                 then_final.add(atoms[-1])
 
         roles: dict[str, str] = {}
-        for name in self.hints.declared_states:
-            roles[name] = "state"
-        for name in self.hints.declared_events:
-            roles[name] = "event"
-        for name in self.hints.declared_guards:
-            roles[name] = "guard"
-        for name in self.hints.declared_actions:
-            roles[name] = "action"
+        for role, names in (
+            ("state", self.hints.declared_states),
+            ("event", self.hints.declared_events),
+            ("guard", self.hints.declared_guards),
+            ("action", self.hints.declared_actions),
+        ):
+            roles.update(dict.fromkeys(names, role))
         roles[self.initial] = "state"
         roles[self.final] = "state"
 
@@ -658,15 +633,12 @@ class _Inferrer:
         return roles
 
     def structural_rows(self, roles) -> list[_Row]:
+        def is_state(atom):
+            return roles.get(atom) == "state"
+
         rows: list[_Row] = []
         for i, s in enumerate(self.scenarios):
-            sources: list[str] = []
-            lits: list[tuple[str, bool]] = []
-            for term in s.given:
-                if roles.get(term.atom) == "state" and not term.negated and not lits:
-                    sources.append(term.atom)
-                else:
-                    lits.append((term.atom, term.negated))
+            sources, lits = _split_given(s.given, is_state)
             events: list[str] = []
             for term in s.when:
                 if term.atom == COMPLETION_EVENT:
@@ -676,175 +648,100 @@ class _Inferrer:
                 else:
                     events.append(term.atom)
             chunks = _chunks_of(s)
-            idx = len(chunks)
-            while idx > 0 and len(chunks[idx - 1]) == 1 and roles.get(chunks[idx - 1][0]) == "state":
-                idx -= 1
-            actions = [a for c in chunks[:idx] for a in c]
-            targets = [c[0] for c in chunks[idx:]]
+            actions, targets = _peel(chunks, is_state)
             if len(chunks) > 1 and not targets:
                 self.warn(
                     "AmbiguousTerm",
                     s.name,
                     f"trailing term {chunks[-1][-1]!r} defaulted to action",
                 )
-            for src in sources:
-                self.note_state(src)
-            rows.append(_Row(i, s, sources[0] if sources else None, sources, lits, events, actions, targets))
+            rows.append(_Row(s, sources, lits, events, actions, targets, i))
         return rows
 
     def infer_structural(self) -> list[_Draft]:
-        roles = self.classify_terms()
-        rows = self.structural_rows(roles)
+        rows = self.structural_rows(self.classify_terms())
         drafts: list[_Draft] = []
         used: set[int] = set()
-        uid = 0
+        ids = (f"u{i}" for i in itertools.count(1))
 
-        def next_id() -> str:
-            nonlocal uid
-            uid += 1
-            return f"u{uid}"
+        def groups(key) -> list[list[_Row]]:
+            """Unfolded single-source rows grouped by ``key``, in document order."""
+            by_key: dict[tuple, list[_Row]] = {}
+            for row in rows:
+                if row.index not in used and len(row.sources) == 1:
+                    k = key(row)
+                    if k is not None:
+                        by_key.setdefault(k, []).append(row)
+            return list(by_key.values())
+
+        def fold(members, draft):
+            drafts.append(draft)
+            used.update(r.index for r in members)
 
         # guard-subset families fold into or-splits
-        by_family: dict[tuple, list[_Row]] = {}
-        for row in rows:
-            if len(row.sources) == 1 and row.lits:
-                by_family.setdefault((row.source, tuple(row.events)), []).append(row)
-        for (src, events), members in sorted(by_family.items(), key=lambda kv: kv[1][0].index):
-            if len(members) < 3:
-                continue
+        for members in groups(lambda r: (r.source, tuple(r.events)) if r.lits else None):
             positives = [frozenset(l for l in r.lits if not l[1]) for r in members]
             union = frozenset().union(*positives)
             n = len(union)
-            if len(members) != 2**n - 1 or len(set(positives)) != len(members):
+            # each non-empty subset of the positive guards once; the count
+            # check comes first so that the subsets are only listed when few
+            if len(members) < 3 or len(members) != 2**n - 1:
                 continue
-            wanted = {
-                frozenset(c)
-                for size in range(1, n + 1)
-                for c in itertools.combinations(union, size)
-            }
-            if set(positives) != wanted:
+            if set(positives) != {
+                frozenset(c) for k in range(1, n + 1) for c in itertools.combinations(union, k)
+            }:
                 continue
-            singles = sorted(
-                (r for r in members if len([l for l in r.lits if not l[1]]) == 1),
-                key=lambda r: r.index,
-            )
+            src = members[0].source
             prefix = _common_prefix([tuple(r.actions) for r in members])
-            common_targets = [
-                t for t in (members[0].targets or []) if all(t in r.targets for r in members)
-            ]
-            outputs = []
-            for t in common_targets:
-                self.note_state(t)
-                outputs.append((t, None, (), True))
-            for r in singles:
-                own = tuple(l for l in r.lits if not l[1])
+            common_targets = [t for t in members[0].targets if all(t in r.targets for r in members)]
+            outputs = [(t, None, (), True) for t in common_targets]
+            for r, own in zip(members, positives):
+                if len(own) != 1:
+                    continue
                 row_targets = [t for t in r.targets if t not in common_targets]
                 target = row_targets[0] if row_targets else self.sink_for(r.scenario.name)
-                self.note_state(target)
                 self.note_entry(src, target)
-                outputs.append((target, own, tuple(r.actions[len(prefix):]), False))
+                outputs.append((target, tuple(own), tuple(r.actions[len(prefix):]), False))
             draft = _Draft(
                 members[0].index,
-                next_id(),
+                next(ids),
                 inputs=[(src, None, ())],
                 outputs=outputs,
                 split_kind="or",
-                shared_actions=tuple(prefix),
+                shared_actions=prefix,
             )
-            self.attach_events(draft, list(events), members[0].scenario.name)
-            drafts.append(draft)
-            used.update(r.index for r in members)
+            self.attach_events(draft, members[0].events, members[0].scenario.name)
+            fold(members, draft)
 
         # identical GIVEN and WHEN fold into and-splits
-        by_shape: dict[tuple, list[_Row]] = {}
-        for row in rows:
-            if row.index in used or len(row.sources) != 1:
-                continue
-            key = (row.source, tuple(row.lits), tuple(row.events))
-            by_shape.setdefault(key, []).append(row)
-        for key, members in sorted(by_shape.items(), key=lambda kv: kv[1][0].index):
-            if len(members) < 2:
-                continue
-            prefix = _common_prefix([tuple(r.actions) for r in members])
-            outputs = []
-            for r in members:
-                target = r.targets[0] if r.targets else self.sink_for(r.scenario.name)
-                self.note_state(target)
-                self.note_entry(members[0].source, target)
-                outputs.append((target, None, tuple(r.actions[len(prefix):]), False))
-            draft = _Draft(
-                members[0].index,
-                next_id(),
-                inputs=[(members[0].source, None, ())],
-                outputs=outputs,
-                split_kind="and",
-                shared_guard=tuple(members[0].lits) or None,
-                shared_actions=tuple(prefix),
-            )
-            self.attach_events(draft, list(members[0].events), members[0].scenario.name)
-            drafts.append(draft)
-            used.update(r.index for r in members)
+        for members in groups(lambda r: (r.source, tuple(r.lits), tuple(r.events))):
+            if len(members) > 1:
+                fold(members, self.fold_split(members[0].index, next(ids), members))
 
-        # shared trailing actions across distinct sources fold into joins
-        by_tail: dict[tuple, list[_Row]] = {}
-        for row in rows:
-            if row.index in used or len(row.sources) != 1 or not row.actions:
-                continue
-            by_tail.setdefault((tuple(row.targets), row.actions[-1]), []).append(row)
-        for key, members in sorted(by_tail.items(), key=lambda kv: kv[1][0].index):
-            srcs = [r.source for r in members]
-            if len(members) < 2 or len(set(srcs)) != len(srcs):
-                continue
-            suffix = _common_suffix([tuple(r.actions) for r in members])
-            if not suffix:
-                continue
-            targets = members[0].targets
-            target = targets[0] if targets else self.sink_for(members[0].scenario.name)
-            self.note_state(target)
-            draft = _Draft(
-                members[0].index,
-                next_id(),
-                inputs=[],
-                outputs=[(target, None, (), False)],
-                join_kind="and",
-                shared_actions=tuple(suffix),
-            )
-            shared_event = None
-            for r in members:
-                event = r.events[0] if r.events else None
-                if len(r.events) > 1:
-                    shared_event = r.events[1]
-                draft.inputs.append(
-                    (r.source, event, tuple(r.actions[: len(r.actions) - len(suffix)]))
+        # the same targets and last action across distinct sources fold into joins
+        for members in groups(lambda r: (tuple(r.targets), r.actions[-1]) if r.actions else None):
+            if len(members) > 1 and len({r.source for r in members}) == len(members):
+                fold(members, self.fold_join(members[0].index, next(ids), members, "and"))
+                self.warn(
+                    "AmbiguousJoin",
+                    members[0].scenario.name,
+                    "join kind is not recoverable from text; assuming synchronization",
                 )
-                if r.lits and draft.shared_guard is None:
-                    draft.shared_guard = tuple(r.lits)
-                self.note_entry(r.source, target)
-            draft.shared_event = shared_event
-            self.warn(
-                "AmbiguousJoin",
-                members[0].scenario.name,
-                "join kind is not recoverable from text; assuming synchronization",
-            )
-            drafts.append(draft)
-            used.update(r.index for r in members)
 
         # everything else: one transition per row
         for row in rows:
             if row.index in used:
                 continue
             targets = row.targets or [self.sink_for(row.scenario.name)]
-            branch_actions = tuple(row.actions)
             for t in targets:
-                self.note_state(t)
                 for src in row.sources:
                     self.note_entry(src, t)
             draft = _Draft(
                 row.index,
-                next_id(),
+                next(ids),
                 inputs=[(src, None, ()) for src in row.sources],
                 outputs=[
-                    (t, None, branch_actions if i == 0 else (), False)
+                    (t, None, tuple(row.actions) if i == 0 else (), False)
                     for i, t in enumerate(targets)
                 ],
                 join_kind="none" if len(row.sources) == 1 else "and",
@@ -859,7 +756,6 @@ class _Inferrer:
                 )
             self.attach_events(draft, row.events, row.scenario.name)
             drafts.append(draft)
-            used.add(row.index)
 
         drafts.sort(key=lambda d: d.order)
         return drafts

@@ -3,6 +3,7 @@
 import pytest
 
 from flowspec.canon import canonical_form, isomorphic
+from flowspec.dsl import parse_dsl, serialize_dsl
 from flowspec.emit import emit_feature
 from flowspec.feature import format_feature, parse_feature
 from flowspec.generator import random_model
@@ -79,6 +80,7 @@ def test_fixture_strict_roundtrips(fixtures, key):
     assert isomorphic(inferred, model), key
     again = format_feature(emit_feature(inferred, "strict"), "gherkin")
     assert again == text, key
+    assert parse_dsl(serialize_dsl(inferred)) == inferred, key
 
 
 def test_roundtrip_keeps_transition_ids(m9):
@@ -197,6 +199,108 @@ def test_renamed_pseudostates_via_hints():
     assert model.transitions[0].outputs[0].target == "stop"
 
 
+def test_hinted_states_keep_document_order():
+    # hinted states come first, as the document lists them, then extra
+    # hint states sorted; the order of a set must not leak into the model
+    text = (
+        "# states: S6, S5, S4, S3, S2, S1\n"
+        "GIVEN S1\nWHEN e1\nTHEN a1 AND S2\n\nGIVEN S2\nWHEN e2\nTHEN a2 AND S3\n"
+    )
+    hints = InferenceHints(declared_states=frozenset({"X2", "X1", "S4"}))
+    model, _ = infer_model(parse_feature(text), hints)
+    assert [s.path for s in model.states] == ["S6", "S5", "S4", "S3", "S2", "S1", "X1", "X2"]
+
+
+def test_structural_rows_with_one_given_and_when_fold_into_and_split():
+    text = (
+        "GIVEN S1\nWHEN e1\nTHEN a1 AND a2 AND S2\n\n"
+        "GIVEN S1\nWHEN e1\nTHEN a1 AND a3 AND S3\n\n"
+        "GIVEN S2\nWHEN e2\nTHEN a4 AND Beta\n\n"
+        "GIVEN S3\nWHEN e3\nTHEN a5 AND Beta\n"
+    )
+    model, _ = infer_model(parse_feature(text))
+    t = model.transitions[0]
+    assert (t.split_kind, t.shared_actions) == ("and", ("a1",))
+    assert [(b.target, b.actions) for b in t.outputs] == [("S2", ("a2",)), ("S3", ("a3",))]
+    assert len(model.transitions) == 3
+
+
+def test_structural_join_keeps_shared_event_and_guard():
+    text = (
+        "GIVEN S1 AND g1\nWHEN e1 AND e3\nTHEN a1 AND a3 AND S3\n\n"
+        "GIVEN S2 AND g1\nWHEN e2 AND e3\nTHEN a2 AND a3 AND S3\n\n"
+        "GIVEN S3\nWHEN e4\nTHEN a4 AND Beta\n"
+    )
+    model, diags = infer_model(parse_feature(text))
+    t = model.transitions[0]
+    assert t.join_kind == "and"
+    assert [(b.source, b.event, b.actions) for b in t.inputs] == [
+        ("S1", "e1", ("a1",)),
+        ("S2", "e2", ("a2",)),
+    ]
+    assert (t.shared_event, t.shared_guard.literals, t.shared_actions) == (
+        "e3",
+        (("g1", False),),
+        ("a3",),
+    )
+    assert not any(d.message.startswith("merge branches") for d in diags)
+
+
+def test_structural_join_rows_that_disagree_keep_the_first_row():
+    # the named route's rule: the first row's guard and shared event win,
+    # and each disagreement is a warning
+    text = (
+        "GIVEN S1\nWHEN e1 AND e3\nTHEN a1 AND a3 AND S3\n\n"
+        "GIVEN S2 AND g2\nWHEN e2 AND e4\nTHEN a2 AND a3 AND S3\n\n"
+        "GIVEN S3\nWHEN e5\nTHEN a5 AND Beta\n"
+    )
+    model, diags = infer_model(parse_feature(text))
+    t = model.transitions[0]
+    assert [b.source for b in t.inputs] == ["S1", "S2"]
+    assert (t.shared_event, t.shared_guard) == ("e3", None)
+    assert [d.message for d in diags if d.message.startswith("merge branches")] == [
+        "merge branches disagree on guard literals",
+        "merge branches disagree on shared event",
+    ]
+
+
+def test_structural_choice_family_keeps_mandatory_output():
+    text = (
+        "# states: S2, S3, S4\n"
+        "GIVEN S1 AND g1 AND NOT g2\nWHEN ev1\nTHEN a1 AND a2 AND S4 AND S2\n\n"
+        "GIVEN S1 AND g2 AND NOT g1\nWHEN ev1\nTHEN a1 AND a3 AND S4 AND S3\n\n"
+        "GIVEN S1 AND g1 AND g2\nWHEN ev1\nTHEN a1 AND a2 AND a3 AND S4 AND S2 AND S3\n"
+    )
+    model, _ = infer_model(parse_feature(text))
+    (t,) = model.transitions
+    assert (t.split_kind, t.shared_actions) == ("or", ("a1",))
+    assert [
+        (b.target, b.guard.literals if b.guard else None, b.actions, b.mandatory)
+        for b in t.outputs
+    ] == [
+        ("S4", None, (), True),
+        ("S2", (("g1", False),), ("a2",), False),
+        ("S3", (("g2", False),), ("a3",), False),
+    ]
+
+
+def test_named_merge_rows_that_disagree_keep_the_first_row():
+    text = (
+        "# flowspec: mode=strict\nFeature: disagree\n\n"
+        "Scenario: SimpleMerge t1 1\nGiven S1 AND g1\nWhen e1 AND e3\nThen a1; a3 AND S3\n\n"
+        "Scenario: SimpleMerge t1 2\nGiven S2 AND g2\nWhen e2 AND e4\nThen a2; a3 AND S4\n"
+    )
+    model, diags = infer_model(parse_feature(text))
+    (t,) = model.transitions
+    assert (t.join_kind, t.outputs[0].target, t.shared_event) == ("xor", "S3", "e3")
+    assert t.shared_guard.literals == (("g1", False),)
+    assert [(d.location, d.message) for d in diags if d.code == "AmbiguousTerm"] == [
+        ("t1", "merge branches disagree on guard literals"),
+        ("t1", "merge branches disagree on target"),
+        ("t1", "merge branches disagree on shared event"),
+    ]
+
+
 @pytest.mark.parametrize("key", ["m1", "m2", "m3", "m4", "m5", "m6", "m7", "m8", "m9"])
 def test_paper_exact_documents_infer_without_errors(fixtures, key):
     # the compact shapes drop result states, so sinks and warnings are
@@ -206,6 +310,7 @@ def test_paper_exact_documents_infer_without_errors(fixtures, key):
     inferred, diags = infer_model(parse_feature(text))
     assert [d for d in diags if d.severity == "error"] == [], key
     assert len(inferred.transitions) == len(model.transitions), key
+    assert parse_dsl(serialize_dsl(inferred)) == inferred, key
     from flowspec.dot import render_dot
 
     assert render_dot(inferred).startswith("digraph process {")
@@ -238,3 +343,4 @@ def test_generated_roundtrip(seed):
     assert [d for d in diags if d.severity == "error"] == [], seed
     assert canonical_form(inferred) == canonical_form(model), seed
     assert format_feature(emit_feature(inferred, "strict"), "gherkin") == text, seed
+    assert parse_dsl(serialize_dsl(inferred)) == inferred, seed

@@ -28,6 +28,7 @@ from .errors import (
 )
 from .feature import format_feature, parse_feature
 from .infer import infer_model
+from .model import normalize_mode
 from .patterns import lint as lint_model
 from .replay import check_suite, report_for
 from .skeletons import emit_skeletons, skeletons_to_json
@@ -171,8 +172,11 @@ def _cmd_check(args, stdout, stderr) -> int:
     verdicts = []
     for path in args.features:
         doc = _load_feature(path)
-        mode = args.mode or doc.mode_hint or "strict"
-        verdicts.extend(check_suite(model, doc, mode.replace("-", "_")).verdicts)
+        try:
+            mode = normalize_mode(args.mode or doc.mode_hint or "strict")
+        except ValueError as exc:
+            raise _InputError(f"{path}: {exc}") from exc
+        verdicts.extend(check_suite(model, doc, mode).verdicts)
     report = report_for(model, verdicts)
     if args.json is not None:
         text = json.dumps(report.to_json(), indent=2) + "\n"

@@ -22,18 +22,10 @@ from __future__ import annotations
 from . import model as m
 from .errors import TooManyChoiceBranches
 from .feature import ActionSeq, FeatureDoc, Scenario, StateTerm, Term, scenario_from_clauses
-from .model import COMPLETION_EVENT, PatternKind, ProcessModel, TransitionDecl
+from .model import COMPLETION_EVENT, PatternKind, ProcessModel, TransitionDecl, normalize_mode
 from .patterns import classify, effective_guard_literals
 
-MODES = ("paper_exact", "strict")
 MAX_CHOICE_BRANCHES = 10
-
-
-def normalize_mode(mode: str) -> str:
-    mode = mode.replace("-", "_")
-    if mode not in MODES:
-        raise ValueError(f"unknown emission mode {mode!r}")
-    return mode
 
 
 def enumerate_choice_subsets(branches):
@@ -147,7 +139,7 @@ class _Emitter:
     # -- paper-exact mode ---------------------------------------------------
 
     def special_involved(self, t: TransitionDecl) -> bool:
-        nodes = m.state_map(self.model)
+        nodes = m.model_index(self.model).nodes
         for b in t.inputs:
             node = nodes.get(b.source)
             if "." in b.source or (node and (node.exit_actions or node.composite)):

@@ -143,7 +143,7 @@ def _warn(code: str, location: str, message: str) -> Diagnostic:
 
 
 def _reachable_paths(model: ProcessModel) -> set[str]:
-    nodes = m.state_map(model)
+    nodes = m.model_index(model).nodes
     reached: set[str] = set()
 
     def mark(path: str):

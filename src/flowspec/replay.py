@@ -21,6 +21,7 @@ from .model import (
     ProcessModel,
     TransitionDecl,
     nonempty_subsets,
+    normalize_mode,
 )
 
 MAX_EXPLORE_DEPTH = 32
@@ -83,9 +84,8 @@ def _input_satisfied(b: m.InBranch, counts, events) -> bool:
 
 def _match_or_split(model: ProcessModel, t: TransitionDecl, config: Configuration):
     """Locate the or-split whose recorded activation feeds this or-join."""
-    for s in model.transitions:
-        if s.split_kind != "or":
-            continue
+    index = m.model_index(model)
+    for s in index.or_splits:
         mark = config.mark(s.id)
         if mark is None:
             continue
@@ -93,7 +93,7 @@ def _match_or_split(model: ProcessModel, t: TransitionDecl, config: Configuratio
         for i in mark:
             target = s.outputs[i].target
             fired_targets.add(target)
-            fired_targets.add(m.leaf_path(model, target))
+            fired_targets.add(index.leaf(target))
         required = tuple(
             i for i, b in enumerate(t.inputs) if b.source in fired_targets
         )
@@ -161,7 +161,7 @@ def enabled(model: ProcessModel, config: Configuration, events, valuation) -> li
     """Transition ids with at least one firing, in declaration order."""
     events = set(events)
     out = []
-    for t in model.transitions:
+    for t in m.model_index(model).candidates(config.counts()):
         if firings_for(model, t, config, events, valuation):
             out.append(t.id)
     return out
@@ -179,11 +179,11 @@ def step(model: ProcessModel, config: Configuration, events, valuation) -> StepR
     tokens from some state than the configuration holds.
     """
     events = set(events)
+    counts = config.counts()
     firings: list[Firing] = []
-    for t in model.transitions:
+    for t in m.model_index(model).candidates(counts):
         firings.extend(firings_for(model, t, config, events, valuation))
 
-    counts = config.counts()
     demand: dict[str, int] = {}
     demanders: dict[str, list[str]] = {}
     for firing in firings:
@@ -244,11 +244,11 @@ def replay_scenario(model: ProcessModel, scenario: Scenario, mode: str = "strict
     mode accepts any scenario whose actions embed into the trace in order
     and whose state terms are contained in the resulting configuration.
     """
-    mode = mode.replace("-", "_")
+    mode = normalize_mode(mode)
     if not scenario.structured:
         return Verdict(False, (("structured clauses", "free-text steps", scenario.name),))
 
-    spaces = m.namespaces(model)
+    spaces = m.model_index(model).spaces
     paths: list[str] = []
     valuation: dict[str, bool] = {}
     for term in scenario.given:
@@ -384,7 +384,9 @@ def report_for(model: ProcessModel, verdicts) -> CheckReport:
 
 
 def check_suite(model: ProcessModel, doc: FeatureDoc, mode: str = "strict") -> CheckReport:
-    """Replay every scenario and aggregate the verdicts with ``report_for``."""
+    """Replay every scenario and aggregate the verdicts with ``report_for``.
+    Raises ValueError for a mode not in ``model.MODES``."""
+    mode = normalize_mode(mode)
     verdicts: list[tuple[str, Verdict]] = []
     for scenario in doc.scenarios:
         try:
@@ -421,7 +423,7 @@ def _stimuli(model: ProcessModel, config: Configuration):
             seen.add(key)
             out.append((set(events), dict(valuation)))
 
-    for t in model.transitions:
+    for t in m.model_index(model).candidates(counts):
         if not any(counts.get(b.source, 0) >= 1 for b in t.inputs):
             continue
         base_events = {b.event for b in t.inputs if b.event}

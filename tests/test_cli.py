@@ -240,3 +240,13 @@ def test_reverse_of_unrunnable_join_exits_one(tmp_path):
     assert code == 1
     assert "error[UnsatisfiableJoin] at t1" in err
     assert "error[ReservedName] at _done" in err
+
+
+def test_check_unknown_mode_hint_is_input_error(tmp_path):
+    suite = tmp_path / "bogus.feature"
+    text = (DATA_DIR / "special_cases.feature").read_text()
+    suite.write_text(text.replace("mode=paper-exact", "mode=bogus"))
+    code, out, err = invoke("check", M9, str(suite))
+    assert code == 2
+    assert out == ""
+    assert f"error: {suite}: unknown mode 'bogus'" in err

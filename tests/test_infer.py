@@ -6,7 +6,7 @@ from flowspec.canon import canonical_form, isomorphic
 from flowspec.dsl import parse_dsl, serialize_dsl
 from flowspec.emit import emit_feature
 from flowspec.feature import format_feature, parse_feature
-from flowspec.generator import random_model
+from flowspec.generator import GeneratorLimits, random_model
 from flowspec.infer import InferenceHints, infer_model
 from flowspec.model import PatternKind
 from flowspec.patterns import classify
@@ -334,11 +334,22 @@ def test_paper_exact_merge_rows_fold_per_input(m3):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("seed", range(40))
-def test_generated_roundtrip(seed):
-    model = random_model(seed)
+# The default limits (ids are the bare seeds), then two rungs of the size
+# ladder, GeneratorLimits(n + 2, n), beyond them.
+ROUNDTRIP_CASES = [pytest.param(seed, None, id=str(seed)) for seed in range(40)] + [
+    pytest.param(seed, GeneratorLimits(n + 2, n), id=f"n{n}-{seed}")
+    for n, seeds in ((80, 30), (160, 8))
+    for seed in range(seeds)
+]
+
+
+@pytest.mark.parametrize("seed, limits", ROUNDTRIP_CASES)
+def test_generated_roundtrip(seed, limits):
+    model = random_model(seed, limits)
     doc = emit_feature(model, "strict")
     text = format_feature(doc, "gherkin")
+    report = check_suite(model, parse_feature(text), "strict")
+    assert report.passed and report.coverage == 1.0, seed
     inferred, diags = infer_model(parse_feature(text))
     assert [d for d in diags if d.severity == "error"] == [], seed
     assert canonical_form(inferred) == canonical_form(model), seed

@@ -1,8 +1,13 @@
 """Core model invariants: validation, resolution, configurations."""
 
+import dataclasses
+import gc
+import weakref
+
 import pytest
 
 from flowspec import model as m
+from flowspec.emit import emit_feature
 from flowspec.errors import UnknownState
 from flowspec.model import (
     Configuration,
@@ -16,6 +21,7 @@ from flowspec.model import (
     resolve,
     validate,
 )
+from flowspec.replay import check_suite
 
 
 def simple(name, path=None, **kw):
@@ -288,3 +294,47 @@ def test_firing_plan_orders_exits_then_actions_then_entries(m9):
     plan = m.firing_plan(m9, t1)
     assert plan.trace() == ["a1", "a2"]
     assert plan.result_leaves() == ["S1"]
+
+
+# ---------------------------------------------------------------------------
+# Model index lifetime
+# ---------------------------------------------------------------------------
+
+
+def test_check_suite_builds_one_index(monkeypatch, m9):
+    doc = emit_feature(m9, "strict")
+    model = dataclasses.replace(m9)  # equal to m9, but a new object
+    built = []
+    init = m.ModelIndex.__init__
+
+    def counting_init(self, model):
+        built.append(model)
+        init(self, model)
+
+    monkeypatch.setattr(m.ModelIndex, "__init__", counting_init)
+    assert check_suite(model, doc, "strict").passed
+    assert len(built) == 1 and built[0] is model
+
+
+def test_replaced_model_gets_its_own_index(m9):
+    assert check_suite(m9, emit_feature(m9, "strict"), "strict").passed
+    s6 = resolve(m9, "S6")
+    states = tuple(
+        dataclasses.replace(s6, initial_child="S6.2") if s is s6 else s for s in m9.states
+    )
+    changed = dataclasses.replace(m9, states=states)
+    assert m.leaf_path(changed, "S6") == "S6.2"
+    assert m.firing_plan(changed, changed.transitions[2]).result_leaves() == ["S6.2"]
+    assert check_suite(changed, emit_feature(changed, "strict"), "strict").passed
+    assert m.leaf_path(m9, "S6") == "S6.1"
+
+
+def test_index_does_not_keep_a_model_alive(m1):
+    a, b = dataclasses.replace(m1), dataclasses.replace(m1)
+    doc = emit_feature(m1, "strict")
+    check_suite(a, doc, "strict")
+    check_suite(b, doc, "strict")
+    ref = weakref.ref(a)
+    del a
+    gc.collect()
+    assert ref() is None

@@ -6,11 +6,24 @@ from flowspec.dsl import parse_dsl
 from flowspec.emit import emit_feature
 from flowspec.errors import IllegalGiven, NondeterminismConflict
 from flowspec.feature import FeatureDoc, Scenario, Step, parse_feature
-from flowspec.model import Configuration, initial_configuration
+from flowspec.generator import random_model
+from flowspec.model import (
+    Configuration,
+    InBranch,
+    OutBranch,
+    ProcessModel,
+    StateNode,
+    TransitionDecl,
+    firing_plan,
+    initial_configuration,
+)
 from flowspec.replay import (
+    StepResult,
+    _stimuli,
     check_suite,
     enabled,
     explore,
+    firings_for,
     replay_scenario,
     step,
 )
@@ -268,3 +281,139 @@ def test_configurations_stay_legal_during_exploration(fixtures):
         for trace in explore(model, 5):
             for record in trace:
                 assert legal_configuration(model, record.after) is None, name
+
+
+# ---------------------------------------------------------------------------
+# Replay modes
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", ["bogus", "Strict", "", "paper exact"])
+def test_unknown_replay_mode_is_rejected(m1, mode):
+    doc = emit_feature(m1, "strict")
+    with pytest.raises(ValueError, match="unknown mode"):
+        check_suite(m1, doc, mode)
+    with pytest.raises(ValueError, match="unknown mode"):
+        check_suite(m1, FeatureDoc(title="empty"), mode)
+    with pytest.raises(ValueError, match="unknown mode"):
+        replay_scenario(m1, doc.scenarios[0], mode)
+
+
+# ---------------------------------------------------------------------------
+# Candidate selection: step and enabled against a scan of every transition
+# ---------------------------------------------------------------------------
+
+
+def oracle_enabled(model, config, events, valuation):
+    events = set(events)
+    return [t.id for t in model.transitions if firings_for(model, t, config, events, valuation)]
+
+
+def oracle_step(model, config, events, valuation):
+    """``step`` as a scan of every transition in declaration order."""
+    events = set(events)
+    firings = [
+        f for t in model.transitions for f in firings_for(model, t, config, events, valuation)
+    ]
+    counts = config.counts()
+    demanders: dict[str, list[str]] = {}
+    for f in firings:
+        for i in f.consumed:
+            demanders.setdefault(f.transition.inputs[i].source, []).append(f.transition.id)
+    for src, ids in demanders.items():
+        if len(ids) > counts.get(src, 0):
+            raise NondeterminismConflict(sorted(set(ids)))
+    marks = dict(config.or_marks)
+    trace: list[str] = []
+    for f in firings:
+        t = f.transition
+        consumed = tuple(t.inputs[i] for i in f.consumed)
+        for b in consumed:
+            counts[b.source] -= 1
+            if not counts[b.source]:
+                del counts[b.source]
+        plan = firing_plan(model, t, consumed, f.fired_outputs)
+        for leaf in plan.result_leaves():
+            counts[leaf] = counts.get(leaf, 0) + 1
+        if t.split_kind == "or":
+            marks[t.id] = f.fired_outputs
+        if f.clear_mark is not None:
+            marks.pop(f.clear_mark, None)
+        trace.extend(plan.trace())
+    after = Configuration(tuple(sorted(counts.items())), tuple(sorted(marks.items())))
+    return StepResult(tuple(f.transition.id for f in firings), tuple(trace), after)
+
+
+def outcome(run, *args):
+    try:
+        return run(*args)
+    except NondeterminismConflict as exc:
+        return ("conflict", exc.transition_ids)
+
+
+def assert_candidates_match_scan(model, start=None):
+    """Compare at every configuration ``explore(model, 4)`` reaches, under
+    every stimulus ``_stimuli`` offers there.  Returns the number of
+    comparisons."""
+    start = start or initial_configuration(model)
+    configs = {start} | {s.after for run in explore(model, 4, start) for s in run}
+    compared = 0
+    for config in sorted(configs, key=repr):
+        for events, valuation in _stimuli(model, config):
+            args = (model, config, events, valuation)
+            assert enabled(*args) == oracle_enabled(*args), (config, events, valuation)
+            assert outcome(step, *args) == outcome(oracle_step, *args), (config, events, valuation)
+            compared += 1
+    return compared
+
+
+def test_candidates_match_scan_on_fixtures(fixtures):
+    for name, model in fixtures.items():
+        assert assert_candidates_match_scan(model), name
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_candidates_match_scan_on_generated_models(seed):
+    assert assert_candidates_match_scan(random_model(seed))
+
+
+def test_candidates_include_transitions_without_inputs():
+    model = ProcessModel(
+        states=(StateNode("S1", "S1"), StateNode("S2", "S2")),
+        transitions=(
+            TransitionDecl("t1", (InBranch("alpha", "ev1"),), (OutBranch("S1"),)),
+            TransitionDecl("t0", (), (OutBranch("S2", actions=("a0",)),)),
+        ),
+    )
+    assert enabled(model, Configuration.of("alpha"), {"ev1"}, {}) == ["t1", "t0"]
+    result = step(model, Configuration.of("S1"), set(), {})
+    assert result.fired == ("t0",)
+    assert result.after == Configuration.of("S1", "S2")
+    assert assert_candidates_match_scan(model)
+
+
+def test_candidates_on_a_multi_join_target_with_two_tokens():
+    states = tuple(StateNode(s, s) for s in ("S1", "S2", "S3", "S4", "S5"))
+    model = ProcessModel(
+        states=states,
+        transitions=(
+            TransitionDecl(
+                "t1", (InBranch("alpha", "ev1"),), (OutBranch("S1"), OutBranch("S2")),
+                split_kind="and",
+            ),
+            TransitionDecl(
+                "t2", (InBranch("S1"), InBranch("S2")), (OutBranch("S3"),), join_kind="multi",
+            ),
+            TransitionDecl("t3", (InBranch("S3", "ev3"),), (OutBranch("S4"),)),
+            TransitionDecl("t4", (InBranch("S3", "ev3"),), (OutBranch("S5"),)),
+            TransitionDecl("t5", (InBranch("S4", "ev5"),), (OutBranch("Beta"),)),
+        ),
+    )
+    two = step(model, Configuration.of("S1", "S2"), set(), {})
+    assert two.fired == ("t2", "t2")
+    assert two.after == Configuration.of("S3", "S3")
+    # Two tokens feed two transitions: no conflict.
+    assert step(model, two.after, {"ev3"}, {}).after == Configuration.of("S4", "S5")
+    with pytest.raises(NondeterminismConflict):
+        step(model, Configuration.of("S3"), {"ev3"}, {})
+    assert assert_candidates_match_scan(model)

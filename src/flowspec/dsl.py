@@ -318,7 +318,6 @@ class _Parser:
     def parse_trans(self, name_tok: _Tok, start: int, end: int, known: set[str]) -> m.TransitionDecl:
         saved = self.pos
         self.pos = start
-        self._trans_end = end
         try:
             self.expect_word("from")
             inputs = [self.parse_inbr(known)]

@@ -1,19 +1,30 @@
 """Reverse translation: rebuild a process model from a feature document.
 
+Every term gets one role (state, event, guard or action) from one table per
+document, built by ``_Inferrer._roles`` before any row is read:
+
+* seeds, where the first role given to a name stays: hints and the two
+  pseudostates; the named route's shape seeds (below); dotted names are
+  states; negated terms are guards; positive GIVEN heads are states; a final
+  THEN atom that also appears in a GIVEN is a state;
+* propagation to a fixpoint: a positive GIVEN term before a state term is a
+  state, and a single-atom THEN chunk after a state chunk is a state;
+* defaults: what is left is a guard in a GIVEN, an event in a WHEN and an
+  action elsewhere.
+
 Two routes differ only in how they group rows into transitions:
 
 * documents produced by the emitter carry a mode stamp and scenario names of
   the form ``<Kind> <transition-id> [<index>]``; those names group the
-  scenarios per transition and make reconstruction deterministic and, for
-  strict documents, lossless up to canonical form;
+  scenarios per transition, and the row shape of each kind adds seeds: WHEN
+  terms are events, a strict row ends in its result states, a paper-exact
+  merge row ends in its target, and a combined join row lists its sources
+  first.  For strict documents reconstruction is lossless up to canonical
+  form;
 
-* other documents go through term classification (hints win, negated terms
-  are guards, GIVEN heads and dotted names are states, final THEN terms
-  recurring in a GIVEN are states, leftover WHEN terms are events and
-  leftover THEN terms actions) followed by structural grouping: rows sharing
-  GIVEN and WHEN form and-splits, rows sharing targets and a last action
-  across distinct sources form joins, and complemented guard-subset
-  families form or-splits.
+* other documents are grouped by structure: complemented guard-subset
+  families form or-splits, rows sharing GIVEN and WHEN form and-splits, and
+  rows sharing targets and a last action across distinct sources form joins.
 
 Both routes read a row with one GIVEN splitter (``_split_given``: leading
 state terms are sources, the rest guard literals) and one THEN peel
@@ -21,7 +32,8 @@ state terms are sources, the rest guard literals) and one THEN peel
 build transitions with the same folds: ``one_row`` for a transition read
 from a single row, ``fold_split`` for an and-split over rows with one GIVEN
 and WHEN, ``fold_join`` for a join over rows with one target and a shared
-action suffix, and ``build`` for the model.
+action suffix, ``fold_choice`` for an or-split over a guard-subset family,
+and ``build`` for the model.
 
 Rows without a recoverable resulting state get a synthetic ``_after_...``
 sink so the graph stays drawable.  Ambiguities never abort; they surface as
@@ -48,6 +60,9 @@ _NAME_RE = re.compile(
 
 # Paper-shaped rows of these kinds always name the resulting state.
 _SHAPE_CARRIES_TARGET = {PatternKind.SYNCHRONIZE_MERGE, PatternKind.MULTIPLE_MERGE}
+
+# A single scenario of these kinds is one combined row over every input.
+_COMBINED_JOINS = {PatternKind.SYNCHRONIZATION, PatternKind.SYNCHRONIZE_MERGE}
 
 _JOIN_KIND_OF = {
     PatternKind.SIMPLE_MERGE: "xor",
@@ -149,7 +164,9 @@ class _Draft:
     def build(self) -> m.TransitionDecl:
         return m.TransitionDecl(
             id=self.id,
-            inputs=tuple(m.InBranch(src, ev, acts) for src, ev, acts in self.inputs),
+            inputs=tuple(
+                m.InBranch(src, ev, acts) for src, ev, acts in self.inputs if src is not None
+            ),
             outputs=tuple(
                 m.OutBranch(tgt, m.GuardExpr(tuple(g)) if g else None, acts, mand)
                 for tgt, g, acts, mand in self.outputs
@@ -184,14 +201,14 @@ class _Inferrer:
         self.initial = self.hints.initial_name or m.DEFAULT_INITIAL
         self.final = self.hints.final_name or m.DEFAULT_FINAL
         self.diags: list[Diagnostic] = []
-        self.states: set[str] = set(self.hints.declared_states)
-        self.states.update((self.initial, self.final))
-        self.state_order: list[str] = []
+        # insertion-ordered: state order is output
+        self.state_order: dict[str, None] = {}
         # declared states in the order the document lists them, then any
-        # further hinted ones sorted: state order is output
+        # further hinted ones sorted
         listed = doc.hints.states
         for name in (*listed, *sorted(self.hints.declared_states.difference(listed))):
             self.note_state(name)
+        self.roles: dict[str, str] = {}
         self.initial_children: dict[str, str] = {}
         self.sink_counter = 0
         self.scenarios: list[Scenario] = []
@@ -211,16 +228,15 @@ class _Inferrer:
         self.diags.append(Diagnostic(code, "warning", location, message))
 
     def note_state(self, path: str):
-        if path in (self.initial, self.final):
-            return
-        for anc in m.chain(path):
-            self.states.add(anc)
-            if anc not in self.state_order:
-                self.state_order.append(anc)
+        if path not in (self.initial, self.final):
+            self.state_order.update(dict.fromkeys(m.chain(path)))
+
+    def is_state(self, atom: str) -> bool:
+        return self.roles.get(atom) == "state"
 
     def sink_for(self, scenario_name: str) -> str:
         name = f"_after_{_slug(scenario_name)}"
-        while name in self.states:
+        while name in self.state_order or name in self.roles:
             self.sink_counter += 1
             name = f"_after_{_slug(scenario_name)}_{self.sink_counter}"
         self.note_state(name)
@@ -260,6 +276,96 @@ class _Inferrer:
             draft.inputs[i] = (src, events[i], acts)
         if len(events) > k:
             draft.shared_event = events[k]
+
+    # -- term roles ------------------------------------------------------------
+
+    def _roles(self, shapes: dict[str, str]) -> dict[str, str]:
+        """One role per term for the whole document; see the module docstring.
+
+        ``shapes`` are the named route's seeds, empty for the structural one.
+        """
+        roles: dict[str, str] = {}
+        for role, names in (
+            ("state", self.hints.declared_states),
+            ("event", self.hints.declared_events),
+            ("guard", self.hints.declared_guards),
+            ("action", self.hints.declared_actions),
+        ):
+            roles.update(dict.fromkeys(names, role))
+        roles[self.initial] = roles[self.final] = "state"
+
+        for atom, role in shapes.items():
+            roles.setdefault(atom, role)
+
+        def seed(atoms, role):
+            for atom in atoms:
+                roles.setdefault(atom, role)
+
+        rows = [(s.given, s.when, _chunks_of(s)) for s in self.scenarios]
+        terms = [t for g, w, _ in rows for t in (*g, *w) if t.atom != COMPLETION_EVENT]
+        then_atoms = dict.fromkeys(a for _, _, chunks in rows for c in chunks for a in c)
+        in_given = {t.atom for g, _, _ in rows for t in g}
+        in_when = {t.atom for _, w, _ in rows for t in w} - {COMPLETION_EVENT}
+        seed((a for a in (*(t.atom for t in terms), *then_atoms) if "." in a), "state")
+        seed((t.atom for t in terms if t.negated), "guard")
+        for atom in sorted({g[0].atom for g, _, _ in rows if not g[0].negated}):
+            if roles.setdefault(atom, "state") != "state":
+                self.warn("AmbiguousTerm", atom, "GIVEN head also classified as a non-state")
+        seed((c[-1][-1] for _, _, c in rows if c[-1][-1] in in_given), "state")
+
+        # propagate to a fixpoint, revisiting the rows of each new state
+        rows_of: dict[str, list[int]] = {}
+        for i, (g, _, chunks) in enumerate(rows):
+            for atom in {t.atom for t in g}.union(c[0] for c in chunks if len(c) == 1):
+                rows_of.setdefault(atom, []).append(i)
+        todo = list(range(len(rows)))
+        while todo:
+            g, _, chunks = rows[todo.pop()]
+            last = max(
+                (k for k, t in enumerate(g) if not t.negated and roles.get(t.atom) == "state"),
+                default=0,
+            )
+            found = [t.atom for t in g[:last] if not t.negated]
+            first = next(
+                (k for k, c in enumerate(chunks) if len(c) == 1 and roles.get(c[0]) == "state"),
+                len(chunks),
+            )
+            found += [c[0] for c in chunks[first + 1 :] if len(c) == 1]
+            for atom in found:
+                if atom not in roles:
+                    roles[atom] = "state"
+                    todo.extend(rows_of[atom])
+
+        seed(in_given, "guard")
+        for atom in sorted(in_when):
+            if atom not in roles:
+                roles[atom] = "event"
+                if atom not in then_atoms:
+                    self.warn(
+                        "AmbiguousTerm",
+                        atom,
+                        "bare WHEN term defaulted to event (could be a guard)",
+                    )
+        seed(then_atoms, "action")
+        return roles
+
+    def read(self, scenario: Scenario, index: int = 0) -> _Row:
+        """Read one row over the role table; its sources and targets are noted."""
+        sources, lits = _split_given(scenario.given, self.is_state)
+        events: list[str] = []
+        for term in scenario.when:
+            if term.atom == COMPLETION_EVENT:
+                continue
+            if self.roles.get(term.atom) == "guard":
+                lits.append((term.atom, term.negated))
+            else:
+                events.append(term.atom)
+        if not sources:
+            self.warn("AmbiguousTerm", scenario.name, "GIVEN names no state; the row has no input")
+        actions, targets = _peel(_chunks_of(scenario), self.is_state)
+        for name in (*sources, *targets):
+            self.note_state(name)
+        return _Row(scenario, sources, lits, events, actions, targets, index)
 
     # -- folds shared by both routes ------------------------------------------
 
@@ -336,158 +442,13 @@ class _Inferrer:
             self.note_entry(r.source, target)
         return draft
 
-    # -- named reconstruction --------------------------------------------------
+    def fold_choice(self, order, tid, rows: list[_Row]) -> _Draft:
+        """An or-split over a guard-subset family: the single-guard rows come
+        first and the row with every guard last, as the emitter lists them.
 
-    def split_then(self, scenario: Scenario, shape: str):
-        """Partition THEN chunks into action atoms and trailing state terms.
-
-        ``shape`` is one of:
-          - "strict-single": the last chunk is the one resulting state;
-          - "strict-multi": a leading multi-atom chunk is the trace, the rest
-            are states; otherwise known states are peeled from the end;
-          - "target-last": the row shape guarantees a trailing state;
-          - "evidence": peel trailing chunks only while they are known states.
+        Outputs follow the last row's targets, mandatory ones unguarded;
+        a branch whose target that row does not name comes after them.
         """
-        chunks = _chunks_of(scenario)
-        if shape == "strict-single" or shape == "target-last":
-            last = chunks[-1]
-            # a single bare chunk is a state only if something says so
-            if len(last) == 1 and (
-                len(chunks) > 1 or shape == "target-last" or last[0] in self.states
-            ):
-                return [a for c in chunks[:-1] for a in c], [last[0]]
-            return [a for c in chunks for a in c], []
-        if shape == "strict-multi" and chunks and len(chunks[0]) > 1:
-            actions = list(chunks[0])
-            targets = []
-            for c in chunks[1:]:
-                if len(c) == 1:
-                    targets.append(c[0])
-                else:
-                    self.warn(
-                        "AmbiguousTerm",
-                        scenario.name,
-                        f"unexpected sequence {'; '.join(c)} after result states",
-                    )
-                    actions.extend(c)
-            return actions, targets
-        return _peel(chunks, self.states.__contains__)
-
-    def row(self, scenario: Scenario, shape: str) -> _Row:
-        sources, lits = _split_given(
-            scenario.given,
-            lambda a: a in self.states and a not in self.hints.declared_guards,
-        )
-        if not sources:
-            sources = [scenario.given[0].atom]
-            lits = [(t.atom, t.negated) for t in scenario.given[1:]]
-        actions, targets = self.split_then(scenario, shape)
-        for t in targets:
-            self.note_state(t)
-        events = [t.atom for t in scenario.when if t.atom != COMPLETION_EVENT]
-        return _Row(scenario, sources, lits, events, actions, targets)
-
-    def named_state_evidence(self, groups):
-        strict = self.doc.mode_hint == "strict"
-        for _kind, _tid, scens in groups:
-            for s in scens:
-                self.note_state(s.given[0].atom)
-                for term in list(s.given) + list(s.when):
-                    if "." in term.atom:
-                        self.note_state(term.atom)
-                for c in _chunks_of(s):
-                    for a in c:
-                        if "." in a:
-                            self.note_state(a)
-        if not strict:
-            return
-        for _kind, _tid, scens in groups:
-            for s in scens:
-                chunks = _chunks_of(s)
-                if len(chunks[-1]) == 1:
-                    self.note_state(chunks[-1][0])
-                if len(chunks[0]) > 1:
-                    for c in chunks[1:]:
-                        if len(c) == 1:
-                            self.note_state(c[0])
-
-    def infer_named(self, groups) -> list[_Draft]:
-        strict = self.doc.mode_hint == "strict"
-        self.named_state_evidence(groups)
-        drafts: list[_Draft] = []
-        for order, (kind, tid, scens) in enumerate(groups):
-            if kind in _JOIN_KIND_OF:
-                shape = "strict-single" if strict else (
-                    "target-last" if kind in _SHAPE_CARRIES_TARGET else "evidence"
-                )
-                # per-input rows (one scenario per branch) fold like a merge;
-                # a single combined row carries all sources in its GIVEN
-                if len(scens) == 1 and kind in (
-                    PatternKind.SYNCHRONIZATION,
-                    PatternKind.SYNCHRONIZE_MERGE,
-                ):
-                    drafts.append(self.named_sync(order, kind, tid, scens, shape))
-                else:
-                    rows = [self.row(s, shape) for s in scens]
-                    drafts.append(self.fold_join(order, tid, rows, _JOIN_KIND_OF[kind]))
-            elif kind == PatternKind.PARALLEL_SPLIT:
-                drafts.append(self.named_parallel(order, tid, scens, strict))
-            elif kind == PatternKind.MULTIPLE_CHOICE:
-                drafts.append(self.named_choice(order, tid, scens, strict))
-            else:
-                shape = "strict-single" if strict else "evidence"
-                row = self.row(self.one_scenario(kind, tid, scens), shape)
-                target = self.target_of(row)
-                self.note_entry(row.source, target)
-                if len(row.targets) > 1:
-                    self.warn("AmbiguousTerm", tid, "single-target row names several states")
-                drafts.append(self.one_row(order, tid, row, [row.source], [target]))
-        return drafts
-
-    def one_scenario(self, kind, tid, scens) -> Scenario:
-        if len(scens) != 1:
-            self.warn("AmbiguousTerm", tid, f"{kind.value} expects one scenario, got {len(scens)}")
-        return scens[0]
-
-    def named_sync(self, order, kind, tid, scens, shape) -> _Draft:
-        s = self.one_scenario(kind, tid, scens)
-        # a combined join row lists every source in its GIVEN; leading
-        # positive atoms without guard evidence are sources
-        for term in s.given:
-            if term.negated or term.atom in self.hints.declared_guards:
-                break
-            self.note_state(term.atom)
-        row = self.row(s, shape)
-        target = self.target_of(row)
-        draft = self.one_row(order, tid, row, row.sources, [target], _JOIN_KIND_OF[kind])
-        for src in row.sources:
-            self.note_entry(src, target)
-        return draft
-
-    def named_parallel(self, order, tid, scens, strict) -> _Draft:
-        if strict or len(scens) == 1:
-            row = self.row(scens[0], "strict-multi" if strict else "evidence")
-            if len(scens) > 1:
-                self.warn("AmbiguousTerm", tid, "unexpected extra rows for a parallel split")
-            targets = row.targets or [self.sink_for(row.scenario.name)]
-            for t in targets:
-                self.note_entry(row.source, t)
-            return self.one_row(order, tid, row, [row.source], targets)
-        # per-output rows: shared prefix, then one branch per row
-        return self.fold_split(order, tid, [self.row(s, "evidence") for s in scens])
-
-    def named_choice(self, order, tid, scens, strict) -> _Draft:
-        shape = "strict-multi" if strict else "evidence"
-        if not strict:
-            # actionless or-splits list fired targets instead of actions;
-            # one known state among the bare terms marks the whole group
-            atoms = {
-                c[0] for s in scens for c in _chunks_of(s) if len(c) == 1
-            }
-            if any(a in self.states for a in atoms):
-                for a in sorted(atoms):
-                    self.note_state(a)
-        rows = [self.row(s, shape) for s in scens]
         count = len(rows)
         n = (count + 1).bit_length() - 1
         if 2**n - 1 != count or n == 0:
@@ -558,108 +519,90 @@ class _Inferrer:
         self.attach_events(draft, full.events, full.scenario.name)
         return draft
 
+    # -- named reconstruction --------------------------------------------------
+
+    def shape_roles(self, groups) -> dict[str, str]:
+        """The named route's seeds, in document order: WHEN terms are events;
+        in a strict row the last chunk, and every chunk after a multi-atom
+        trace, is a result state; a paper-exact merge row ends in its target;
+        a combined join row lists its sources before its first guard."""
+        strict = self.doc.mode_hint == "strict"
+        shapes: dict[str, str] = {}
+        for kind, _tid, scens in groups:
+            for s in scens:
+                for t in s.when:
+                    if t.atom != COMPLETION_EVENT:
+                        shapes.setdefault(t.atom, "event")
+                chunks = _chunks_of(s)
+                ends = [chunks[-1]] if strict or kind in _SHAPE_CARRIES_TARGET else []
+                if strict and len(chunks[0]) > 1:
+                    ends += chunks[1:]
+                if len(scens) == 1 and kind in _COMBINED_JOINS:
+                    for t in s.given:
+                        if t.negated or t.atom in self.hints.declared_guards:
+                            break
+                        shapes.setdefault(t.atom, "state")
+                for c in ends:
+                    if len(c) == 1:
+                        shapes.setdefault(c[0], "state")
+        return shapes
+
+    def infer_named(self, groups) -> list[_Draft]:
+        strict = self.doc.mode_hint == "strict"
+        drafts: list[_Draft] = []
+        for order, (kind, tid, scens) in enumerate(groups):
+            if kind in _JOIN_KIND_OF:
+                # per-input rows (one scenario per branch) fold like a merge;
+                # a single combined row carries all sources in its GIVEN
+                if len(scens) == 1 and kind in _COMBINED_JOINS:
+                    row = self.read(scens[0])
+                    target = self.target_of(row)
+                    drafts.append(
+                        self.one_row(order, tid, row, row.sources, [target], _JOIN_KIND_OF[kind])
+                    )
+                    for src in row.sources:
+                        self.note_entry(src, target)
+                else:
+                    rows = [self.read(s) for s in scens]
+                    drafts.append(self.fold_join(order, tid, rows, _JOIN_KIND_OF[kind]))
+            elif kind == PatternKind.PARALLEL_SPLIT and not strict and len(scens) > 1:
+                # per-output rows: shared prefix, then one branch per row
+                drafts.append(self.fold_split(order, tid, [self.read(s) for s in scens]))
+            elif kind == PatternKind.PARALLEL_SPLIT:
+                row = self.read(scens[0])
+                if len(scens) > 1:
+                    self.warn("AmbiguousTerm", tid, "unexpected extra rows for a parallel split")
+                targets = row.targets or [self.sink_for(row.scenario.name)]
+                for t in targets:
+                    self.note_entry(row.source, t)
+                drafts.append(self.one_row(order, tid, row, row.sources[:1], targets))
+            elif kind == PatternKind.MULTIPLE_CHOICE:
+                drafts.append(self.fold_choice(order, tid, [self.read(s) for s in scens]))
+            else:
+                if len(scens) != 1:
+                    self.warn(
+                        "AmbiguousTerm", tid, f"{kind.value} expects one scenario, got {len(scens)}"
+                    )
+                row = self.read(scens[0])
+                target = self.target_of(row)
+                self.note_entry(row.source, target)
+                if len(row.targets) > 1:
+                    self.warn("AmbiguousTerm", tid, "single-target row names several states")
+                drafts.append(self.one_row(order, tid, row, row.sources[:1], [target]))
+        return drafts
+
     # -- structural reconstruction ----------------------------------------------
 
-    def classify_terms(self):
-        in_given_head: set[str] = set()
-        in_given: set[str] = set()
-        negated: set[str] = set()
-        in_when: set[str] = set()
-        then_final: set[str] = set()
-        everywhere: dict[str, set[str]] = {}
-
-        def note(atom, clause):
-            everywhere.setdefault(atom, set()).add(clause)
-
-        for s in self.scenarios:
-            for i, term in enumerate(s.given):
-                note(term.atom, "given")
-                in_given.add(term.atom)
-                if term.negated:
-                    negated.add(term.atom)
-                elif i == 0:
-                    in_given_head.add(term.atom)
-            for term in s.when:
-                if term.atom == COMPLETION_EVENT:
-                    continue
-                note(term.atom, "when")
-                in_when.add(term.atom)
-                if term.negated:
-                    negated.add(term.atom)
-            atoms = [a for c in _chunks_of(s) for a in c]
-            for a in atoms:
-                note(a, "then")
-            if atoms:
-                then_final.add(atoms[-1])
-
-        roles: dict[str, str] = {}
-        for role, names in (
-            ("state", self.hints.declared_states),
-            ("event", self.hints.declared_events),
-            ("guard", self.hints.declared_guards),
-            ("action", self.hints.declared_actions),
-        ):
-            roles.update(dict.fromkeys(names, role))
-        roles[self.initial] = "state"
-        roles[self.final] = "state"
-
-        for atom in sorted(everywhere):
-            if "." in atom:
-                roles.setdefault(atom, "state")
-        for atom in sorted(negated):
-            roles.setdefault(atom, "guard")
-        for atom in sorted(in_given_head):
-            if roles.setdefault(atom, "state") != "state":
-                self.warn("AmbiguousTerm", atom, "GIVEN head also classified as a non-state")
-        for atom in sorted(then_final):
-            if atom in in_given:
-                roles.setdefault(atom, "state")
-        for atom in sorted(in_given):
-            roles.setdefault(atom, "guard")
-        for atom in sorted(in_when):
-            if atom not in roles:
-                roles[atom] = "event"
-                if everywhere[atom] == {"when"}:
-                    self.warn(
-                        "AmbiguousTerm",
-                        atom,
-                        "bare WHEN term defaulted to event (could be a guard)",
-                    )
-        for atom in sorted(everywhere):
-            roles.setdefault(atom, "action")
-        for atom, role in roles.items():
-            if role == "state":
-                self.note_state(atom)
-        return roles
-
-    def structural_rows(self, roles) -> list[_Row]:
-        def is_state(atom):
-            return roles.get(atom) == "state"
-
-        rows: list[_Row] = []
-        for i, s in enumerate(self.scenarios):
-            sources, lits = _split_given(s.given, is_state)
-            events: list[str] = []
-            for term in s.when:
-                if term.atom == COMPLETION_EVENT:
-                    continue
-                if roles.get(term.atom) == "guard":
-                    lits.append((term.atom, term.negated))
-                else:
-                    events.append(term.atom)
-            chunks = _chunks_of(s)
-            actions, targets = _peel(chunks, is_state)
-            if len(chunks) > 1 and not targets:
+    def infer_structural(self) -> list[_Draft]:
+        rows = [self.read(s, i) for i, s in enumerate(self.scenarios)]
+        for row in rows:
+            chunks = _chunks_of(row.scenario)
+            if len(chunks) > 1 and not row.targets:
                 self.warn(
                     "AmbiguousTerm",
-                    s.name,
+                    row.scenario.name,
                     f"trailing term {chunks[-1][-1]!r} defaulted to action",
                 )
-            rows.append(_Row(s, sources, lits, events, actions, targets, i))
-        return rows
-
-    def infer_structural(self) -> list[_Draft]:
-        rows = self.structural_rows(self.classify_terms())
         drafts: list[_Draft] = []
         used: set[int] = set()
         ids = (f"u{i}" for i in itertools.count(1))
@@ -691,27 +634,8 @@ class _Inferrer:
                 frozenset(c) for k in range(1, n + 1) for c in itertools.combinations(union, k)
             }:
                 continue
-            src = members[0].source
-            prefix = _common_prefix([tuple(r.actions) for r in members])
-            common_targets = [t for t in members[0].targets if all(t in r.targets for r in members)]
-            outputs = [(t, None, (), True) for t in common_targets]
-            for r, own in zip(members, positives):
-                if len(own) != 1:
-                    continue
-                row_targets = [t for t in r.targets if t not in common_targets]
-                target = row_targets[0] if row_targets else self.sink_for(r.scenario.name)
-                self.note_entry(src, target)
-                outputs.append((target, tuple(own), tuple(r.actions[len(prefix):]), False))
-            draft = _Draft(
-                members[0].index,
-                next(ids),
-                inputs=[(src, None, ())],
-                outputs=outputs,
-                split_kind="or",
-                shared_actions=prefix,
-            )
-            self.attach_events(draft, members[0].events, members[0].scenario.name)
-            fold(members, draft)
+            family = sorted(members, key=lambda r: sum(not neg for _, neg in r.lits))
+            fold(members, self.fold_choice(members[0].index, next(ids), family))
 
         # identical GIVEN and WHEN fold into and-splits
         for members in groups(lambda r: (r.source, tuple(r.lits), tuple(r.events))):
@@ -763,29 +687,26 @@ class _Inferrer:
     # -- model assembly -----------------------------------------------------
 
     def build(self, drafts: list[_Draft]) -> ProcessModel:
-        composites = sorted({m.parent_path(p) for p in self.state_order if "." in p})
-        for parent in composites:
-            if parent is None or parent in self.initial_children:
-                continue
-            children = [p for p in self.state_order if m.parent_path(p) == parent]
-            if children:
-                self.initial_children[parent] = children[0]
+        children: dict[str | None, list[str]] = {}
+        for p in self.state_order:
+            children.setdefault(m.parent_path(p), []).append(p)
+        for parent in sorted(p for p in children if p is not None):
+            if parent not in self.initial_children:
+                self.initial_children[parent] = children[parent][0]
                 self.warn(
                     "AmbiguousInitialChild",
                     parent,
-                    f"never entered from outside; defaulting to {children[0]}",
+                    f"never entered from outside; defaulting to {children[parent][0]}",
                 )
 
         def build_node(path: str) -> m.StateNode:
-            children = [p for p in self.state_order if m.parent_path(p) == path]
             return m.StateNode(
                 name=path.rsplit(".", 1)[-1],
                 path=path,
-                children=tuple(build_node(c) for c in children),
+                children=tuple(build_node(c) for c in children.get(path, ())),
                 initial_child=self.initial_children.get(path),
             )
 
-        roots = [p for p in self.state_order if "." not in p]
         return ProcessModel(
             title=self.doc.title,
             role=self.doc.role,
@@ -793,7 +714,7 @@ class _Inferrer:
             benefit=self.doc.benefit,
             initial_name=self.initial,
             final_name=self.final,
-            states=tuple(build_node(p) for p in roots),
+            states=tuple(build_node(p) for p in children.get(None, ())),
             transitions=tuple(d.build() for d in drafts),
         )
 
@@ -812,13 +733,24 @@ class _Inferrer:
                     grouped[tid] = (kind, [])
                     order.append(tid)
                 grouped[tid][1].append(s)
+        groups = [(grouped[tid][0], tid, grouped[tid][1]) for tid in order] if all_named else []
 
-        if all_named:
-            drafts = self.infer_named(
-                [(grouped[tid][0], tid, grouped[tid][1]) for tid in order]
-            )
-        else:
-            drafts = self.infer_structural()
+        shapes = self.shape_roles(groups)
+        self.roles = self._roles(shapes)
+        # state order is output: states known by position come first, in
+        # document order (GIVEN heads and dotted names, then a strict
+        # document's shape seeds), and rows note the rest as they are read
+        known = []
+        for s in self.scenarios:
+            atoms = [t.atom for t in (*s.given, *s.when)] + [a for c in _chunks_of(s) for a in c]
+            known += [s.given[0].atom, *(a for a in atoms if "." in a)]
+        if self.doc.mode_hint == "strict":
+            known += shapes
+        for atom in known:
+            if self.is_state(atom):
+                self.note_state(atom)
+
+        drafts = self.infer_named(groups) if all_named else self.infer_structural()
         model = self.build(drafts)
         self.diags.extend(m.validate(model))
         return model, self.diags

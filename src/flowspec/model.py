@@ -675,20 +675,26 @@ def validate(model: ProcessModel) -> list[Diagnostic]:
             report.append(_diag("JoinKindRequired", loc, "multiple inputs need a join kind"))
         if len(t.outputs) > 1 and t.split_kind == "none":
             report.append(_diag("SplitKindRequired", loc, "multiple outputs need a split kind"))
-        if t.join_kind == "and":
+        if t.join_kind in ("and", "or"):
+            # an and-join fires, and an or-join's strict row starts, with
+            # every input active at once: a source listed twice needs two
+            # tokens on it, which only a multi-join target may hold, and no
+            # two children of one state are ever active together
             child_of: dict[str, str] = {}
+            seen: set[str] = set()
             for b in t.inputs:
-                conflict = _claim_children(child_of, b.source)
-                if conflict:
-                    report.append(
-                        _diag(
-                            "UnsatisfiableJoin",
-                            loc,
-                            "and-join inputs {1} and {2} are different children "
-                            "of {0}, never active together".format(*conflict),
-                        )
+                if b.source in seen:
+                    reason = f"lists input {b.source} twice, which needs two tokens on it"
+                elif conflict := _claim_children(child_of, b.source):
+                    reason = (
+                        "inputs {1} and {2} are different children of {0}, "
+                        "never active together".format(*conflict)
                     )
-                    break
+                else:
+                    seen.add(b.source)
+                    continue
+                report.append(_diag("UnsatisfiableJoin", loc, f"{t.join_kind}-join {reason}"))
+                break
         if t.split_kind == "or" and not any(b.guard for b in t.outputs):
             report.append(
                 _diag("OrSplitNeedsGuardedOutput", loc, "or-split has no guarded output")

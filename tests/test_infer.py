@@ -1,16 +1,21 @@
 """Model inference: named-document round trips and structural folding."""
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowspec.canon import canonical_form, isomorphic
 from flowspec.dsl import parse_dsl, serialize_dsl
 from flowspec.emit import emit_feature
+from flowspec.errors import FlowspecError, IllegalGiven
 from flowspec.feature import format_feature, parse_feature
 from flowspec.generator import GeneratorLimits, random_model
 from flowspec.infer import InferenceHints, infer_model
-from flowspec.model import PatternKind
+from flowspec.model import PatternKind, iter_states
 from flowspec.patterns import classify
-from flowspec.replay import check_suite
+from flowspec.replay import check_suite, replay_scenario
 
 EMBEDDED_ROWS = """\
 GIVEN S5
@@ -139,6 +144,15 @@ def test_choice_family_folds_into_or_split():
     assert t.shared_actions == ("a1",)
     instances, _ = classify(model)
     assert instances[0].kind == PatternKind.MULTIPLE_CHOICE
+
+
+def test_final_then_term_named_in_a_given_is_a_state():
+    # S2 heads no row, but it ends a THEN and is a join source in a GIVEN
+    text = "GIVEN S1\nWHEN e1\nTHEN a1 AND S2\n\nGIVEN S3 AND S2\nWHEN e2\nTHEN a2 AND Beta\n"
+    model, diags = infer_model(parse_feature(text))
+    assert [s.path for s in model.states] == ["S1", "S3", "S2"]
+    assert [b.source for b in model.transitions[1].inputs] == ["S3", "S2"]
+    assert [d for d in diags if d.severity == "error"] == []
 
 
 def test_distinct_targets_do_not_fold():
@@ -355,3 +369,89 @@ def test_generated_roundtrip(seed, limits):
     assert canonical_form(inferred) == canonical_form(model), seed
     assert format_feature(emit_feature(inferred, "strict"), "gherkin") == text, seed
     assert parse_dsl(serialize_dsl(inferred)) == inferred, seed
+
+
+def _stripped(doc):
+    """A strict document without its mode line and with its scenarios
+    renamed ``row <i>``: nothing left says which kind a row is."""
+    return dataclasses.replace(
+        doc,
+        mode_hint=None,
+        scenarios=tuple(
+            dataclasses.replace(s, name=f"row {i}") for i, s in enumerate(doc.scenarios)
+        ),
+    )
+
+
+FIXTURE_KEYS = ["m1", "m2", "m3", "m4", "m5", "m6", "m7", "m8", "m9"]
+
+
+@pytest.mark.parametrize(
+    "seed, limits", ROUNDTRIP_CASES + [pytest.param(key, None, id=key) for key in FIXTURE_KEYS]
+)
+def test_stripped_strict_documents_reverse_without_errors(fixtures, seed, limits):
+    model = fixtures[seed] if seed in fixtures else random_model(seed, limits)
+    text = format_feature(_stripped(emit_feature(model, "strict")), "gherkin")
+    inferred, diags = infer_model(parse_feature(text))
+    assert [d for d in diags if d.severity == "error"] == [], seed
+    # every source state (each is named in some GIVEN) comes back a state
+    states = {node.path for node in iter_states(inferred)} | {inferred.initial_name}
+    assert {b.source for t in model.transitions for b in t.inputs} <= states, seed
+
+
+# Random row documents over small name pools, so that one name turns up in
+# several rows and roles have to be reconciled across them: GIVEN draws states
+# then guard literals, WHEN events, and THEN an action sequence and states.
+_STATES = ["S1", "S2", "S3", "S4", "S1.x", "S1.y", "alpha", "Beta"]
+
+
+def _pick(pool, low, high):
+    return st.lists(st.sampled_from(pool), min_size=low, max_size=high)
+
+
+def _row(states, lits, events, acts, targets):
+    chunks = (["; ".join(acts)] if acts else []) + targets
+    return " AND ".join(states + lits), " AND ".join(events), " AND ".join(chunks or ["a1"])
+
+
+_lit = st.builds(
+    lambda g, n: ("NOT " if n else "") + g, st.sampled_from(["g1", "g2", "g3"]), st.booleans()
+)
+_clauses = st.builds(
+    _row,
+    _pick(_STATES, 1, 3),
+    st.lists(_lit, max_size=2),
+    _pick(["e1", "e2", "e3", "_done"], 1, 2),
+    _pick(["a1", "a2", "a3", "a4"], 0, 3),
+    _pick(_STATES, 0, 2),
+)
+_name = st.builds(
+    lambda kind, tid, idx: f"{kind} t{tid}" + (f" {idx}" if idx else ""),
+    st.sampled_from([k.value for k in PatternKind]),
+    st.integers(1, 4),
+    st.integers(0, 3),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([None, "strict", "paper-exact"]),
+    st.lists(st.tuples(_name, _clauses), min_size=1, max_size=6),
+    st.booleans(),
+)
+def test_random_row_documents_infer_runnable_models(mode, rows, named):
+    lines = [f"# flowspec: mode={mode}"] if mode else []
+    for i, (name, (g, w, t)) in enumerate(rows):
+        name = name if named else f"row {i}"
+        lines += ["", f"Scenario: {name}", f"GIVEN {g}", f"WHEN {w}", f"THEN {t}"]
+    try:
+        model, diags = infer_model(parse_feature("\n".join(lines) + "\n"))
+    except FlowspecError:
+        return
+    if any(d.severity == "error" for d in diags):
+        return
+    for scenario in emit_feature(model, "strict").scenarios:
+        try:
+            replay_scenario(model, scenario, "strict")
+        except IllegalGiven as exc:
+            pytest.fail(f"{scenario.name}: {exc}")

@@ -160,6 +160,38 @@ def test_and_join_over_sibling_children_is_unsatisfiable():
     assert validate(_join_model("C.a", "C.b", join_kind="xor")) == []
 
 
+@pytest.mark.parametrize(
+    "join_kind, runs", [("and", False), ("or", False), ("xor", True), ("multi", True)]
+)
+def test_join_listing_one_source_twice(join_kind, runs):
+    # an and- or or-join over S1 twice waits for two tokens on S1, which only
+    # a multi-join target may hold; xor and multi fire on one input
+    model = ProcessModel(
+        states=(simple("S1"), simple("S2")),
+        transitions=(
+            TransitionDecl(id="t0", inputs=(InBranch("alpha", "go"),), outputs=(OutBranch("S1"),)),
+            TransitionDecl(
+                id="t1",
+                inputs=(InBranch("S1", "e1"), InBranch("S1", "e2")),
+                outputs=(OutBranch("S2"),),
+                join_kind=join_kind,
+            ),
+        ),
+    )
+    report = check_suite(model, emit_feature(model, "strict"), "strict")
+    assert (report.passed, report.coverage == 1.0) == (runs, runs)
+    expected = [] if runs else [("UnsatisfiableJoin", "t1")]
+    assert [(d.code, d.location) for d in validate(model)] == expected
+
+
+def test_or_join_over_sibling_children_is_unsatisfiable():
+    # its strict row seeds every input at once, which no configuration holds
+    report = validate(_join_model("C.a", "C.b", join_kind="or"))
+    assert [(d.code, d.location) for d in report] == [("UnsatisfiableJoin", "t1")]
+    assert report[0].message.startswith("or-join inputs C.a and C.b are different children")
+    assert validate(_join_model("S1", "C.b", join_kind="or")) == []
+
+
 def test_unsatisfiable_join_reported_beside_unresolved_endpoints():
     report = validate(_join_model("C.x", "C.y"))
     assert [d.code for d in report] == [

@@ -1,7 +1,9 @@
 """Textual model language: parser and canonical serializer.
 
-Grammar (terminals quoted; IDENT is letters/digits/underscores with dots only
-as hierarchy separators; STRING is double-quoted with backslash escapes):
+Grammar (terminals quoted; IDENT is ``str.isalnum`` characters plus ``_``,
+with dots only as hierarchy separators, and a name that is not ASCII is
+rejected as malformed; STRING is double-quoted with backslash escapes and
+ends on its own line unless the newline is escaped):
 
     model     = "process" STRING "{" header* element* "}"
     header    = ("role"|"feature"|"benefit"|"initialname"|"finalname") STRING
@@ -17,109 +19,81 @@ as hierarchy separators; STRING is double-quoted with backslash escapes):
     guard     = ["not"] IDENT ("and" ["not"] IDENT)*
     identlist = IDENT ("," IDENT)*
 
-Comments run from ``#`` to end of line.  Inside a composite block a child may
-be declared by its local segment or by its full dotted path; a dotted name
-whose prefix does not match the enclosing state is rejected.  A comma inside
-``do`` lists also separates branches; since action names and state names live
-in disjoint namespaces, the parser ends an identlist as soon as the next
-identifier is a declared state or pseudostate.
+Comments run from ``#`` to end of line.  A diagnostic names its token by
+1-based line and column, counted in characters.  Inside a composite block a
+child may be declared by its local segment or by its full dotted path; a
+dotted name whose prefix does not match the enclosing state is rejected.  A
+comma inside ``do`` lists also separates branches; since action names and
+state names live in disjoint namespaces, the parser ends an identlist as soon
+as the next identifier is a declared state or pseudostate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from . import model as m
 from .errors import ModelSyntaxError, SemanticError, SourceSpan
 
 _HEADER_KEYS = ("role", "feature", "benefit", "initialname", "finalname")
 
+# One alternative per token kind; the group that matched names the kind.  A
+# string that does not close on its line, or at all, fails its alternative
+# and falls through to `bad` at the opening quote.
+_TOKEN_RE = re.compile(
+    r"""(?P<skip>[ \t\r\n]+|\#[^\n]*)
+      | (?P<punct>[{},])
+      | "(?P<string>(?:[^"\\\n]|\\[\s\S])*)"
+      | (?P<ident>[\w.]+)
+      | (?P<bad>[\s\S])""",
+    re.VERBOSE,
+)
+_ESCAPE_RE = re.compile(r"\\([\s\S])")
 
-@dataclass(frozen=True)
-class _Tok:
+
+class _Tok(NamedTuple):
     kind: str  # "ident" | "string" | "punct" | "eof"
     text: str
-    span: SourceSpan
-
-
-def _tokenize(text: str, filename: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        span = SourceSpan(filename, line, col)
-        if ch in "{},":
-            toks.append(_Tok("punct", ch, span))
-            i += 1
-            col += 1
-            continue
-        if ch == '"':
-            i += 1
-            col += 1
-            buf = []
-            while i < n and text[i] != '"':
-                if text[i] == "\\" and i + 1 < n:
-                    buf.append(text[i + 1])
-                    i += 2
-                    col += 2
-                    continue
-                if text[i] == "\n":
-                    raise ModelSyntaxError("BadString", "unterminated string", span)
-                buf.append(text[i])
-                i += 1
-                col += 1
-            if i >= n:
-                raise ModelSyntaxError("BadString", "unterminated string", span)
-            i += 1
-            col += 1
-            toks.append(_Tok("string", "".join(buf), span))
-            continue
-        if ch.isalnum() or ch in "_.":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_."):
-                j += 1
-            word = text[i:j]
-            col += j - i
-            i = j
-            toks.append(_Tok("ident", word, span))
-            continue
-        raise ModelSyntaxError("UnexpectedToken", f"stray character {ch!r}", span)
-    toks.append(_Tok("eof", "", SourceSpan(filename, line, col)))
-    return toks
-
-
-@dataclass
-class _StateDraft:
-    name: str
-    path: str
-    span: SourceSpan
-    entry: list[str]
-    exit: list[str]
-    initial: str | None
-    children: list["_StateDraft"]
+    offset: int
 
 
 class _Parser:
     def __init__(self, text: str, filename: str):
-        self.toks = _tokenize(text, filename)
+        self.text = text
+        self.filename = filename
+        self.toks = self.scan()
         self.pos = 0
 
     # -- token plumbing ----------------------------------------------------
+
+    def scan(self) -> list[_Tok]:
+        toks: list[_Tok] = []
+        match = None
+        for match in _TOKEN_RE.finditer(self.text):
+            kind = match.lastgroup
+            if kind == "skip":
+                continue
+            word = match[kind]
+            tok = _Tok(kind, word, match.start())
+            if kind == "bad":
+                if word == '"':
+                    self.fail("BadString", "unterminated string", tok)
+                self.fail("UnexpectedToken", f"stray character {word!r}", tok)
+            if kind == "string" and "\\" in word:
+                tok = tok._replace(text=_ESCAPE_RE.sub(r"\1", word))
+            toks.append(tok)
+        # end of input is placed at the start of a comment that runs up to it
+        end = len(self.text)
+        if match and self.text.startswith("#", match.start()):
+            end = match.start()
+        toks.append(_Tok("eof", "", end))
+        return toks
+
+    def span(self, tok: _Tok) -> SourceSpan:
+        """1-based line and column of a token, counted in characters."""
+        line = self.text.count("\n", 0, tok.offset) + 1
+        return SourceSpan(self.filename, line, tok.offset - self.text.rfind("\n", 0, tok.offset))
 
     def peek(self, ahead: int = 0) -> _Tok:
         return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
@@ -131,18 +105,11 @@ class _Parser:
         return tok
 
     def fail(self, code: str, message: str, tok: _Tok | None = None):
-        tok = tok or self.peek()
-        raise ModelSyntaxError(code, message, tok.span)
+        raise ModelSyntaxError(code, message, self.span(tok or self.peek()))
 
-    def expect_word(self, word: str) -> _Tok:
+    def expect(self, text: str) -> _Tok:
         tok = self.next()
-        if tok.kind != "ident" or tok.text != word:
-            self.fail("UnexpectedToken", f"expected {word!r}, found {tok.text!r}", tok)
-        return tok
-
-    def expect_punct(self, text: str) -> _Tok:
-        tok = self.next()
-        if tok.kind != "punct" or tok.text != text:
+        if tok.kind == "string" or tok.text != text:
             self.fail("UnexpectedToken", f"expected {text!r}, found {tok.text!r}", tok)
         return tok
 
@@ -160,23 +127,19 @@ class _Parser:
             self.fail("UnexpectedToken", f"expected {what} string, found {tok.text!r}", tok)
         return tok.text
 
-    def at_word(self, word: str) -> bool:
+    def at(self, text: str) -> bool:
+        """True if the next token is the keyword or punctuation `text`."""
         tok = self.peek()
-        return tok.kind == "ident" and tok.text == word
-
-    def at_punct(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "punct" and tok.text == text
+        return tok.kind != "string" and tok.text == text
 
     # -- grammar -----------------------------------------------------------
 
     def parse_model(self) -> m.ProcessModel:
-        first = self.peek()
-        if first.kind == "eof" or not (first.kind == "ident" and first.text == "process"):
-            self.fail("MissingProcessHeader", "input does not start with a process block", first)
+        if not self.at("process"):
+            self.fail("MissingProcessHeader", "input does not start with a process block")
         self.next()
         title = self.expect_string("title")
-        self.expect_punct("{")
+        self.expect("{")
 
         headers = {"role": "", "feature": "", "benefit": ""}
         initial_name = m.DEFAULT_INITIAL
@@ -191,82 +154,74 @@ class _Parser:
             else:
                 headers[key] = value
 
-        state_drafts: list[_StateDraft] = []
+        known = {initial_name, final_name}
+        states: list[m.StateNode] = []
         trans_slices: list[tuple[_Tok, int, int]] = []
-        while not self.at_punct("}"):
+        while not self.at("}"):
             tok = self.peek()
             if tok.kind == "eof":
                 self.fail("UnexpectedEnd", "unterminated process block", tok)
-            if self.at_word("state"):
-                state_drafts.append(self.parse_state(parent=None))
-            elif self.at_word("trans"):
+            if self.at("state"):
+                states.append(self.parse_state(None, known))
+            elif self.at("trans"):
                 trans_slices.append(self.capture_trans())
             else:
                 self.fail("UnexpectedToken", f"expected 'state' or 'trans', found {tok.text!r}", tok)
-        self.expect_punct("}")
+        self.expect("}")
         tail = self.peek()
         if tail.kind != "eof":
             self.fail("UnexpectedToken", f"trailing input {tail.text!r}", tail)
 
-        states = tuple(self.build_state(d) for d in state_drafts)
-        draft_model = m.ProcessModel(
+        model = m.ProcessModel(
             title=title,
             role=headers["role"],
             feature=headers["feature"],
             benefit=headers["benefit"],
             initial_name=initial_name,
             final_name=final_name,
-            states=states,
+            states=tuple(states),
+            transitions=tuple(self.parse_trans(*piece, known) for piece in trans_slices),
         )
-        known = m.state_paths(draft_model) | {initial_name, final_name}
-
-        transitions = []
-        for name_tok, start, end in trans_slices:
-            transitions.append(self.parse_trans(name_tok, start, end, known))
-        full = m.ProcessModel(
-            title=title,
-            role=headers["role"],
-            feature=headers["feature"],
-            benefit=headers["benefit"],
-            initial_name=initial_name,
-            final_name=final_name,
-            states=states,
-            transitions=tuple(transitions),
-        )
-        report = m.validate(full)
+        report = m.validate(model)
         if report:
             raise SemanticError(report)
-        return full
+        return model
 
-    def parse_state(self, parent: _StateDraft | None) -> _StateDraft:
-        self.expect_word("state")
+    def parse_state(self, parent: str | None, known: set[str]) -> m.StateNode:
+        """Parse one state block; `parent` is the enclosing state's path and
+        every path parsed is added to `known`."""
+        self.expect("state")
         name_tok = self.expect_ident("state name")
         name = name_tok.text
         if "." in name:
             prefix, _, local = name.rpartition(".")
-            if parent is None or prefix != parent.path:
+            if parent is None or prefix != parent:
                 self.fail(
                     "BadNesting",
                     f"dotted state name {name!r} does not match the enclosing state",
                     name_tok,
                 )
             name = local
-        path = name if parent is None else f"{parent.path}.{name}"
-        draft = _StateDraft(name, path, name_tok.span, [], [], None, [])
-        if not self.at_punct("{"):
-            return draft
+        path = name if parent is None else f"{parent}.{name}"
+        known.add(path)
+        if not self.at("{"):
+            return m.StateNode(name=name, path=path)
         self.next()
-        while not self.at_punct("}"):
+        entry: list[str] = []
+        exit_: list[str] = []
+        initial: str | None = None
+        children: list[m.StateNode] = []
+        while not self.at("}"):
             tok = self.peek()
             if tok.kind == "eof":
                 self.fail("UnexpectedEnd", f"unterminated state block {path!r}", tok)
-            if self.at_word("entry"):
+            if self.at("entry"):
                 self.next()
-                draft.entry.extend(self.parse_identlist())
-            elif self.at_word("exit"):
+                entry.extend(self.parse_identlist())
+            elif self.at("exit"):
                 self.next()
-                draft.exit.extend(self.parse_identlist())
-            elif self.at_word("initial"):
+                exit_.extend(self.parse_identlist())
+            elif self.at("initial"):
                 self.next()
                 child_tok = self.expect_ident("initial child")
                 child = child_tok.text
@@ -278,31 +233,28 @@ class _Parser:
                         f"initial child {child_tok.text!r} is outside {path!r}",
                         child_tok,
                     )
-                if draft.initial is not None:
+                if initial is not None:
                     self.fail("UnexpectedToken", "initial child declared twice", child_tok)
-                draft.initial = child
-            elif self.at_word("state"):
-                draft.children.append(self.parse_state(parent=draft))
+                initial = child
+            elif self.at("state"):
+                children.append(self.parse_state(path, known))
             else:
                 self.fail("UnexpectedToken", f"unexpected {tok.text!r} in state block", tok)
-        self.expect_punct("}")
-        return draft
-
-    def build_state(self, draft: _StateDraft) -> m.StateNode:
+        self.expect("}")
         return m.StateNode(
-            name=draft.name,
-            path=draft.path,
-            entry_actions=tuple(draft.entry),
-            exit_actions=tuple(draft.exit),
-            children=tuple(self.build_state(c) for c in draft.children),
-            initial_child=draft.initial,
+            name=name,
+            path=path,
+            entry_actions=tuple(entry),
+            exit_actions=tuple(exit_),
+            children=tuple(children),
+            initial_child=initial,
         )
 
     def capture_trans(self) -> tuple[_Tok, int, int]:
         """Record the token range of a trans block for the second pass."""
-        self.expect_word("trans")
+        self.expect("trans")
         name_tok = self.expect_ident("transition id")
-        self.expect_punct("{")
+        self.expect("{")
         start = self.pos
         depth = 1
         while depth:
@@ -316,49 +268,47 @@ class _Parser:
         return name_tok, start, self.pos - 1
 
     def parse_trans(self, name_tok: _Tok, start: int, end: int, known: set[str]) -> m.TransitionDecl:
-        saved = self.pos
+        """Parse the body captured by `capture_trans`, once every state is
+        known; `end` is the index of its closing brace."""
         self.pos = start
-        try:
-            self.expect_word("from")
-            inputs = [self.parse_inbr(known)]
-            while self.at_punct(",") and self.pos < end:
-                self.next()
-                inputs.append(self.parse_inbr(known))
-            join_kind = "none"
-            if self.at_word("join"):
-                self.next()
-                tok = self.expect_ident("join kind")
-                if tok.text not in ("and", "xor", "or", "multi"):
-                    self.fail("UnexpectedToken", f"bad join kind {tok.text!r}", tok)
-                join_kind = tok.text
-            split_kind = "none"
-            if self.at_word("split"):
-                self.next()
-                tok = self.expect_ident("split kind")
-                if tok.text not in ("and", "or"):
-                    self.fail("UnexpectedToken", f"bad split kind {tok.text!r}", tok)
-                split_kind = tok.text
-            shared_event = None
-            if self.at_word("on"):
-                self.next()
-                shared_event = self.expect_ident("event").text
-            shared_guard = None
-            if self.at_word("if"):
-                self.next()
-                shared_guard = self.parse_guard()
-            shared_actions: tuple[str, ...] = ()
-            if self.at_word("do"):
-                self.next()
-                shared_actions = tuple(self.parse_identlist(stop_at=known))
-            self.expect_word("to")
-            outputs = [self.parse_outbr(known)]
-            while self.at_punct(",") and self.pos < end:
-                self.next()
-                outputs.append(self.parse_outbr(known))
-            if self.pos != end:
-                self.fail("UnexpectedToken", f"unexpected {self.peek().text!r} in trans block")
-        finally:
-            self.pos = saved
+        self.expect("from")
+        inputs = [self.parse_inbr(known)]
+        while self.at(","):
+            self.next()
+            inputs.append(self.parse_inbr(known))
+        join_kind = "none"
+        if self.at("join"):
+            self.next()
+            tok = self.expect_ident("join kind")
+            if tok.text not in ("and", "xor", "or", "multi"):
+                self.fail("UnexpectedToken", f"bad join kind {tok.text!r}", tok)
+            join_kind = tok.text
+        split_kind = "none"
+        if self.at("split"):
+            self.next()
+            tok = self.expect_ident("split kind")
+            if tok.text not in ("and", "or"):
+                self.fail("UnexpectedToken", f"bad split kind {tok.text!r}", tok)
+            split_kind = tok.text
+        shared_event = None
+        if self.at("on"):
+            self.next()
+            shared_event = self.expect_ident("event").text
+        shared_guard = None
+        if self.at("if"):
+            self.next()
+            shared_guard = self.parse_guard()
+        shared_actions: tuple[str, ...] = ()
+        if self.at("do"):
+            self.next()
+            shared_actions = tuple(self.parse_identlist(stop_at=known))
+        self.expect("to")
+        outputs = [self.parse_outbr(known)]
+        while self.at(","):
+            self.next()
+            outputs.append(self.parse_outbr(known))
+        if self.pos != end:
+            self.fail("UnexpectedToken", f"unexpected {self.peek().text!r} in trans block")
         return m.TransitionDecl(
             id=name_tok.text,
             inputs=tuple(inputs),
@@ -373,11 +323,11 @@ class _Parser:
     def parse_inbr(self, known: set[str]) -> m.InBranch:
         source = self.expect_ident("source state").text
         event = None
-        if self.at_word("on"):
+        if self.at("on"):
             self.next()
             event = self.expect_ident("event").text
         actions: tuple[str, ...] = ()
-        if self.at_word("do"):
+        if self.at("do"):
             self.next()
             actions = tuple(self.parse_identlist(stop_at=known))
         return m.InBranch(source=source, event=event, actions=actions)
@@ -385,29 +335,29 @@ class _Parser:
     def parse_outbr(self, known: set[str]) -> m.OutBranch:
         target = self.expect_ident("target state").text
         guard = None
-        if self.at_word("if"):
+        if self.at("if"):
             self.next()
             guard = self.parse_guard()
         actions: tuple[str, ...] = ()
-        if self.at_word("do"):
+        if self.at("do"):
             self.next()
             actions = tuple(self.parse_identlist(stop_at=known))
         mandatory = False
-        if self.at_word("mandatory"):
+        if self.at("mandatory"):
             self.next()
             mandatory = True
         return m.OutBranch(target=target, guard=guard, actions=actions, mandatory=mandatory)
 
     def parse_guard(self) -> m.GuardExpr:
         literals = [self.parse_literal()]
-        while self.at_word("and"):
+        while self.at("and"):
             self.next()
             literals.append(self.parse_literal())
         return m.GuardExpr(tuple(literals))
 
     def parse_literal(self) -> tuple[str, bool]:
         negated = False
-        if self.at_word("not"):
+        if self.at("not"):
             self.next()
             negated = True
         atom = self.expect_ident("guard atom").text
@@ -415,7 +365,7 @@ class _Parser:
 
     def parse_identlist(self, stop_at: set[str] | None = None) -> list[str]:
         items = [self.expect_ident("name").text]
-        while self.at_punct(",") and self.peek(1).kind == "ident":
+        while self.at(",") and self.peek(1).kind == "ident":
             nxt = self.peek(1).text
             if stop_at is not None and nxt in stop_at:
                 break  # comma starts the next branch
@@ -427,6 +377,17 @@ class _Parser:
 def parse_dsl(text: str, filename: str = "<string>") -> m.ProcessModel:
     """Parse model text; raises ModelSyntaxError or SemanticError."""
     return _Parser(text, filename).parse_model()
+
+
+def parse_guard(text: str, filename: str = "<string>") -> m.GuardExpr:
+    """Parse a whole text as one guard (``g1 and not g2``); raises
+    ModelSyntaxError."""
+    parser = _Parser(text, filename)
+    guard = parser.parse_guard()
+    tail = parser.peek()
+    if tail.kind != "eof":
+        parser.fail("UnexpectedToken", f"trailing input {tail.text!r}", tail)
+    return guard
 
 
 # ---------------------------------------------------------------------------

@@ -695,6 +695,14 @@ def validate(model: ProcessModel) -> list[Diagnostic]:
                     continue
                 report.append(_diag("UnsatisfiableJoin", loc, f"{t.join_kind}-join {reason}"))
                 break
+        if t.join_kind in ("xor", "multi"):
+            # an xor or multi join fires on one input, but one token on a
+            # source enables both copies of an input listed twice with one
+            # event: xor always takes the first, multi takes both in conflict
+            keys = [(b.source, b.event) for b in t.inputs]
+            if len(set(keys)) < len(keys):
+                reason = "lists an input twice on one event, so one token enables both"
+                report.append(_diag("UnsatisfiableJoin", loc, f"{t.join_kind}-join {reason}"))
         if t.split_kind == "or" and not any(b.guard for b in t.outputs):
             report.append(
                 _diag("OrSplitNeedsGuardedOutput", loc, "or-split has no guarded output")

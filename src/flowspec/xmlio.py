@@ -17,8 +17,8 @@ Layout (attributes in brackets are optional):
       </trans>*
     </process>
 
-``cond`` uses the guard syntax of the DSL (``g1 and not g2``); ``do`` holds
-space-separated action names.  The element and attribute sets mirror the DSL
+``cond`` uses the guard syntax of the DSL (``g1 and not g2``), without
+``#`` comments; ``do`` holds space-separated action names.  The element and attribute sets mirror the DSL
 productions one to one, so both parsers yield structurally equal models.
 """
 
@@ -27,7 +27,8 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 
 from . import model as m
-from .errors import SemanticError, XmlError
+from .dsl import parse_guard
+from .errors import ModelSyntaxError, SemanticError, XmlError
 
 
 def _split_names(text: str | None) -> tuple[str, ...]:
@@ -36,27 +37,17 @@ def _split_names(text: str | None) -> tuple[str, ...]:
     return tuple(text.replace(",", " ").split())
 
 
-def _parse_guard(text: str | None) -> m.GuardExpr | None:
+def _cond(elem: ET.Element) -> m.GuardExpr | None:
+    text = elem.get("cond")
     if not text:
         return None
-    literals = []
-    tokens = text.split()
-    i = 0
-    while i < len(tokens):
-        if tokens[i] == "and":
-            i += 1
-            continue
-        negated = False
-        if tokens[i] == "not":
-            negated = True
-            i += 1
-            if i >= len(tokens):
-                raise XmlError(f"dangling 'not' in condition {text!r}")
-        literals.append((tokens[i], negated))
-        i += 1
-    if not literals:
-        raise XmlError(f"empty condition {text!r}")
-    return m.GuardExpr(tuple(literals))
+    if "#" in text:
+        # '#' starts a DSL comment, but an attribute has no comments
+        raise XmlError(f"<{elem.tag}> cond {text!r}: '#' is not allowed in a guard")
+    try:
+        return parse_guard(text)
+    except ModelSyntaxError as exc:
+        raise XmlError(f"<{elem.tag}> cond {text!r}: {exc.reason}") from exc
 
 
 def _require(elem: ET.Element, attr: str) -> str:
@@ -119,7 +110,7 @@ def _parse_trans(elem: ET.Element) -> m.TransitionDecl:
             outputs.append(
                 m.OutBranch(
                     target=_require(child, "target"),
-                    guard=_parse_guard(child.get("cond")),
+                    guard=_cond(child),
                     actions=_split_names(child.get("do")),
                     mandatory=child.get("mandatory", "").lower() == "true",
                 )
@@ -133,7 +124,7 @@ def _parse_trans(elem: ET.Element) -> m.TransitionDecl:
         join_kind=elem.get("join", "none"),
         split_kind=elem.get("split", "none"),
         shared_event=elem.get("event"),
-        shared_guard=_parse_guard(elem.get("cond")),
+        shared_guard=_cond(elem),
         shared_actions=_split_names(elem.get("do")),
     )
 

@@ -161,25 +161,37 @@ def test_and_join_over_sibling_children_is_unsatisfiable():
 
 
 @pytest.mark.parametrize(
-    "join_kind, runs", [("and", False), ("or", False), ("xor", True), ("multi", True)]
+    "join_kind, runs, coverage, second_event",
+    [
+        ("and", False, 0.5, "e2"),
+        ("or", False, 0.5, "e2"),
+        ("xor", True, 1.0, "e2"),
+        ("multi", True, 1.0, "e2"),
+        ("xor", False, 1.0, "e1"),
+        ("multi", False, 0.5, "e1"),
+    ],
+    ids=["and-False", "or-False", "xor-True", "multi-True", "xor-same-event", "multi-same-event"],
 )
-def test_join_listing_one_source_twice(join_kind, runs):
+def test_join_listing_one_source_twice(join_kind, runs, coverage, second_event):
     # an and- or or-join over S1 twice waits for two tokens on S1, which only
-    # a multi-join target may hold; xor and multi fire on one input
+    # a multi-join target may hold; xor and multi fire on one input, unless
+    # both copies wait for the same event: then one token enables both, xor
+    # always fires the first (every row runs, the second with the wrong
+    # action) and multi fires both in conflict
     model = ProcessModel(
         states=(simple("S1"), simple("S2")),
         transitions=(
             TransitionDecl(id="t0", inputs=(InBranch("alpha", "go"),), outputs=(OutBranch("S1"),)),
             TransitionDecl(
                 id="t1",
-                inputs=(InBranch("S1", "e1"), InBranch("S1", "e2")),
+                inputs=(InBranch("S1", "e1", ("a1",)), InBranch("S1", second_event, ("a2",))),
                 outputs=(OutBranch("S2"),),
                 join_kind=join_kind,
             ),
         ),
     )
     report = check_suite(model, emit_feature(model, "strict"), "strict")
-    assert (report.passed, report.coverage == 1.0) == (runs, runs)
+    assert (report.passed, report.coverage) == (runs, coverage)
     expected = [] if runs else [("UnsatisfiableJoin", "t1")]
     assert [(d.code, d.location) for d in validate(model)] == expected
 

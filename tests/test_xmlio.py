@@ -101,3 +101,33 @@ def test_condition_attribute_parses_guard():
     t2 = model.transitions[1]
     assert t2.shared_guard.literals == (("g1", False), ("g2", True))
     assert t2.shared_actions == ("a1", "a2")
+
+
+def _cond_model(cond):
+    return f"""\
+<process title="x">
+  <state id="S1"/>
+  <state id="S2"/>
+  <trans id="t1">
+    <in src="alpha" event="go"/>
+    <out target="S1"/>
+  </trans>
+  <trans id="t2" cond="{cond}">
+    <in src="S1" event="ev"/>
+    <out target="S2" cond="{cond}"/>
+  </trans>
+</process>
+"""
+
+
+@pytest.mark.parametrize("cond", ["g1 g2", "g3 and", "not", "and g1", "g1 and not", "g1, g2", "ready#1", "g1 # and not g2"])
+def test_condition_outside_the_guard_grammar_is_xml_error(cond):
+    with pytest.raises(XmlError) as exc:
+        parse_xml(_cond_model(cond))
+    assert repr(cond) in str(exc.value)
+
+
+def test_empty_condition_means_no_guard():
+    t2 = parse_xml(_cond_model("")).transitions[1]
+    assert t2.shared_guard is None
+    assert t2.outputs[0].guard is None

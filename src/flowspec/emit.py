@@ -59,7 +59,7 @@ def _action_items(plan: m.FiringPlan) -> list:
 def _special_items(plan: m.FiringPlan, outputs) -> list:
     """Entry/exit styling: one term per action, and per output its entry
     actions standing in for the resulting state when there are any."""
-    prefix = plan.exit_actions + plan.input_actions + plan.shared_actions
+    prefix = plan.exit_actions + plan.actions
     items: list = [ActionSeq((a,)) for a in prefix]
     for out in outputs:
         items.extend(ActionSeq((a,)) for a in out.branch.actions + out.entry_actions)
@@ -101,13 +101,13 @@ class _Emitter:
                 self.strict_firing(f"{base} {i + 1}", t, t.inputs, fired, lits)
                 for i, (fired, lits) in enumerate(self.choice_cases(t))
             ]
+        lits = effective_guard_literals(t)
         if kind in (PatternKind.SIMPLE_MERGE, PatternKind.MULTIPLE_MERGE):
-            shared = t.shared_guard.literals if t.shared_guard else ()
             return [
-                self.strict_firing(f"{base} {i + 1}", t, (inp,), None, shared)
+                self.strict_firing(f"{base} {i + 1}", t, (inp,), None, lits)
                 for i, inp in enumerate(t.inputs)
             ]
-        return [self.strict_firing(base, t, t.inputs, None, effective_guard_literals(t))]
+        return [self.strict_firing(base, t, t.inputs, None, lits)]
 
     # -- choice enumeration ------------------------------------------------
 
@@ -161,14 +161,13 @@ class _Emitter:
             PatternKind.SIMPLE_MERGE,
         ):
             items = _trace_items if kind == PatternKind.MULTIPLE_MERGE else _action_items
-            shared = t.shared_guard.literals if t.shared_guard else ()
             return [
                 self.row(
                     f"{base} {i + 1}",
                     t,
                     (inp,),
                     items(m.firing_plan(self.model, t, (inp,))),
-                    when_lits=shared,
+                    when_lits=lits,
                 )
                 for i, inp in enumerate(t.inputs)
             ]

@@ -230,7 +230,7 @@ def format_feature(doc: FeatureDoc, style: str = "paper_upper") -> str:
 # ---------------------------------------------------------------------------
 
 _HINT_RE = re.compile(r"#\s*(states|events|guards|actions|initial|final)\s*:\s*(.*)")
-_MODE_RE = re.compile(r"#\s*flowspec:\s*mode=([A-Za-z-]+)")
+_MODE_RE = re.compile(r"#\s*flowspec:\s*mode=([\w-]+)")
 
 
 class _DocBuilder:
@@ -286,8 +286,8 @@ class _DocBuilder:
 def parse_feature(text: str, filename: str = "<string>") -> FeatureDoc:
     """Parse feature text into a document.
 
-    Raises FeatureSyntaxError with codes EmptyDocument, MalformedClause or
-    UnknownKeyword.
+    Raises FeatureSyntaxError with codes EmptyDocument, MalformedClause
+    (a malformed clause, or a name hinted in two roles) or UnknownKeyword.
     """
     b = _DocBuilder(filename)
     in_preamble = True
@@ -310,6 +310,15 @@ def parse_feature(text: str, filename: str = "<string>") -> FeatureDoc:
                         names = tuple(
                             n.strip() for n in payload.split(",") if n.strip()
                         )
+                        for other in ("states", "events", "guards", "actions"):
+                            clash = set(names) & set(b.hint_fields.get(other, ()))
+                            if other != key and clash:
+                                raise FeatureSyntaxError(
+                                    "MalformedClause",
+                                    f"{', '.join(sorted(clash))} hinted as both "
+                                    f"{other} and {key}",
+                                    b.span(lineno),
+                                )
                         b.hint_fields[key] = names
             continue
         span = b.span(lineno)

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 from . import model as m
 from .errors import Diagnostic
-from .feature import ActionSeq, FeatureDoc, Scenario
+from .feature import FeatureDoc, Scenario
 from .model import COMPLETION_EVENT, PatternKind, ProcessModel
 
 # Scenario names carry a transition's pattern kind, never a state special case.
@@ -121,10 +121,7 @@ def _slug(text: str) -> str:
 
 
 def _chunks_of(scenario: Scenario) -> list[tuple[str, ...]]:
-    return [
-        item.actions if isinstance(item, ActionSeq) else (item.path,)
-        for item in scenario.then
-    ]
+    return [item.actions for item in scenario.then]
 
 
 def _split_given(terms, is_state) -> tuple[list[str], list[tuple[str, bool]]]:
@@ -197,6 +194,8 @@ class _Row:
 class _Inferrer:
     def __init__(self, doc: FeatureDoc, hints: InferenceHints | None):
         self.doc = doc
+        # the mode stamp, spelled as in ``model.MODES`` when it names a mode
+        self.mode = (doc.mode_hint or "").replace("-", "_")
         self.hints = _merge_hints(doc, hints)
         self.initial = self.hints.initial_name or m.DEFAULT_INITIAL
         self.final = self.hints.final_name or m.DEFAULT_FINAL
@@ -526,7 +525,7 @@ class _Inferrer:
         in a strict row the last chunk, and every chunk after a multi-atom
         trace, is a result state; a paper-exact merge row ends in its target;
         a combined join row lists its sources before its first guard."""
-        strict = self.doc.mode_hint == "strict"
+        strict = self.mode == "strict"
         shapes: dict[str, str] = {}
         for kind, _tid, scens in groups:
             for s in scens:
@@ -548,7 +547,7 @@ class _Inferrer:
         return shapes
 
     def infer_named(self, groups) -> list[_Draft]:
-        strict = self.doc.mode_hint == "strict"
+        strict = self.mode == "strict"
         drafts: list[_Draft] = []
         for order, (kind, tid, scens) in enumerate(groups):
             if kind in _JOIN_KIND_OF:
@@ -721,7 +720,7 @@ class _Inferrer:
     def run(self):
         order: list[str] = []
         grouped: dict[str, tuple[PatternKind, list[Scenario]]] = {}
-        all_named = bool(self.scenarios) and self.doc.mode_hint in ("strict", "paper-exact")
+        all_named = bool(self.scenarios) and self.mode in m.MODES
         if all_named:
             for s in self.scenarios:
                 parsed = parse_scenario_name(s.name)
@@ -744,7 +743,7 @@ class _Inferrer:
         for s in self.scenarios:
             atoms = [t.atom for t in (*s.given, *s.when)] + [a for c in _chunks_of(s) for a in c]
             known += [s.given[0].atom, *(a for a in atoms if "." in a)]
-        if self.doc.mode_hint == "strict":
+        if self.mode == "strict":
             known += shapes
         for atom in known:
             if self.is_state(atom):

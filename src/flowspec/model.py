@@ -183,10 +183,6 @@ def iter_states(model: ProcessModel):
     yield from walk(model.states)
 
 
-def state_map(model: ProcessModel) -> dict[str, StateNode]:
-    return dict(model_index(model).nodes)
-
-
 def chain(path: str) -> list[str]:
     """Ancestor chain from outermost to the path itself."""
     parts = path.split(".")
@@ -389,9 +385,6 @@ class Configuration:
     def counts(self) -> dict[str, int]:
         return dict(self.entries)
 
-    def active(self, path: str) -> bool:
-        return self.counts().get(path, 0) > 0
-
     def paths(self) -> list[str]:
         """Active paths with multiplicity, sorted."""
         out = []
@@ -465,28 +458,20 @@ def nonempty_subsets(items) -> list[tuple]:
 @dataclass(frozen=True)
 class OutputPlan:
     branch: OutBranch
-    index: int
-    entered: tuple[str, ...]  # paths entered, outermost first
     entry_actions: tuple[str, ...]
     leaf: str  # resulting active path
 
 
 @dataclass(frozen=True)
 class FiringPlan:
-    """Everything a single firing touches, in execution order."""
+    """Everything a single firing runs, in execution order."""
 
-    transition: TransitionDecl
-    consumed: tuple[InBranch, ...]
-    exited: tuple[str, ...]  # innermost first
     exit_actions: tuple[str, ...]
-    input_actions: tuple[str, ...]
-    shared_actions: tuple[str, ...]
+    actions: tuple[str, ...]  # input-branch actions, then shared actions
     outputs: tuple[OutputPlan, ...]
 
     def trace(self) -> list[str]:
-        out = list(self.exit_actions)
-        out.extend(self.input_actions)
-        out.extend(self.shared_actions)
+        out = [*self.exit_actions, *self.actions]
         for plan in self.outputs:
             out.extend(plan.branch.actions)
             out.extend(plan.entry_actions)
@@ -496,14 +481,9 @@ class FiringPlan:
         return [plan.leaf for plan in self.outputs]
 
 
-def _common_depth(a: str, b: str) -> int:
-    ca, cb = chain(a), chain(b)
-    depth = 0
-    for xa, xb in zip(ca, cb):
-        if xa != xb:
-            break
-        depth += 1
-    return depth
+def _within(path: str, state: str) -> bool:
+    """True when ``path`` is ``state`` or lies below it."""
+    return path == state or path.startswith(state + ".")
 
 
 def firing_plan(
@@ -512,72 +492,56 @@ def firing_plan(
     consumed: tuple[InBranch, ...] | None = None,
     fired_outputs: tuple[int, ...] | None = None,
 ) -> FiringPlan:
-    """Compute exits, entries and the action order for one firing.
+    """The exits, entries and action order of one firing.
 
     ``consumed`` defaults to all inputs; ``fired_outputs`` to all outputs.
-    Exit actions run innermost-first, entry actions outermost-first, and a
-    composite entered through its boundary descends to its default child.
+    The firing leaves, innermost first, each state on a consumed source's
+    chain that does not contain every fired target (the whole chain when no
+    target fires).  It enters, outermost first, each state on a fired
+    target's chain that contains no consumed source, then the target's
+    default descendants.  No state is left or entered twice, and a
+    pseudostate is neither left nor entered.
     """
     index = model_index(model)
     nodes = index.nodes
     if consumed is None:
         consumed = transition.inputs
-    if fired_outputs is None:
-        fired_outputs = tuple(range(len(transition.outputs)))
-    targets = [transition.outputs[i].target for i in fired_outputs]
+    fired = transition.outputs
+    if fired_outputs is not None:
+        fired = [fired[i] for i in fired_outputs]
+    sources = [b.source for b in consumed]
+    targets = [b.target for b in fired]
 
     exited: list[str] = []
-    exit_actions: list[str] = []
-    for branch in consumed:
-        src = branch.source
+    for src in sources:
         if is_pseudostate(model, src):
             continue
-        keep = min((_common_depth(src, t) for t in targets), default=0)
-        segs = chain(src)
-        for path in reversed(segs[keep:]):
-            if path in exited:
-                continue
-            exited.append(path)
-            node = nodes.get(path)
-            if node is not None:
-                exit_actions.extend(node.exit_actions)
+        for path in reversed(chain(src)):
+            kept = targets and all(_within(t, path) for t in targets)
+            if not kept and path not in exited:
+                exited.append(path)
 
-    input_actions: list[str] = []
-    for branch in consumed:
-        input_actions.extend(branch.actions)
-
-    entered_all: set[str] = set()
+    entered: set[str] = set()
     outputs: list[OutputPlan] = []
-    sources = [b.source for b in consumed]
-    for i in fired_outputs:
-        branch = transition.outputs[i]
+    for branch in fired:
         target = branch.target
         if is_pseudostate(model, target):
-            outputs.append(OutputPlan(branch, i, (target,), (), target))
+            outputs.append(OutputPlan(branch, (), target))
             continue
-        keep = max((_common_depth(target, s) for s in sources), default=0)
-        entered = [p for p in chain(target)[keep:] if p not in entered_all]
-        # Descend through default children below the boundary target.
         leaf = index.leaf(target)
-        for p in chain(leaf):
-            if len(p) > len(target) and p.startswith(target + ".") and p not in entered_all:
-                if p not in entered:
-                    entered.append(p)
-        entry_actions: list[str] = []
-        for p in entered:
-            node = nodes.get(p)
-            if node is not None:
-                entry_actions.extend(node.entry_actions)
-            entered_all.add(p)
-        outputs.append(OutputPlan(branch, i, tuple(entered), tuple(entry_actions), leaf))
+        up = chain(target)
+        paths = [p for p in up if not any(_within(s, p) for s in sources)]
+        paths += chain(leaf)[len(up) :]
+        paths = [p for p in paths if p not in entered]
+        entered.update(paths)
+        entry_actions = tuple(a for p in paths if p in nodes for a in nodes[p].entry_actions)
+        outputs.append(OutputPlan(branch, entry_actions, leaf))
 
     return FiringPlan(
-        transition=transition,
-        consumed=tuple(consumed),
-        exited=tuple(exited),
-        exit_actions=tuple(exit_actions),
-        input_actions=tuple(input_actions),
-        shared_actions=tuple(transition.shared_actions),
+        exit_actions=tuple(
+            a for p in exited if p in nodes for a in nodes[p].exit_actions
+        ),
+        actions=tuple(a for b in consumed for a in b.actions) + transition.shared_actions,
         outputs=tuple(outputs),
     )
 

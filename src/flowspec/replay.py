@@ -1,7 +1,7 @@
 """Operational semantics: enabledness, stepping, scenario replay, coverage.
 
 A step fires every enabled, non-conflicting transition once, except that a
-multi-join fires once per satisfied input (tokens accumulate on its target).
+multi-join fires once per ready input (tokens accumulate on its target).
 Within one firing the action order is: exit actions of exited states
 (innermost first), input-branch actions, shared actions, then per output
 branch its actions followed by entry actions of entered states (outermost
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import model as m
 from .errors import FlowspecError, IllegalGiven, NondeterminismConflict
-from .feature import FeatureDoc, Scenario, StateTerm
+from .feature import FeatureDoc, Scenario
 from .model import (
     COMPLETION_EVENT,
     Configuration,
@@ -74,14 +74,6 @@ def _fired_outputs(t: TransitionDecl, valuation) -> tuple[int, ...] | None:
     return tuple(range(len(t.outputs)))
 
 
-def _input_satisfied(b: m.InBranch, counts, events) -> bool:
-    if counts.get(b.source, 0) < 1:
-        return False
-    if b.event is not None and b.event not in events:
-        return False
-    return True
-
-
 def _match_or_split(model: ProcessModel, t: TransitionDecl, config: Configuration):
     """Locate the or-split whose recorded activation feeds this or-join."""
     index = m.model_index(model)
@@ -110,8 +102,15 @@ def firings_for(
     valuation,
 ) -> list[Firing]:
     """All firings of one transition under the given stimulus (empty when
-    the transition is not enabled)."""
-    counts = config.counts()
+    the transition is not enabled).
+
+    An input is active when its source holds a token, and ready when it is
+    also active and its event is None or offered.  A multi-join fires once
+    per ready input and an xor-join its first ready input.  An or-join fires
+    the inputs its matching or-split activated, or else every active input,
+    when all of them are ready.  An and-join or a plain transition fires
+    when every input is ready.
+    """
     if t.shared_event is not None and t.shared_event not in events:
         return []
     if t.shared_guard is not None and not t.shared_guard.holds(valuation):
@@ -119,41 +118,22 @@ def firings_for(
     outs = _fired_outputs(t, valuation)
     if outs is None:
         return []
+    counts = config.counts()
+    inputs = t.inputs
+    active = tuple(i for i, b in enumerate(inputs) if counts.get(b.source, 0) >= 1)
+    ready = tuple(i for i in active if inputs[i].event is None or inputs[i].event in events)
 
     if t.join_kind == "multi":
-        firings = []
-        for i, b in enumerate(t.inputs):
-            if _input_satisfied(b, counts, events):
-                firings.append(Firing(t, (i,), outs))
-        return firings
-
+        return [Firing(t, (i,), outs) for i in ready]
     if t.join_kind == "xor":
-        for i, b in enumerate(t.inputs):
-            if _input_satisfied(b, counts, events):
-                return [Firing(t, (i,), outs)]
-        return []
-
+        return [Firing(t, ready[:1], outs)] if ready else []
     if t.join_kind == "or":
-        match = _match_or_split(model, t, config)
-        if match is not None:
-            split_id, required = match
-            if all(
-                _input_satisfied(t.inputs[i], counts, events) for i in required
-            ):
-                return [Firing(t, required, outs, clear_mark=split_id)]
-            return []
-        active = tuple(
-            i for i, b in enumerate(t.inputs) if counts.get(b.source, 0) >= 1
-        )
-        if not active:
-            return []
-        if all(_input_satisfied(t.inputs[i], counts, events) for i in active):
-            return [Firing(t, active, outs)]
+        split_id, wanted = _match_or_split(model, t, config) or (None, active)
+        if wanted and set(wanted) <= set(ready):
+            return [Firing(t, wanted, outs, clear_mark=split_id)]
         return []
-
-    # "and" joins and plain single-input transitions: every input must hold.
-    if all(_input_satisfied(b, counts, events) for b in t.inputs):
-        return [Firing(t, tuple(range(len(t.inputs))), outs)]
+    if len(ready) == len(inputs):
+        return [Firing(t, ready, outs)]
     return []
 
 
@@ -279,9 +259,6 @@ def replay_scenario(model: ProcessModel, scenario: Scenario, mode: str = "strict
     expected_chunks: list[tuple[str, ...]] = []
     expected_states: list[str] = []
     for item in scenario.then:
-        if isinstance(item, StateTerm):
-            expected_states.append(item.path)
-            continue
         run: list[str] = []
         for atom in item.actions:
             if _classify_atom(spaces, atom) == "state":

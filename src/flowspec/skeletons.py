@@ -61,14 +61,6 @@ def extract_skeleton(keyword: str, step_text: str) -> StepSkeleton:
     )
 
 
-def pattern_matches(pattern: str, keyword: str, step_text: str) -> bool:
-    """Interpret a skeleton pattern as a regex whose only wildcards are the
-    ``(.*)`` groups and test it against the originating step."""
-    parts = pattern.split("(.*)")
-    regex = "(.*)".join(re.escape(p) for p in parts)
-    return re.fullmatch(regex, f"{keyword} {step_text}") is not None
-
-
 def emit_skeletons(doc: FeatureDoc) -> list[StepSkeleton]:
     """One skeleton per unique (keyword, pattern) pair, in first-occurrence
     order; colliding slugs get numeric suffixes."""

@@ -250,3 +250,43 @@ def test_check_unknown_mode_hint_is_input_error(tmp_path):
     assert code == 2
     assert out == ""
     assert f"error: {suite}: unknown mode 'bogus'" in err
+
+
+def test_reverse_of_name_hinted_in_two_roles_is_input_error(tmp_path):
+    feature = tmp_path / "clash.feature"
+    feature.write_text(
+        "# states: S1, x\n# guards: x\nScenario: one\nGiven S1 AND x\nWhen e1\nThen a1 AND S2\n"
+    )
+    code, out, err = invoke("reverse", str(feature))
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: {feature}: MalformedClause at {feature}:2:1: "
+        "x hinted as both states and guards\n"
+    )
+
+
+def test_check_accepts_underscore_mode_stamp(tmp_path):
+    suite = tmp_path / "underscore.feature"
+    text = (DATA_DIR / "special_cases.feature").read_text()
+    assert "mode=paper-exact" in text
+    suite.write_text(text.replace("mode=paper-exact", "mode=paper_exact"))
+    assert invoke("check", M9, str(suite)) == invoke("check", M9, SPECIAL)
+
+
+def test_reverse_reads_both_mode_stamp_spellings_alike(tmp_path):
+    _, text, _ = invoke("compile", M1, "--mode", "paper-exact")
+    suite = tmp_path / "underscore.feature"
+    suite.write_text(text.replace("mode=paper-exact", "mode=paper_exact"))
+    dashed = tmp_path / "dashed.feature"
+    dashed.write_text(text)
+    assert invoke("reverse", str(suite)) == invoke("reverse", str(dashed))
+
+
+def test_check_reports_whole_unknown_mode_word(tmp_path):
+    suite = tmp_path / "strictly.feature"
+    text = (DATA_DIR / "special_cases.feature").read_text()
+    suite.write_text(text.replace("mode=paper-exact", "mode=strictly"))
+    code, out, err = invoke("check", M9, str(suite))
+    assert (code, out) == (2, "")
+    assert f"error: {suite}: unknown mode 'strictly'" in err

@@ -201,3 +201,28 @@ def test_strict_result_states_form_legal_configurations(fixtures):
             assert leaves, (name, scenario.name)
             config = Configuration.of(*leaves)
             assert legal_configuration(model, config) is None, (name, scenario.name)
+
+
+@pytest.mark.parametrize("kind", ["xor", "multi"])
+def test_merge_output_guard_is_emitted(kind):
+    from flowspec.canon import isomorphic
+    from flowspec.feature import parse_feature
+    from flowspec.infer import infer_model
+    from flowspec.replay import check_suite
+
+    model = parse_dsl(
+        'process "guarded merge" {\n'
+        "  state S1\n  state S2\n  state S3\n"
+        "  trans t1 { from alpha on start split and to S1, S2 }\n"
+        f"  trans t2 {{ from S1 on e1 do a1, S2 on e2 do a2 join {kind} to S3 if g1 do a3 }}\n"
+        "  trans t3 { from S3 on e3 to Beta }\n"
+        "}\n"
+    )
+    for mode in ("strict", "paper_exact"):
+        doc = parse_feature(format_feature(emit_feature(model, mode)))
+        report = check_suite(model, doc, mode)
+        assert report.passed and report.coverage == 1.0, (mode, report.to_json())
+    strict = parse_feature(format_feature(emit_feature(model, "strict")))
+    inferred, diags = infer_model(strict)
+    assert diags == []
+    assert isomorphic(inferred, model)

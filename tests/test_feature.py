@@ -125,6 +125,15 @@ THEN a1
     assert doc.benefit == "insight"
 
 
+def test_name_hinted_in_two_roles_rejected_at_later_hint():
+    text = "# states: S1, x\n# events: ev1\n# guards: g1, x\nGIVEN S1\nWHEN ev1\nTHEN a1\n"
+    with pytest.raises(FeatureSyntaxError) as exc:
+        parse_feature(text)
+    assert exc.value.code == "MalformedClause"
+    assert exc.value.span.line == 3
+    assert "x hinted as both states and guards" in str(exc.value)
+
+
 def test_case_insensitive_keywords():
     doc = parse_feature("given S1\nwhen ev1\nthen a1\n")
     assert doc.scenarios[0].steps[0].keyword == "Given"

@@ -1,0 +1,298 @@
+"""Differential tests for the firing geometry and the enabling rule.
+
+``model.firing_plan`` states its exits and entries as containment rules and
+``replay.firings_for`` classifies each input once as active or ready.  The
+reference copies below compute the same results the earlier way, with chain
+depths (``_common_depth``) and one input scan per join kind
+(``_input_satisfied``), and every result is compared with them.
+"""
+
+from types import SimpleNamespace
+
+import pytest
+
+from flowspec.dsl import parse_dsl
+from flowspec.generator import random_model
+from flowspec.model import (
+    chain,
+    firing_plan,
+    initial_configuration,
+    is_pseudostate,
+    model_index,
+    nonempty_subsets,
+    validate,
+)
+from flowspec.replay import Firing, _match_or_split, _stimuli, explore, firings_for
+
+# Entry and exit actions on every level, and a move of each kind: child to
+# sibling (t2), child to parent boundary (t3), parent to child (t4), simple
+# and composite self-loops (t5, t9), into Beta (t6), an and-join from two
+# depths (t7) and an and-split that enters P once for two targets (t8).
+# An xor-join with both inputs ready on one event (t10) and an or-join that
+# no or-split feeds (t11) exercise the enabling rule.
+THREE_LEVELS = """\
+process "Three levels" {
+  state P {
+    entry p_in
+    exit p_out
+    initial P.A
+    state P.A {
+      entry a_in
+      exit a_out
+      initial P.A.x
+      state P.A.x {
+        entry x_in
+        exit x_out
+      }
+      state P.A.y {
+        entry y_in
+        exit y_out
+      }
+    }
+    state P.B {
+      entry b_in
+      exit b_out
+    }
+  }
+  state Q {
+    entry q_in
+    exit q_out
+  }
+  state R
+  trans t1 { from alpha on go split and to P, Q }
+  trans t2 { from P.A.x on sib do m2 to P.A.y }
+  trans t3 { from P.A.y on up do m3 to P.A }
+  trans t4 { from P.A on down do m4 to P.A.y }
+  trans t5 { from P.B on again do m5 to P.B }
+  trans t6 { from P.A.x on out do m6 to Beta }
+  trans t7 { from P.A.y on e7 do m7a, Q on e8 do m7b join and do m7 to R }
+  trans t8 { from R on back split and to P.A.x do m8a, P.B do m8b }
+  trans t9 { from P.A on redo to P.A }
+  trans t10 { from P.A.y on e9 do m10a, Q on e9 do m10b join xor to R }
+  trans t11 { from P.A.y on e11, Q on e12 join or do m11 to R }
+}
+"""
+
+
+@pytest.fixture(scope="module")
+def three_levels():
+    model = parse_dsl(THREE_LEVELS)
+    assert validate(model) == []
+    return model
+
+
+def _models(fixtures, three_levels):
+    return [
+        *fixtures.values(),
+        *(random_model(seed) for seed in range(40)),
+        three_levels,
+    ]
+
+
+# ---------------------------------------------------------------------------
+# Geometry: the chain-depth firing_plan
+# ---------------------------------------------------------------------------
+
+
+def _common_depth(a, b):
+    ca, cb = chain(a), chain(b)
+    depth = 0
+    for xa, xb in zip(ca, cb):
+        if xa != xb:
+            break
+        depth += 1
+    return depth
+
+
+def reference_firing_plan(model, transition, consumed=None, fired_outputs=None):
+    index = model_index(model)
+    nodes = index.nodes
+    if consumed is None:
+        consumed = transition.inputs
+    if fired_outputs is None:
+        fired_outputs = tuple(range(len(transition.outputs)))
+    targets = [transition.outputs[i].target for i in fired_outputs]
+
+    exited, exit_actions = [], []
+    for branch in consumed:
+        src = branch.source
+        if is_pseudostate(model, src):
+            continue
+        keep = min((_common_depth(src, t) for t in targets), default=0)
+        for path in reversed(chain(src)[keep:]):
+            if path in exited:
+                continue
+            exited.append(path)
+            node = nodes.get(path)
+            if node is not None:
+                exit_actions.extend(node.exit_actions)
+
+    input_actions = [a for branch in consumed for a in branch.actions]
+
+    entered_all, outputs = set(), []
+    sources = [b.source for b in consumed]
+    for i in fired_outputs:
+        branch = transition.outputs[i]
+        target = branch.target
+        if is_pseudostate(model, target):
+            outputs.append((branch, (), target))
+            continue
+        keep = max((_common_depth(target, s) for s in sources), default=0)
+        entered = [p for p in chain(target)[keep:] if p not in entered_all]
+        leaf = index.leaf(target)
+        for p in chain(leaf):
+            if len(p) > len(target) and p.startswith(target + ".") and p not in entered_all:
+                if p not in entered:
+                    entered.append(p)
+        entry_actions = []
+        for p in entered:
+            node = nodes.get(p)
+            if node is not None:
+                entry_actions.extend(node.entry_actions)
+            entered_all.add(p)
+        outputs.append((branch, tuple(entry_actions), leaf))
+
+    return SimpleNamespace(
+        exit_actions=tuple(exit_actions),
+        actions=tuple(input_actions) + tuple(transition.shared_actions),
+        outputs=outputs,
+    )
+
+
+def assert_plans_match(model):
+    """Compare every field on every consumed and fired subset, the empty
+    ones and the defaults included.  Returns the number of comparisons."""
+    compared = 0
+    for t in model.transitions:
+        consumed_cases = [None, (), *nonempty_subsets(t.inputs)]
+        fired_cases = [None, (), *nonempty_subsets(range(len(t.outputs)))]
+        for consumed in consumed_cases:
+            for fired in fired_cases:
+                plan = firing_plan(model, t, consumed, fired)
+                want = reference_firing_plan(model, t, consumed, fired)
+                got = [(o.branch, o.entry_actions, o.leaf) for o in plan.outputs]
+                case = (t.id, consumed, fired)
+                assert plan.exit_actions == want.exit_actions, case
+                assert plan.actions == want.actions, case
+                assert got == want.outputs, case
+                compared += 1
+    return compared
+
+
+def test_firing_plan_matches_chain_depth_reference(fixtures, three_levels):
+    compared = sum(assert_plans_match(model) for model in _models(fixtures, three_levels))
+    assert compared > 1000
+
+
+def test_three_level_moves(three_levels):
+    t = {tr.id: tr for tr in three_levels.transitions}
+    cases = {
+        "t1": ["p_in", "a_in", "x_in", "q_in"],
+        "t2": ["x_out", "m2", "y_in"],
+        "t3": ["y_out", "m3", "x_in"],
+        "t4": ["m4", "y_in"],
+        "t5": ["m5"],
+        "t6": ["x_out", "a_out", "p_out", "m6"],
+        "t7": ["y_out", "a_out", "p_out", "q_out", "m7a", "m7b", "m7"],
+        "t8": ["m8a", "p_in", "a_in", "x_in", "m8b", "b_in"],
+        "t9": ["x_in"],
+    }
+    for tid, trace in cases.items():
+        assert firing_plan(three_levels, t[tid]).trace() == trace, tid
+
+
+# ---------------------------------------------------------------------------
+# Enabling: the per-join-scan firings_for
+# ---------------------------------------------------------------------------
+
+
+def _reference_fired_outputs(t, valuation):
+    if t.split_kind == "or":
+        fired = []
+        any_guarded_true = False
+        for i, b in enumerate(t.outputs):
+            if b.guard is None:
+                fired.append(i)
+            elif b.guard.holds(valuation):
+                fired.append(i)
+                any_guarded_true = True
+        if not any_guarded_true:
+            return None
+        return tuple(fired)
+    if len(t.outputs) == 1 and t.outputs[0].guard is not None:
+        if not t.outputs[0].guard.holds(valuation):
+            return None
+    return tuple(range(len(t.outputs)))
+
+
+def _input_satisfied(b, counts, events):
+    if counts.get(b.source, 0) < 1:
+        return False
+    if b.event is not None and b.event not in events:
+        return False
+    return True
+
+
+def reference_firings_for(model, t, config, events, valuation):
+    counts = config.counts()
+    if t.shared_event is not None and t.shared_event not in events:
+        return []
+    if t.shared_guard is not None and not t.shared_guard.holds(valuation):
+        return []
+    outs = _reference_fired_outputs(t, valuation)
+    if outs is None:
+        return []
+    if t.join_kind == "multi":
+        return [
+            Firing(t, (i,), outs)
+            for i, b in enumerate(t.inputs)
+            if _input_satisfied(b, counts, events)
+        ]
+    if t.join_kind == "xor":
+        for i, b in enumerate(t.inputs):
+            if _input_satisfied(b, counts, events):
+                return [Firing(t, (i,), outs)]
+        return []
+    if t.join_kind == "or":
+        match = _match_or_split(model, t, config)
+        if match is not None:
+            split_id, required = match
+            if all(_input_satisfied(t.inputs[i], counts, events) for i in required):
+                return [Firing(t, required, outs, clear_mark=split_id)]
+            return []
+        active = tuple(i for i, b in enumerate(t.inputs) if counts.get(b.source, 0) >= 1)
+        if not active:
+            return []
+        if all(_input_satisfied(t.inputs[i], counts, events) for i in active):
+            return [Firing(t, active, outs)]
+        return []
+    if all(_input_satisfied(b, counts, events) for b in t.inputs):
+        return [Firing(t, tuple(range(len(t.inputs))), outs)]
+    return []
+
+
+def assert_firings_match(model):
+    """Compare every transition at every configuration ``explore(model, 4)``
+    reaches, under each stimulus ``_stimuli`` offers there, each of those
+    with one event removed, and the empty stimulus.  Returns the number of
+    comparisons."""
+    start = initial_configuration(model)
+    configs = {start} | {s.after for run in explore(model, 4) for s in run}
+    compared = 0
+    for config in sorted(configs, key=repr):
+        stimuli = [(set(), {})]
+        for events, valuation in _stimuli(model, config):
+            stimuli.append((events, valuation))
+            stimuli.extend((events - {e}, valuation) for e in sorted(events))
+        for events, valuation in stimuli:
+            for t in model.transitions:
+                got = firings_for(model, t, config, events, valuation)
+                want = reference_firings_for(model, t, config, events, valuation)
+                assert got == want, (t.id, config, events, valuation)
+                compared += 1
+    return compared
+
+
+def test_firings_for_matches_per_join_reference(fixtures, three_levels):
+    compared = sum(assert_firings_match(model) for model in _models(fixtures, three_levels))
+    assert compared > 1000

@@ -40,14 +40,14 @@ def _characteristic_traces(model: ProcessModel, t: TransitionDecl, kind: Pattern
         always = tuple(i for i, b in enumerate(t.outputs) if not b.guard)
         for g in guarded:
             fired = tuple(sorted(always + (g,)))
-            traces.append(tuple(m.firing_plan(model, t, None, fired).trace()))
-        traces.append(tuple(m.firing_plan(model, t).trace()))
+            traces.append(m.firing_plan(model, t, None, fired).trace)
+        traces.append(m.firing_plan(model, t).trace)
         return tuple(traces)
     if kind in (PatternKind.SIMPLE_MERGE, PatternKind.MULTIPLE_MERGE):
         for b in t.inputs:
-            traces.append(tuple(m.firing_plan(model, t, (b,), None).trace()))
+            traces.append(m.firing_plan(model, t, (b,), None).trace)
         return tuple(traces)
-    return (tuple(m.firing_plan(model, t).trace()),)
+    return (m.firing_plan(model, t).trace,)
 
 
 def transition_signature(model: ProcessModel, t: TransitionDecl, kind: PatternKind):

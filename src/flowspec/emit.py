@@ -44,15 +44,15 @@ def enumerate_choice_subsets(branches):
 
 def _trace_items(plan: m.FiringPlan) -> list:
     """The whole trace as one sequence, then the resulting leaves."""
-    trace = plan.trace()
-    items: list = [ActionSeq(tuple(trace))] if trace else []
-    return items + [StateTerm(leaf) for leaf in plan.result_leaves()]
+    trace = plan.trace
+    items: list = [ActionSeq(trace)] if trace else []
+    return items + [StateTerm(leaf) for leaf in plan.leaves]
 
 
 def _action_items(plan: m.FiringPlan) -> list:
     """One term per action, or the resulting leaves when there are none."""
-    return [ActionSeq((a,)) for a in plan.trace()] or [
-        StateTerm(leaf) for leaf in plan.result_leaves()
+    return [ActionSeq((a,)) for a in plan.trace] or [
+        StateTerm(leaf) for leaf in plan.leaves
     ]
 
 

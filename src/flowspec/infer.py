@@ -47,7 +47,7 @@ import re
 from dataclasses import dataclass
 
 from . import model as m
-from .errors import Diagnostic
+from .errors import Diagnostic, FeatureSyntaxError, SourceSpan
 from .feature import FeatureDoc, Scenario
 from .model import COMPLETION_EVENT, PatternKind, ProcessModel
 
@@ -82,29 +82,33 @@ class InferenceHints:
     final_name: str | None = None
 
     def __post_init__(self):
-        sets = (
-            self.declared_states,
-            self.declared_events,
-            self.declared_guards,
-            self.declared_actions,
-        )
-        for i, a in enumerate(sets):
-            for b in sets[i + 1 :]:
-                clash = a & b
-                if clash:
-                    raise ValueError(f"hint names in several roles: {sorted(clash)}")
+        roles = {
+            "states": self.declared_states,
+            "events": self.declared_events,
+            "guards": self.declared_guards,
+            "actions": self.declared_actions,
+        }
+        for (ra, a), (rb, b) in itertools.combinations(roles.items(), 2):
+            if clash := a & b:
+                raise ValueError(f"{', '.join(sorted(clash))} hinted as both {ra} and {rb}")
 
 
 def _merge_hints(doc: FeatureDoc, hints: InferenceHints | None) -> InferenceHints:
+    """The caller's hints joined with the document's hint lines.  Raises
+    FeatureSyntaxError (MalformedClause) when the two give one name two
+    roles."""
     given = hints or InferenceHints()
-    return InferenceHints(
-        declared_states=given.declared_states | frozenset(doc.hints.states),
-        declared_events=given.declared_events | frozenset(doc.hints.events),
-        declared_guards=given.declared_guards | frozenset(doc.hints.guards),
-        declared_actions=given.declared_actions | frozenset(doc.hints.actions),
-        initial_name=given.initial_name or doc.hints.initial,
-        final_name=given.final_name or doc.hints.final,
-    )
+    try:
+        return InferenceHints(
+            declared_states=given.declared_states | frozenset(doc.hints.states),
+            declared_events=given.declared_events | frozenset(doc.hints.events),
+            declared_guards=given.declared_guards | frozenset(doc.hints.guards),
+            declared_actions=given.declared_actions | frozenset(doc.hints.actions),
+            initial_name=given.initial_name or doc.hints.initial,
+            final_name=given.final_name or doc.hints.final,
+        )
+    except ValueError as clash:
+        raise FeatureSyntaxError("MalformedClause", str(clash), SourceSpan()) from None
 
 
 def parse_scenario_name(name: str):

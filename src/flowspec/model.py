@@ -6,22 +6,25 @@ and transitions that may fan in (joins) and fan out (splits).  All values are
 immutable after construction; every other module consumes this one.
 
 Facts derived from a model (its path->node map, the name space table, the
-leaf targets of multi-joins, its or-splits and its transitions keyed by
-input source) live in a ``ModelIndex``.  Each fact is computed on first use
-and then kept, so ``validate`` pays only for the name spaces it reads while
-replay builds the rest once per model instead of once per scenario or step.  ``model_index`` keeps the index of one model at a
-time, the last one asked for, compared by identity: replay, emission and
-canonicalization work through one model after another, so one entry serves
-them all, and an index is never kept for a model no longer in use.  (A cache
-per model kept an index alive for each of 1,600 generated models in a
-lint-and-explore run and raised its peak memory by 18 %.)
+leaf targets of multi-joins, its or-splits, its transitions keyed by input
+source, and the firing plans replay has asked for) live in a ``ModelIndex``.
+Each fact is computed on first use and then kept, so ``validate`` pays only
+for the name spaces it reads while replay builds the rest once per model
+instead of once per scenario or step, and a firing that exploration meets
+again at another configuration reuses its plan.  ``model_index`` keeps the
+index of one model at a time, the last one asked for, compared by identity:
+replay, emission and canonicalization work through one model after another,
+so one entry serves them all, and the plans of a model no longer in use go
+with its index.  (A cache per model kept an index alive for each of 1,600
+generated models in a lint-and-explore run and raised its peak memory by
+18 %.)
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 
@@ -274,6 +277,7 @@ class ModelIndex:
 
     def __init__(self, model: ProcessModel):
         self.model = model
+        self._plans: dict[tuple, FiringPlan] = {}
 
     @cached_property
     def nodes(self) -> dict[str, StateNode]:
@@ -341,6 +345,23 @@ class ModelIndex:
         while node.composite and node.initial_child:
             node = self.nodes[node.initial_child]
         return node.path
+
+    def plan(
+        self,
+        transition: TransitionDecl,
+        consumed: tuple[int, ...],
+        fired_outputs: tuple[int, ...] | None,
+    ) -> FiringPlan:
+        """``firing_plan`` of the inputs at positions ``consumed``, kept per
+        (transition, consumed, fired outputs).  ``transition`` must be one of
+        the model's own objects: it is keyed by ``id``, which cannot pass to
+        another object while the index holds the model."""
+        key = (id(transition), consumed, fired_outputs)
+        found = self._plans.get(key)
+        if found is None:
+            inputs = tuple(transition.inputs[i] for i in consumed)
+            found = self._plans[key] = _plan(self, transition, inputs, fired_outputs)
+        return found
 
 
 _last_index: ModelIndex | None = None
@@ -470,20 +491,17 @@ class FiringPlan:
     actions: tuple[str, ...]  # input-branch actions, then shared actions
     outputs: tuple[OutputPlan, ...]
 
-    def trace(self) -> list[str]:
-        out = [*self.exit_actions, *self.actions]
+    # derived from the three fields above when the plan is built
+    trace: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    leaves: tuple[str, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        trace = [*self.exit_actions, *self.actions]
         for plan in self.outputs:
-            out.extend(plan.branch.actions)
-            out.extend(plan.entry_actions)
-        return out
-
-    def result_leaves(self) -> list[str]:
-        return [plan.leaf for plan in self.outputs]
-
-
-def _within(path: str, state: str) -> bool:
-    """True when ``path`` is ``state`` or lies below it."""
-    return path == state or path.startswith(state + ".")
+            trace.extend(plan.branch.actions)
+            trace.extend(plan.entry_actions)
+        object.__setattr__(self, "trace", tuple(trace))
+        object.__setattr__(self, "leaves", tuple(plan.leaf for plan in self.outputs))
 
 
 def firing_plan(
@@ -502,35 +520,46 @@ def firing_plan(
     default descendants.  No state is left or entered twice, and a
     pseudostate is neither left nor entered.
     """
-    index = model_index(model)
-    nodes = index.nodes
     if consumed is None:
         consumed = transition.inputs
+    return _plan(model_index(model), transition, tuple(consumed), fired_outputs)
+
+
+def _plan(
+    index: ModelIndex,
+    transition: TransitionDecl,
+    consumed: tuple[InBranch, ...],
+    fired_outputs: tuple[int, ...] | None,
+) -> FiringPlan:
+    """``firing_plan``, computed.  A state contains a path exactly when it
+    is on the path's ancestor chain."""
+    model, nodes = index.model, index.nodes
+    pseudostates = (model.initial_name, model.final_name)
     fired = transition.outputs
     if fired_outputs is not None:
         fired = [fired[i] for i in fired_outputs]
-    sources = [b.source for b in consumed]
-    targets = [b.target for b in fired]
+    source_chains = [chain(b.source) for b in consumed]
+    target_chains = [chain(b.target) for b in fired]
+    around_sources = {p for up in source_chains for p in up}
+    around_every_target = set(target_chains[0]).intersection(*target_chains[1:]) if fired else ()
 
     exited: list[str] = []
-    for src in sources:
-        if is_pseudostate(model, src):
+    for branch, up in zip(consumed, source_chains):
+        if branch.source in pseudostates:
             continue
-        for path in reversed(chain(src)):
-            kept = targets and all(_within(t, path) for t in targets)
-            if not kept and path not in exited:
+        for path in reversed(up):
+            if path not in around_every_target and path not in exited:
                 exited.append(path)
 
     entered: set[str] = set()
     outputs: list[OutputPlan] = []
-    for branch in fired:
+    for branch, up in zip(fired, target_chains):
         target = branch.target
-        if is_pseudostate(model, target):
+        if target in pseudostates:
             outputs.append(OutputPlan(branch, (), target))
             continue
         leaf = index.leaf(target)
-        up = chain(target)
-        paths = [p for p in up if not any(_within(s, p) for s in sources)]
+        paths = [p for p in up if p not in around_sources]
         paths += chain(leaf)[len(up) :]
         paths = [p for p in paths if p not in entered]
         entered.update(paths)

@@ -143,31 +143,33 @@ def _warn(code: str, location: str, message: str) -> Diagnostic:
 
 
 def _reachable_paths(model: ProcessModel) -> set[str]:
-    nodes = m.model_index(model).nodes
-    reached: set[str] = set()
-
-    def mark(path: str):
-        if path in reached or m.is_pseudostate(model, path):
-            reached.update([path])
-            if m.is_pseudostate(model, path):
-                return
-        for anc in m.chain(path):
-            reached.add(anc)
-        node = nodes.get(path)
-        while node is not None and node.composite and node.initial_child:
-            reached.add(node.initial_child)
-            node = nodes.get(node.initial_child)
-
-    mark(model.initial_name)
-    changed = True
-    while changed:
-        changed = False
-        for t in model.transitions:
-            if any(b.source in reached for b in t.inputs):
-                for b in t.outputs:
-                    if b.target not in reached:
-                        mark(b.target)
-                        changed = True
+    """Paths reachable from the initial pseudostate, over-approximated: a
+    transition counts as fired as soon as any one of its input sources is
+    reached.  Reaching a target reaches its ancestors and its default
+    descendants; a pseudostate reaches only itself.  A worklist of newly
+    reached paths visits the transitions that read each of them."""
+    index = m.model_index(model)
+    nodes, transitions = index.nodes, model.transitions
+    start = model.initial_name
+    reached, marked, todo = {start}, {start}, [start]
+    while todo:
+        for i in index.by_source.get(todo.pop(), ()):
+            for b in transitions[i].outputs:
+                target = b.target
+                if target in marked:
+                    continue
+                marked.add(target)
+                paths = [target]
+                if not m.is_pseudostate(model, target):
+                    paths = m.chain(target)
+                    node = nodes.get(target)
+                    while node is not None and node.composite and node.initial_child:
+                        paths.append(node.initial_child)
+                        node = nodes.get(node.initial_child)
+                for p in paths:
+                    if p not in reached:
+                        reached.add(p)
+                        todo.append(p)
     return reached
 
 

@@ -111,6 +111,11 @@ def firings_for(
     when all of them are ready.  An and-join or a plain transition fires
     when every input is ready.
     """
+    return _firings(model, t, config, config.counts(), events, valuation)
+
+
+def _firings(model, t, config, counts, events, valuation) -> list[Firing]:
+    """``firings_for``, given the ``counts`` of ``config``."""
     if t.shared_event is not None and t.shared_event not in events:
         return []
     if t.shared_guard is not None and not t.shared_guard.holds(valuation):
@@ -118,7 +123,6 @@ def firings_for(
     outs = _fired_outputs(t, valuation)
     if outs is None:
         return []
-    counts = config.counts()
     inputs = t.inputs
     active = tuple(i for i, b in enumerate(inputs) if counts.get(b.source, 0) >= 1)
     ready = tuple(i for i in active if inputs[i].event is None or inputs[i].event in events)
@@ -140,11 +144,12 @@ def firings_for(
 def enabled(model: ProcessModel, config: Configuration, events, valuation) -> list[str]:
     """Transition ids with at least one firing, in declaration order."""
     events = set(events)
-    out = []
-    for t in m.model_index(model).candidates(config.counts()):
-        if firings_for(model, t, config, events, valuation):
-            out.append(t.id)
-    return out
+    counts = config.counts()
+    return [
+        t.id
+        for t in m.model_index(model).candidates(counts)
+        if _firings(model, t, config, counts, events, valuation)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -158,41 +163,52 @@ def step(model: ProcessModel, config: Configuration, events, valuation) -> StepR
     Raises NondeterminismConflict when the enabled firings demand more
     tokens from some state than the configuration holds.
     """
-    events = set(events)
     counts = config.counts()
-    firings: list[Firing] = []
-    for t in m.model_index(model).candidates(counts):
-        firings.extend(firings_for(model, t, config, events, valuation))
+    candidates = m.model_index(model).candidates(counts)
+    return _step(model, config, counts, candidates, set(events), valuation)
 
+
+def _step(model, config, counts, candidates, events, valuation) -> StepResult:
+    """``step``, given the ``counts`` of ``config`` (left unchanged), its
+    ``candidates`` and ``events`` as a set."""
+    firings = [
+        f for t in candidates for f in _firings(model, t, config, counts, events, valuation)
+    ]
+
+    counts = dict(counts)
     demand: dict[str, int] = {}
-    demanders: dict[str, list[str]] = {}
     for firing in firings:
         for i in firing.consumed:
             src = firing.transition.inputs[i].source
             demand[src] = demand.get(src, 0) + 1
-            demanders.setdefault(src, []).append(firing.transition.id)
     for src, needed in demand.items():
-        if needed > counts.get(src, 0):
-            raise NondeterminismConflict(sorted(set(demanders[src])))
+        left = counts.get(src, 0) - needed
+        if left < 0:
+            raise NondeterminismConflict(sorted({
+                f.transition.id
+                for f in firings
+                for i in f.consumed
+                if f.transition.inputs[i].source == src
+            }))
+        if left:
+            counts[src] = left
+        else:
+            counts.pop(src, None)
 
+    index = m.model_index(model)
     marks = dict(config.or_marks)
     trace: list[str] = []
     fired_ids: list[str] = []
     for firing in firings:
         t = firing.transition
-        consumed = tuple(t.inputs[i] for i in firing.consumed)
-        plan = m.firing_plan(model, t, consumed, firing.fired_outputs)
-        for branch in consumed:
-            counts[branch.source] -= 1
-            if counts[branch.source] == 0:
-                del counts[branch.source]
-        for leaf in plan.result_leaves():
+        plan = index.plan(t, firing.consumed, firing.fired_outputs)
+        for leaf in plan.leaves:
             counts[leaf] = counts.get(leaf, 0) + 1
         if t.split_kind == "or":
             marks[t.id] = firing.fired_outputs
         if firing.clear_mark is not None:
             marks.pop(firing.clear_mark, None)
-        trace.extend(plan.trace())
+        trace.extend(plan.trace)
         fired_ids.append(t.id)
 
     after = Configuration(
@@ -388,19 +404,18 @@ class ExploreStep:
     after: Configuration
 
 
-def _stimuli(model: ProcessModel, config: Configuration):
-    """Candidate (events, valuation) pairs at a configuration, deterministic."""
-    counts = config.counts()
-    seen = set()
-    out = []
+def _offers(candidates, counts) -> dict[tuple, tuple[set[str], dict[str, bool]]]:
+    """Candidate (events, valuation) pairs at a configuration with these
+    ``counts`` and candidate transitions, deterministic, each keyed by its
+    sorted events and sorted valuation."""
+    out: dict[tuple, tuple[set[str], dict[str, bool]]] = {}
 
     def add(events: set[str], valuation: dict[str, bool]):
         key = (tuple(sorted(events)), tuple(sorted(valuation.items())))
-        if key not in seen:
-            seen.add(key)
-            out.append((set(events), dict(valuation)))
+        if key not in out:
+            out[key] = (events, valuation)
 
-    for t in m.model_index(model).candidates(counts):
+    for t in candidates:
         if not any(counts.get(b.source, 0) >= 1 for b in t.inputs):
             continue
         base_events = {b.event for b in t.inputs if b.event}
@@ -455,21 +470,27 @@ def explore(
         raise ValueError(f"depth bound above {MAX_EXPLORE_DEPTH}")
     if depth_bound <= 0:
         return []
+    index = m.model_index(model)
     traces: list[tuple[ExploreStep, ...]] = []
 
     def walk(config: Configuration, prefix: tuple[ExploreStep, ...]):
         extended = False
         if len(prefix) < depth_bound:
-            for events, valuation in _stimuli(model, config):
+            # one token count and one candidate scan serve every stimulus
+            counts = config.counts()
+            candidates = index.candidates(counts)
+            for (sorted_events, sorted_valuation), (events, valuation) in _offers(
+                candidates, counts
+            ).items():
                 try:
-                    result = step(model, config, events, valuation)
+                    result = _step(model, config, counts, candidates, events, valuation)
                 except NondeterminismConflict:
                     continue
                 if not result.fired:
                     continue
                 record = ExploreStep(
-                    tuple(sorted(events)),
-                    tuple(sorted(valuation.items())),
+                    sorted_events,
+                    sorted_valuation,
                     result.fired,
                     result.trace,
                     result.after,

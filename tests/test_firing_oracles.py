@@ -7,6 +7,9 @@ depths (``_common_depth``) and one input scan per join kind
 (``_input_satisfied``), and every result is compared with them.
 """
 
+import dataclasses
+import gc
+import weakref
 from types import SimpleNamespace
 
 import pytest
@@ -14,6 +17,8 @@ import pytest
 from flowspec.dsl import parse_dsl
 from flowspec.generator import random_model
 from flowspec.model import (
+    ModelIndex,
+    _plan,
     chain,
     firing_plan,
     initial_configuration,
@@ -22,7 +27,13 @@ from flowspec.model import (
     nonempty_subsets,
     validate,
 )
-from flowspec.replay import Firing, _match_or_split, _stimuli, explore, firings_for
+from flowspec.replay import Firing, _match_or_split, _offers, explore, firings_for
+
+def _stimuli(model, config):
+    """The (events, valuation) pairs ``explore`` offers at ``config``."""
+    counts = config.counts()
+    return list(_offers(model_index(model).candidates(counts), counts).values())
+
 
 # Entry and exit actions on every level, and a move of each kind: child to
 # sibling (t2), child to parent boundary (t3), parent to child (t4), simple
@@ -184,6 +195,61 @@ def test_firing_plan_matches_chain_depth_reference(fixtures, three_levels):
     assert compared > 1000
 
 
+# ---------------------------------------------------------------------------
+# The plan memo on the model index
+# ---------------------------------------------------------------------------
+
+
+def _every_input(t):
+    return tuple(range(len(t.inputs)))
+
+
+def test_memoized_plans_match_fresh_plans(fixtures, three_levels):
+    """Every consumed and fired subset, the empty ones and the defaults
+    included: the kept plan equals one computed on a new index and the one
+    ``firing_plan`` computes, and asking again returns the kept object."""
+    compared = 0
+    for model in _models(fixtures, three_levels):
+        index, fresh = model_index(model), ModelIndex(model)
+        for t in model.transitions:
+            for consumed in [(), *nonempty_subsets(_every_input(t))]:
+                branches = tuple(t.inputs[i] for i in consumed)
+                for fired in [None, (), *nonempty_subsets(range(len(t.outputs)))]:
+                    plan = index.plan(t, consumed, fired)
+                    want = _plan(fresh, t, branches, fired)
+                    case = (t.id, consumed, fired)
+                    assert plan == want, case
+                    assert (plan.trace, plan.leaves) == (want.trace, want.leaves), case
+                    assert firing_plan(model, t, branches, fired) == plan, case
+                    assert index.plan(t, consumed, fired) is plan, case
+                    compared += 1
+    assert compared > 1000
+
+
+def test_replaced_transition_is_not_served_the_original_plan(m9):
+    t = m9.transitions[2]  # t3: from S5 on ev7 do a9 to S6
+    index = model_index(m9)
+    original = index.plan(t, _every_input(t), None)
+    assert original.trace == ("a9",)
+    changed = dataclasses.replace(t, shared_actions=("z",))
+    assert firing_plan(m9, changed).trace == ("a9", "z")
+    branch = dataclasses.replace(t.inputs[0], actions=("q",))
+    assert firing_plan(m9, t, (branch,)).trace == ("q",)
+    assert index.plan(t, _every_input(t), None) is original
+
+
+def test_plans_go_with_the_index(m1):
+    a = dataclasses.replace(m1)  # equal to m1, but a new object
+    t = a.transitions[0]
+    plan = weakref.ref(model_index(a).plan(t, _every_input(t), None))
+    assert plan() is not None  # kept by the index of a
+    model = weakref.ref(a)
+    del a, t
+    model_index(m1)  # the index moves to m1
+    gc.collect()
+    assert plan() is None and model() is None
+
+
 def test_three_level_moves(three_levels):
     t = {tr.id: tr for tr in three_levels.transitions}
     cases = {
@@ -198,7 +264,7 @@ def test_three_level_moves(three_levels):
         "t9": ["x_in"],
     }
     for tid, trace in cases.items():
-        assert firing_plan(three_levels, t[tid]).trace() == trace, tid
+        assert firing_plan(three_levels, t[tid]).trace == tuple(trace), tid
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from flowspec.canon import canonical_form, isomorphic
 from flowspec.dsl import parse_dsl, serialize_dsl
 from flowspec.emit import emit_feature
-from flowspec.errors import FlowspecError, IllegalGiven
+from flowspec.errors import FeatureSyntaxError, FlowspecError, IllegalGiven
 from flowspec.feature import format_feature, parse_feature
 from flowspec.generator import GeneratorLimits, random_model
 from flowspec.infer import InferenceHints, infer_model
@@ -223,6 +223,21 @@ def test_hinted_states_keep_document_order():
     hints = InferenceHints(declared_states=frozenset({"X2", "X1", "S4"}))
     model, _ = infer_model(parse_feature(text), hints)
     assert [s.path for s in model.states] == ["S6", "S5", "S4", "S3", "S2", "S1", "X1", "X2"]
+
+
+def test_hints_that_give_a_name_two_roles_are_a_feature_error():
+    # the document hints x as a guard, the caller as a state
+    doc = parse_feature("# states: S1, S2\n# guards: x\nGIVEN S1 AND x\nWHEN e1\nTHEN a1 AND S2\n")
+    with pytest.raises(FeatureSyntaxError) as exc:
+        infer_model(doc, InferenceHints(declared_states=frozenset({"x"})))
+    assert exc.value.code == "MalformedClause"
+    assert exc.value.reason == "x hinted as both states and guards"
+    # hints that agree with the document still merge
+    model, _ = infer_model(doc, InferenceHints(declared_guards=frozenset({"x"})))
+    assert [s.path for s in model.states] == ["S1", "S2"]
+    # hints built directly in two roles stay a ValueError
+    with pytest.raises(ValueError, match="x hinted as both states and guards"):
+        InferenceHints(declared_states=frozenset({"x"}), declared_guards=frozenset({"x"}))
 
 
 def test_structural_rows_with_one_given_and_when_fold_into_and_split():

@@ -326,18 +326,18 @@ def test_firing_plan_orders_exits_then_actions_then_entries(m9):
     t2 = m9.transitions[1]
     plan = m.firing_plan(m9, t2)
     assert plan.exit_actions == ("a3", "a4")
-    assert plan.trace() == ["a3", "a4", "a5", "a6"]
-    assert plan.result_leaves() == ["S2", "S3"]
+    assert plan.trace == ("a3", "a4", "a5", "a6")
+    assert plan.leaves == ("S2", "S3")
 
     t3 = m9.transitions[2]
     plan = m.firing_plan(m9, t3)
-    assert plan.trace() == ["a9"]
-    assert plan.result_leaves() == ["S6.1"]
+    assert plan.trace == ("a9",)
+    assert plan.leaves == ("S6.1",)
 
     t1 = m9.transitions[0]
     plan = m.firing_plan(m9, t1)
-    assert plan.trace() == ["a1", "a2"]
-    assert plan.result_leaves() == ["S1"]
+    assert plan.trace == ("a1", "a2")
+    assert plan.leaves == ("S1",)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +368,7 @@ def test_replaced_model_gets_its_own_index(m9):
     )
     changed = dataclasses.replace(m9, states=states)
     assert m.leaf_path(changed, "S6") == "S6.2"
-    assert m.firing_plan(changed, changed.transitions[2]).result_leaves() == ["S6.2"]
+    assert m.firing_plan(changed, changed.transitions[2]).leaves == ("S6.2",)
     assert check_suite(changed, emit_feature(changed, "strict"), "strict").passed
     assert m.leaf_path(m9, "S6") == "S6.1"
 

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from flowspec.dsl import parse_dsl
+from flowspec.generator import GeneratorLimits, random_model
 from flowspec.model import (
     GuardExpr,
     InBranch,
@@ -14,8 +15,11 @@ from flowspec.model import (
     ProcessModel,
     StateNode,
     TransitionDecl,
+    chain,
+    is_pseudostate,
+    model_index,
 )
-from flowspec.patterns import classify, guards_overlap, lint
+from flowspec.patterns import _reachable_paths, classify, guards_overlap, lint
 
 
 def kinds_by_tid(model):
@@ -269,8 +273,6 @@ def test_guards_overlap_wide_guards(width):
 
 
 def test_classification_total_on_generated_models():
-    from flowspec.generator import random_model
-
     for seed in range(25):
         model = random_model(seed + 1000)
         instances, _ = classify(model)
@@ -278,3 +280,114 @@ def test_classification_total_on_generated_models():
         renamed = _rename_model(model, lambda s: f"r{s}")
         after, _ = classify(renamed)
         assert [i.kind for i in instances] == [i.kind for i in after]
+
+
+# ---------------------------------------------------------------------------
+# Reachability: the worklist against the earlier whole-model fixpoint
+# ---------------------------------------------------------------------------
+
+
+def reference_reachable_paths(model):
+    """The earlier fixpoint: rescan every transition until nothing changes,
+    marking each target that is not yet reached."""
+    nodes = model_index(model).nodes
+    reached = set()
+
+    def mark(path):
+        if is_pseudostate(model, path):
+            reached.add(path)
+            return
+        reached.update(chain(path))
+        node = nodes.get(path)
+        while node is not None and node.composite and node.initial_child:
+            reached.add(node.initial_child)
+            node = nodes.get(node.initial_child)
+
+    mark(model.initial_name)
+    changed = True
+    while changed:
+        changed = False
+        for t in model.transitions:
+            if any(b.source in reached for b in t.inputs):
+                for b in t.outputs:
+                    if b.target not in reached:
+                        mark(b.target)
+                        changed = True
+    return reached
+
+
+# An and-join whose second input is never reached still marks its target
+# (the documented over-approximation), a composite is entered through its
+# default child, Beta is a target, and an island of two states is never
+# reached.
+REACH_CASES = """\
+process "reach" {
+  state S1
+  state S2
+  state S3
+  state J
+  state P {
+    initial P.A
+    state P.A {
+      initial P.A.x
+      state P.A.x
+      state P.A.y
+    }
+    state P.B
+  }
+  state I1
+  state I2
+  trans t1 { from alpha on go to S1 }
+  trans t2 { from S1 on e2, S2 on e3 join and to J }
+  trans t3 { from J on e4 to P }
+  trans t4 { from P.A.x on e5 to P.B }
+  trans t5 { from P.B on e6 to Beta }
+  trans t6 { from I1 on e7 to I2 }
+  trans t7 { from I2 on e8 to S3 }
+}
+"""
+
+
+def test_reachable_paths_hand_built_cases():
+    model = parse_dsl(REACH_CASES)
+    reached = _reachable_paths(model)
+    assert reached == reference_reachable_paths(model)
+    assert reached == {"alpha", "S1", "J", "P", "P.A", "P.A.x", "P.B", "Beta"}
+    flagged = [d.location for d in lint(model) if d.code == "UnreachableState"]
+    assert flagged == ["S2", "S3", "P.A.y", "I1", "I2"]
+
+
+def _rungs():
+    for n, seeds in ((10, 40), (40, 20), (160, 5)):
+        for seed in range(seeds):
+            yield random_model(seed, GeneratorLimits(n + 2, n))
+
+
+def test_reachable_paths_match_fixpoint(fixtures):
+    for model in [*fixtures.values(), *_rungs()]:
+        assert _reachable_paths(model) == reference_reachable_paths(model)
+    assert "S5" not in _reachable_paths(fixtures["m9"])
+
+
+def test_reachable_paths_enter_a_composite_reached_as_an_ancestor():
+    # t1 reaches P only as the parent of P.B; t2 then enters P itself, so
+    # its default child P.A is reached too.  The fixpoint skipped a target
+    # that was already reached, so it found P.A only when t2 came first.
+    later = """\
+process "p" {
+  state P {
+    initial P.A
+    state P.A
+    state P.B
+  }
+  trans t1 { from alpha on e1 to P.B }
+  trans t2 { from alpha on e2 to P }
+}
+"""
+    want = {"alpha", "P", "P.A", "P.B"}
+    model = parse_dsl(later)
+    assert _reachable_paths(model) == want
+    assert reference_reachable_paths(model) == want - {"P.A"}
+    reordered = ProcessModel(states=model.states, transitions=model.transitions[::-1])
+    assert _reachable_paths(reordered) == reference_reachable_paths(reordered) == want
+    assert "UnreachableState" not in [d.code for d in lint(model)]

@@ -6,7 +6,7 @@ from flowspec.dsl import parse_dsl
 from flowspec.emit import emit_feature
 from flowspec.errors import IllegalGiven, NondeterminismConflict
 from flowspec.feature import FeatureDoc, Scenario, Step, parse_feature
-from flowspec.generator import random_model
+from flowspec.generator import GeneratorLimits, random_model
 from flowspec.model import (
     Configuration,
     InBranch,
@@ -16,10 +16,12 @@ from flowspec.model import (
     TransitionDecl,
     firing_plan,
     initial_configuration,
+    model_index,
 )
 from flowspec.replay import (
+    ExploreStep,
     StepResult,
-    _stimuli,
+    _offers,
     check_suite,
     enabled,
     explore,
@@ -27,6 +29,12 @@ from flowspec.replay import (
     replay_scenario,
     step,
 )
+
+def _stimuli(model, config):
+    """The (events, valuation) pairs ``explore`` offers at ``config``."""
+    counts = config.counts()
+    return list(_offers(model_index(model).candidates(counts), counts).values())
+
 
 TRUE = {"g1": True, "g2": True, "h1": True, "h2": True, "h3": True}
 
@@ -283,6 +291,109 @@ def test_configurations_stay_legal_during_exploration(fixtures):
                 assert legal_configuration(model, record.after) is None, name
 
 
+def per_stimulus_explore(model, depth_bound, start=None):
+    """``explore`` as it was before one candidate scan served every
+    stimulus at a configuration: ``_stimuli``, then public ``step`` for
+    each stimulus."""
+    traces = []
+
+    def walk(config, prefix):
+        extended = False
+        if len(prefix) < depth_bound:
+            for events, valuation in _stimuli(model, config):
+                try:
+                    result = step(model, config, events, valuation)
+                except NondeterminismConflict:
+                    continue
+                if not result.fired:
+                    continue
+                record = ExploreStep(
+                    tuple(sorted(events)),
+                    tuple(sorted(valuation.items())),
+                    result.fired,
+                    result.trace,
+                    result.after,
+                )
+                extended = True
+                walk(result.after, prefix + (record,))
+        if not extended and prefix:
+            traces.append(prefix)
+
+    walk(start or initial_configuration(model), ())
+    return traces
+
+
+# Tokens accumulate on a multi-join target (S1 and S3 share e1); an
+# or-split's mark feeds an or-join; an xor-join has both inputs ready on one
+# event; and two transitions compete for S7's token on e9.
+EXPLORE_CASES = [
+    """\
+process "multi" {
+  state S1
+  state S2
+  state S3
+  state S4
+  state S5
+  trans t1 { from alpha on go split and to S1, S2, S3 }
+  trans t2 { from S1 on e1 do a1, S2 on e2 do a2, S3 on e1 do a3 join multi to S4 }
+  trans t3 { from S4 on e4 do a4 to S5 }
+  trans t4 { from S5 on e5 do a5 to Beta }
+}
+""",
+    """\
+process "or" {
+  state S1
+  state S2
+  state S3
+  state S4
+  trans t1 { from alpha on go split or to S1 if h1, S2 if h2, S4 do a0 mandatory }
+  trans t2 { from S1 on e1 do a1, S2 on e2 do a2 join or do a3 to S3 }
+  trans t3 { from S3 on e3 to Beta }
+}
+""",
+    """\
+process "joins" {
+  state S1
+  state S2
+  state S3
+  state S4
+  state S5
+  state S6
+  state S7
+  state S8
+  trans t1 { from alpha on go split and to S1, S2, S3 }
+  trans t2 { from S1 on e1 do b1, S2 on e1 do b2 join xor to S4 }
+  trans t3 { from S2 on e2 do c1, S3 on e3 do c2 join multi to S5 }
+  trans t4 { from S5 on e4 to S6 }
+  trans t5 { from S4 on e5, S6 on e6 join and to S7 }
+  trans t6 { from S7 on e9 do d1 to S8 }
+  trans t7 { from S7 on e9 do d2 to S1 }
+}
+""",
+]
+
+
+def test_explore_matches_per_stimulus_explore(fixtures):
+    for name, model in fixtures.items():
+        assert explore(model, 5) == per_stimulus_explore(model, 5), name
+    start = Configuration.of("S5")
+    assert explore(fixtures["m9"], 5, start) == per_stimulus_explore(fixtures["m9"], 5, start)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_explore_matches_per_stimulus_explore_on_generated_models(seed):
+    model = random_model(seed, GeneratorLimits(22, 20))
+    assert explore(model, 4) == per_stimulus_explore(model, 4)
+
+
+@pytest.mark.parametrize("text", EXPLORE_CASES, ids=["multi", "or", "joins"])
+def test_explore_matches_per_stimulus_explore_on_joins(text):
+    model = parse_dsl(text)
+    runs = explore(model, 5)
+    assert runs == per_stimulus_explore(model, 5)
+    assert runs
+
+
 # ---------------------------------------------------------------------------
 # Replay modes
 # ---------------------------------------------------------------------------
@@ -333,13 +444,13 @@ def oracle_step(model, config, events, valuation):
             if not counts[b.source]:
                 del counts[b.source]
         plan = firing_plan(model, t, consumed, f.fired_outputs)
-        for leaf in plan.result_leaves():
+        for leaf in plan.leaves:
             counts[leaf] = counts.get(leaf, 0) + 1
         if t.split_kind == "or":
             marks[t.id] = f.fired_outputs
         if f.clear_mark is not None:
             marks.pop(f.clear_mark, None)
-        trace.extend(plan.trace())
+        trace.extend(plan.trace)
     after = Configuration(tuple(sorted(counts.items())), tuple(sorted(marks.items())))
     return StepResult(tuple(f.transition.id for f in firings), tuple(trace), after)
 

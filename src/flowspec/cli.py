@@ -180,10 +180,7 @@ def _cmd_check(args, stdout, stderr) -> int:
     report = report_for(model, verdicts)
     if args.json is not None:
         text = json.dumps(report.to_json(), indent=2) + "\n"
-        if args.json == "-":
-            stdout.write(text)
-        else:
-            Path(args.json).write_text(text, encoding="utf-8")
+        _write(None if args.json == "-" else args.json, text, stdout)
     else:
         for name, verdict in report.verdicts:
             if verdict.passed:
@@ -248,13 +245,7 @@ def run(argv=None, stdout=None, stderr=None) -> int:
         return INPUT_ERROR if exc.code not in (0, None) else OK
     try:
         return _COMMANDS[args.command](args, stdout, stderr)
-    except _InputError as exc:
-        stderr.write(f"error: {exc}\n")
-        return INPUT_ERROR
-    except FlowspecError as exc:
-        stderr.write(f"error: {exc}\n")
-        return INPUT_ERROR
-    except OSError as exc:
+    except (_InputError, FlowspecError, OSError) as exc:
         stderr.write(f"error: {exc}\n")
         return INPUT_ERROR
     except Exception as exc:  # pragma: no cover - defensive

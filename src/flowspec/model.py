@@ -6,18 +6,15 @@ and transitions that may fan in (joins) and fan out (splits).  All values are
 immutable after construction; every other module consumes this one.
 
 Facts derived from a model (its path->node map, the name space table, the
-leaf targets of multi-joins, its or-splits, its transitions keyed by input
-source, and the firing plans replay has asked for) live in a ``ModelIndex``.
-Each fact is computed on first use and then kept, so ``validate`` pays only
-for the name spaces it reads while replay builds the rest once per model
-instead of once per scenario or step, and a firing that exploration meets
-again at another configuration reuses its plan.  ``model_index`` keeps the
-index of one model at a time, the last one asked for, compared by identity:
-replay, emission and canonicalization work through one model after another,
-so one entry serves them all, and the plans of a model no longer in use go
-with its index.  (A cache per model kept an index alive for each of 1,600
-generated models in a lint-and-explore run and raised its peak memory by
-18 %.)
+leaf targets of multi-joins, its or-splits and its transitions keyed by input
+source) live in a ``ModelIndex``.  Each fact is computed on first use and
+then kept, so ``validate`` pays only for the name spaces it reads while
+replay builds the rest once per model instead of once per scenario or step.
+``model_index`` keeps the index of one model at a time, the last one asked
+for, compared by identity: replay, emission and canonicalization work
+through one model after another, so one entry serves them all.  (A cache per
+model kept an index alive for each of 1,600 generated models in a
+lint-and-explore run and raised its peak memory by 18 %.)
 """
 
 from __future__ import annotations
@@ -222,46 +219,6 @@ def leaf_path(model: ProcessModel, path: str) -> str:
     return model_index(model).leaf(path)
 
 
-def event_names(model: ProcessModel) -> set[str]:
-    names = set()
-    for t in model.transitions:
-        if t.shared_event:
-            names.add(t.shared_event)
-        for b in t.inputs:
-            if b.event:
-                names.add(b.event)
-    return names
-
-
-def guard_atoms(model: ProcessModel) -> set[str]:
-    atoms = set()
-    for t in model.transitions:
-        if t.shared_guard:
-            atoms.update(t.shared_guard.atoms())
-        for b in t.outputs:
-            if b.guard:
-                atoms.update(b.guard.atoms())
-    return atoms
-
-
-def action_names(model: ProcessModel) -> set[str]:
-    names = set()
-    for node in iter_states(model):
-        names.update(node.entry_actions)
-        names.update(node.exit_actions)
-    for t in model.transitions:
-        names.update(t.shared_actions)
-        for b in t.inputs:
-            names.update(b.actions)
-        for b in t.outputs:
-            names.update(b.actions)
-    return names
-
-
-def state_paths(model: ProcessModel) -> set[str]:
-    return {node.path for node in iter_states(model)}
-
-
 def namespaces(model: ProcessModel) -> dict[str, frozenset[str]]:
     """The four name spaces, in the order bare feature terms are classified:
     state (pseudostates included), event, guard, action."""
@@ -277,7 +234,6 @@ class ModelIndex:
 
     def __init__(self, model: ProcessModel):
         self.model = model
-        self._plans: dict[tuple, FiringPlan] = {}
 
     @cached_property
     def nodes(self) -> dict[str, StateNode]:
@@ -286,13 +242,37 @@ class ModelIndex:
 
     @cached_property
     def spaces(self) -> dict[str, frozenset[str]]:
-        """The table ``namespaces`` returns."""
+        """The table ``namespaces`` returns, built in one walk."""
         model = self.model
+        states = {model.initial_name, model.final_name}
+        events: set[str] = set()
+        atoms: set[str] = set()
+        actions: set[str] = set()
+        for node in iter_states(model):
+            states.add(node.path)
+            actions.update(node.entry_actions)
+            actions.update(node.exit_actions)
+        for t in model.transitions:
+            if t.shared_event:
+                events.add(t.shared_event)
+            if t.shared_guard:
+                for atom, _ in t.shared_guard.literals:
+                    atoms.add(atom)
+            actions.update(t.shared_actions)
+            for b in t.inputs:
+                if b.event:
+                    events.add(b.event)
+                actions.update(b.actions)
+            for b in t.outputs:
+                if b.guard:
+                    for atom, _ in b.guard.literals:
+                        atoms.add(atom)
+                actions.update(b.actions)
         return {
-            "state": frozenset(state_paths(model) | {model.initial_name, model.final_name}),
-            "event": frozenset(event_names(model)),
-            "guard": frozenset(guard_atoms(model)),
-            "action": frozenset(action_names(model)),
+            "state": frozenset(states),
+            "event": frozenset(events),
+            "guard": frozenset(atoms),
+            "action": frozenset(actions),
         }
 
     @cached_property
@@ -345,23 +325,6 @@ class ModelIndex:
         while node.composite and node.initial_child:
             node = self.nodes[node.initial_child]
         return node.path
-
-    def plan(
-        self,
-        transition: TransitionDecl,
-        consumed: tuple[int, ...],
-        fired_outputs: tuple[int, ...] | None,
-    ) -> FiringPlan:
-        """``firing_plan`` of the inputs at positions ``consumed``, kept per
-        (transition, consumed, fired outputs).  ``transition`` must be one of
-        the model's own objects: it is keyed by ``id``, which cannot pass to
-        another object while the index holds the model."""
-        key = (id(transition), consumed, fired_outputs)
-        found = self._plans.get(key)
-        if found is None:
-            inputs = tuple(transition.inputs[i] for i in consumed)
-            found = self._plans[key] = _plan(self, transition, inputs, fired_outputs)
-        return found
 
 
 _last_index: ModelIndex | None = None
@@ -444,12 +407,11 @@ def legal_configuration(model: ProcessModel, config: Configuration) -> str | Non
     of multi-joins; no two active paths descend through different children
     of the same composite.
     """
-    multi_targets = model_index(model).multi_targets
+    index = model_index(model)
+    states, multi_targets = index.spaces["state"], index.multi_targets
     child_of: dict[str, str] = {}
     for path, count in config.entries:
-        try:
-            resolve(model, path)
-        except UnknownState:
+        if path not in states:
             return f"unknown state {path}"
         if count < 1:
             return f"nonpositive count on {path}"
@@ -518,22 +480,12 @@ def firing_plan(
     target fires).  It enters, outermost first, each state on a fired
     target's chain that contains no consumed source, then the target's
     default descendants.  No state is left or entered twice, and a
-    pseudostate is neither left nor entered.
+    pseudostate is neither left nor entered.  A state contains a path
+    exactly when it is on the path's ancestor chain.
     """
-    if consumed is None:
-        consumed = transition.inputs
-    return _plan(model_index(model), transition, tuple(consumed), fired_outputs)
-
-
-def _plan(
-    index: ModelIndex,
-    transition: TransitionDecl,
-    consumed: tuple[InBranch, ...],
-    fired_outputs: tuple[int, ...] | None,
-) -> FiringPlan:
-    """``firing_plan``, computed.  A state contains a path exactly when it
-    is on the path's ancestor chain."""
-    model, nodes = index.model, index.nodes
+    consumed = transition.inputs if consumed is None else tuple(consumed)
+    index = model_index(model)
+    nodes = index.nodes
     pseudostates = (model.initial_name, model.final_name)
     fired = transition.outputs
     if fired_outputs is not None:

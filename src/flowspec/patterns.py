@@ -145,28 +145,21 @@ def _warn(code: str, location: str, message: str) -> Diagnostic:
 def _reachable_paths(model: ProcessModel) -> set[str]:
     """Paths reachable from the initial pseudostate, over-approximated: a
     transition counts as fired as soon as any one of its input sources is
-    reached.  Reaching a target reaches its ancestors and its default
-    descendants; a pseudostate reaches only itself.  A worklist of newly
-    reached paths visits the transitions that read each of them."""
+    reached.  Reaching a target reaches the chain of its leaf, that is its
+    ancestors and its default descendants; a pseudostate reaches only
+    itself.  A worklist of newly reached paths visits the transitions that
+    read each of them.  ``model`` must pass ``validate``."""
     index = m.model_index(model)
-    nodes, transitions = index.nodes, model.transitions
+    transitions = model.transitions
     start = model.initial_name
     reached, marked, todo = {start}, {start}, [start]
     while todo:
         for i in index.by_source.get(todo.pop(), ()):
             for b in transitions[i].outputs:
-                target = b.target
-                if target in marked:
+                if b.target in marked:
                     continue
-                marked.add(target)
-                paths = [target]
-                if not m.is_pseudostate(model, target):
-                    paths = m.chain(target)
-                    node = nodes.get(target)
-                    while node is not None and node.composite and node.initial_child:
-                        paths.append(node.initial_child)
-                        node = nodes.get(node.initial_child)
-                for p in paths:
+                marked.add(b.target)
+                for p in m.chain(index.leaf(b.target)):
                     if p not in reached:
                         reached.add(p)
                         todo.append(p)

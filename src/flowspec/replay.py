@@ -23,6 +23,7 @@ from .model import (
     nonempty_subsets,
     normalize_mode,
 )
+from .patterns import effective_guard_literals
 
 MAX_EXPLORE_DEPTH = 32
 
@@ -111,11 +112,29 @@ def firings_for(
     when all of them are ready.  An and-join or a plain transition fires
     when every input is ready.
     """
-    return _firings(model, t, config, config.counts(), events, valuation)
+    return _firings(_entry(model, t, config, config.counts()), events, valuation)
 
 
-def _firings(model, t, config, counts, events, valuation) -> list[Firing]:
-    """``firings_for``, given the ``counts`` of ``config``."""
+def _entry(model, t, config, counts):
+    """(``t``, its active input positions, its or-join match) at ``config``,
+    whose token counts are ``counts``."""
+    active = tuple(i for i, b in enumerate(t.inputs) if counts.get(b.source, 0) >= 1)
+    match = _match_or_split(model, t, config) if t.join_kind == "or" else None
+    return t, active, match
+
+
+def _view(model: ProcessModel, config: Configuration):
+    """What enabling reads of ``config`` under any stimulus: its token
+    counts, and the ``_entry`` of each transition that could fire there
+    (``ModelIndex.candidates``), in declaration order."""
+    counts = config.counts()
+    candidates = m.model_index(model).candidates(counts)
+    return counts, [_entry(model, t, config, counts) for t in candidates]
+
+
+def _firings(entry, events, valuation) -> list[Firing]:
+    """``firings_for`` of one ``_entry``."""
+    t, active, match = entry
     if t.shared_event is not None and t.shared_event not in events:
         return []
     if t.shared_guard is not None and not t.shared_guard.holds(valuation):
@@ -124,7 +143,6 @@ def _firings(model, t, config, counts, events, valuation) -> list[Firing]:
     if outs is None:
         return []
     inputs = t.inputs
-    active = tuple(i for i, b in enumerate(inputs) if counts.get(b.source, 0) >= 1)
     ready = tuple(i for i in active if inputs[i].event is None or inputs[i].event in events)
 
     if t.join_kind == "multi":
@@ -132,7 +150,7 @@ def _firings(model, t, config, counts, events, valuation) -> list[Firing]:
     if t.join_kind == "xor":
         return [Firing(t, ready[:1], outs)] if ready else []
     if t.join_kind == "or":
-        split_id, wanted = _match_or_split(model, t, config) or (None, active)
+        split_id, wanted = match or (None, active)
         if wanted and set(wanted) <= set(ready):
             return [Firing(t, wanted, outs, clear_mark=split_id)]
         return []
@@ -144,12 +162,8 @@ def _firings(model, t, config, counts, events, valuation) -> list[Firing]:
 def enabled(model: ProcessModel, config: Configuration, events, valuation) -> list[str]:
     """Transition ids with at least one firing, in declaration order."""
     events = set(events)
-    counts = config.counts()
-    return [
-        t.id
-        for t in m.model_index(model).candidates(counts)
-        if _firings(model, t, config, counts, events, valuation)
-    ]
+    _, entries = _view(model, config)
+    return [entry[0].id for entry in entries if _firings(entry, events, valuation)]
 
 
 # ---------------------------------------------------------------------------
@@ -163,17 +177,16 @@ def step(model: ProcessModel, config: Configuration, events, valuation) -> StepR
     Raises NondeterminismConflict when the enabled firings demand more
     tokens from some state than the configuration holds.
     """
-    counts = config.counts()
-    candidates = m.model_index(model).candidates(counts)
-    return _step(model, config, counts, candidates, set(events), valuation)
+    return _step(model, config, _view(model, config), set(events), valuation, {})
 
 
-def _step(model, config, counts, candidates, events, valuation) -> StepResult:
-    """``step``, given the ``counts`` of ``config`` (left unchanged), its
-    ``candidates`` and ``events`` as a set."""
-    firings = [
-        f for t in candidates for f in _firings(model, t, config, counts, events, valuation)
-    ]
+def _step(model, config, view, events, valuation, plans) -> StepResult:
+    """``step``, given the ``_view`` of ``config`` and ``events`` as a set.
+    ``plans`` keeps firing plans by (``id`` of the transition, consumed
+    positions, fired outputs), so the caller must hold every transition it
+    keys for as long as it keeps the dict."""
+    counts, entries = view
+    firings = [f for entry in entries for f in _firings(entry, events, valuation)]
 
     counts = dict(counts)
     demand: dict[str, int] = {}
@@ -195,13 +208,16 @@ def _step(model, config, counts, candidates, events, valuation) -> StepResult:
         else:
             counts.pop(src, None)
 
-    index = m.model_index(model)
     marks = dict(config.or_marks)
     trace: list[str] = []
     fired_ids: list[str] = []
     for firing in firings:
         t = firing.transition
-        plan = index.plan(t, firing.consumed, firing.fired_outputs)
+        key = (id(t), firing.consumed, firing.fired_outputs)
+        plan = plans.get(key)
+        if plan is None:
+            consumed = tuple(t.inputs[i] for i in firing.consumed)
+            plan = plans[key] = m.firing_plan(model, t, consumed, firing.fired_outputs)
         for leaf in plan.leaves:
             counts[leaf] = counts.get(leaf, 0) + 1
         if t.split_kind == "or":
@@ -404,10 +420,10 @@ class ExploreStep:
     after: Configuration
 
 
-def _offers(candidates, counts) -> dict[tuple, tuple[set[str], dict[str, bool]]]:
-    """Candidate (events, valuation) pairs at a configuration with these
-    ``counts`` and candidate transitions, deterministic, each keyed by its
-    sorted events and sorted valuation."""
+def _offers(entries) -> dict[tuple, tuple[set[str], dict[str, bool]]]:
+    """Candidate (events, valuation) pairs at a configuration whose
+    ``_view`` has these ``entries``, deterministic, each keyed by its sorted
+    events and sorted valuation."""
     out: dict[tuple, tuple[set[str], dict[str, bool]]] = {}
 
     def add(events: set[str], valuation: dict[str, bool]):
@@ -415,16 +431,15 @@ def _offers(candidates, counts) -> dict[tuple, tuple[set[str], dict[str, bool]]]
         if key not in out:
             out[key] = (events, valuation)
 
-    for t in candidates:
-        if not any(counts.get(b.source, 0) >= 1 for b in t.inputs):
+    for t, active, _ in entries:
+        if not active:
             continue
         base_events = {b.event for b in t.inputs if b.event}
         if t.shared_event:
             base_events.add(t.shared_event)
         base_val: dict[str, bool] = {}
-        if t.shared_guard:
-            for atom, neg in t.shared_guard.literals:
-                base_val[atom] = not neg
+        for atom, neg in effective_guard_literals(t):
+            base_val.setdefault(atom, not neg)
         if t.split_kind == "or":
             guarded = [i for i, b in enumerate(t.outputs) if b.guard]
             for included in nonempty_subsets(guarded):
@@ -439,20 +454,14 @@ def _offers(candidates, counts) -> dict[tuple, tuple[set[str], dict[str, bool]]]
                         break
                 if ok:
                     add(base_events, valuation)
-            continue
-        valuation = dict(base_val)
-        if len(t.outputs) == 1 and t.outputs[0].guard:
-            for atom, neg in t.outputs[0].guard.literals:
-                valuation.setdefault(atom, not neg)
-        if t.join_kind in ("xor", "multi"):
-            for b in t.inputs:
-                if counts.get(b.source, 0) >= 1:
-                    ev = {b.event} if b.event else set()
-                    if t.shared_event:
-                        ev.add(t.shared_event)
-                    add(ev, valuation)
+        elif t.join_kind in ("xor", "multi"):
+            for i in active:
+                ev = {t.inputs[i].event} if t.inputs[i].event else set()
+                if t.shared_event:
+                    ev.add(t.shared_event)
+                add(ev, base_val)
         else:
-            add(base_events, valuation)
+            add(base_events, base_val)
     return out
 
 
@@ -470,20 +479,21 @@ def explore(
         raise ValueError(f"depth bound above {MAX_EXPLORE_DEPTH}")
     if depth_bound <= 0:
         return []
-    index = m.model_index(model)
     traces: list[tuple[ExploreStep, ...]] = []
+    # firing plans met again at another configuration; this call holds the
+    # model, and with it every transition the plans are keyed by
+    plans: dict[tuple, m.FiringPlan] = {}
 
     def walk(config: Configuration, prefix: tuple[ExploreStep, ...]):
         extended = False
         if len(prefix) < depth_bound:
-            # one token count and one candidate scan serve every stimulus
-            counts = config.counts()
-            candidates = index.candidates(counts)
+            # one view of the configuration serves every stimulus
+            view = _view(model, config)
             for (sorted_events, sorted_valuation), (events, valuation) in _offers(
-                candidates, counts
+                view[1]
             ).items():
                 try:
-                    result = _step(model, config, counts, candidates, events, valuation)
+                    result = _step(model, config, view, events, valuation, plans)
                 except NondeterminismConflict:
                     continue
                 if not result.fired:

@@ -43,16 +43,12 @@ def extract_skeleton(keyword: str, step_text: str) -> StepSkeleton:
     if step_text.count('"') % 2 != 0:
         raise UnbalancedQuotes(f"odd number of quotes in {step_text!r}")
 
-    counter = 0
-
-    def replace(match: re.Match) -> str:
-        nonlocal counter
-        counter += 1
-        return f'"(.*)"@group{counter}@'
-
-    tagged = _QUOTED.sub(replace, step_text)
-    pattern_text = re.sub(r"@group\d+@", "", tagged)
-    slug_source = re.sub(r'"\(\.\*\)"@(group\d+)@', r" \1 ", tagged)
+    # the text between quoted spans, so len(pieces) - 1 spans
+    pieces = _QUOTED.split(step_text)
+    pattern_text = '"(.*)"'.join(pieces)
+    slug_source = pieces[0]
+    for n, piece in enumerate(pieces[1:], 1):
+        slug_source += f" group{n} {piece}"
     slug = _SLUG_JUNK.sub("_", f"{keyword} {slug_source}".lower()).strip("_")
     return StepSkeleton(
         keyword=keyword,

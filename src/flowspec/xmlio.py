@@ -75,6 +75,8 @@ def _parse_state(elem: ET.Element, parent_path: str | None) -> m.StateNode:
         elif child.tag == "onexit":
             exit_ += _split_names(child.text)
         elif child.tag == "initial":
+            if initial is not None:
+                raise XmlError(f"initial child of {path!r} declared twice")
             target = _require(child, "id")
             if "." not in target:
                 target = f"{path}.{target}"

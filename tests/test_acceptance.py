@@ -17,7 +17,7 @@ from flowspec.emit import emit_feature, enumerate_choice_subsets
 from flowspec.feature import Scenario, Step, format_feature, parse_feature
 from flowspec.generator import random_model
 from flowspec.infer import infer_model
-from flowspec.model import action_names, state_paths
+from flowspec.model import namespaces
 from flowspec.patterns import lint
 from flowspec.replay import check_suite, replay_scenario
 from flowspec.skeletons import emit_skeletons
@@ -102,7 +102,9 @@ def _mutate_then(scenario: Scenario, model, rng) -> Scenario:
     )
     atoms = re.findall(r"[A-Za-z0-9_.]+", then_step.text)
     victim = atoms[0]
-    pool = sorted((action_names(model) | state_paths(model)) - {victim})
+    spaces = namespaces(model)
+    states = spaces["state"] - {model.initial_name, model.final_name}
+    pool = sorted((spaces["action"] | states) - {victim})
     replacement = pool[rng.randrange(len(pool))]
     mutated = re.sub(rf"\b{re.escape(victim)}\b", replacement, then_step.text, count=1)
     steps = list(scenario.steps)

@@ -190,10 +190,10 @@ def test_gherkin_style_casing(m1):
 
 
 def test_strict_result_states_form_legal_configurations(fixtures):
-    from flowspec.model import Configuration, legal_configuration, state_paths
+    from flowspec.model import Configuration, legal_configuration, namespaces
 
     for name, model in fixtures.items():
-        states = state_paths(model) | {model.initial_name, model.final_name}
+        states = namespaces(model)["state"]
         for scenario in emit_feature(model, "strict").scenarios:
             then_text = scenario.steps[2].text
             atoms = [a for a in then_text.replace(";", " AND ").split(" AND ")]

@@ -1,15 +1,17 @@
 """Differential tests for the firing geometry and the enabling rule.
 
-``model.firing_plan`` states its exits and entries as containment rules and
-``replay.firings_for`` classifies each input once as active or ready.  The
-reference copies below compute the same results the earlier way, with chain
-depths (``_common_depth``) and one input scan per join kind
-(``_input_satisfied``), and every result is compared with them.
+``model.firing_plan`` states its exits and entries as containment rules,
+``replay.firings_for`` classifies each input once as active or ready, and
+``replay._offers`` reads a configuration's view.  The reference copies below
+compute the same results the earlier way, with chain depths
+(``_common_depth``), one input scan per join kind (``_input_satisfied``) and
+the stimuli from candidates and token counts (``reference_offers``), and
+every result is compared with them.
 """
 
 import dataclasses
 import gc
-import weakref
+import types
 from types import SimpleNamespace
 
 import pytest
@@ -17,8 +19,9 @@ import pytest
 from flowspec.dsl import parse_dsl
 from flowspec.generator import random_model
 from flowspec.model import (
-    ModelIndex,
-    _plan,
+    Configuration,
+    FiringPlan,
+    OutputPlan,
     chain,
     firing_plan,
     initial_configuration,
@@ -27,12 +30,20 @@ from flowspec.model import (
     nonempty_subsets,
     validate,
 )
-from flowspec.replay import Firing, _match_or_split, _offers, explore, firings_for
+from flowspec.replay import (
+    ExploreStep,
+    Firing,
+    StepResult,
+    _match_or_split,
+    _offers,
+    _view,
+    explore,
+    firings_for,
+)
 
 def _stimuli(model, config):
     """The (events, valuation) pairs ``explore`` offers at ``config``."""
-    counts = config.counts()
-    return list(_offers(model_index(model).candidates(counts), counts).values())
+    return list(_offers(_view(model, config)[1]).values())
 
 
 # Entry and exit actions on every level, and a move of each kind: child to
@@ -196,58 +207,44 @@ def test_firing_plan_matches_chain_depth_reference(fixtures, three_levels):
 
 
 # ---------------------------------------------------------------------------
-# The plan memo on the model index
+# Firing plans belong to the exploration that uses them
 # ---------------------------------------------------------------------------
-
-
-def _every_input(t):
-    return tuple(range(len(t.inputs)))
-
-
-def test_memoized_plans_match_fresh_plans(fixtures, three_levels):
-    """Every consumed and fired subset, the empty ones and the defaults
-    included: the kept plan equals one computed on a new index and the one
-    ``firing_plan`` computes, and asking again returns the kept object."""
-    compared = 0
-    for model in _models(fixtures, three_levels):
-        index, fresh = model_index(model), ModelIndex(model)
-        for t in model.transitions:
-            for consumed in [(), *nonempty_subsets(_every_input(t))]:
-                branches = tuple(t.inputs[i] for i in consumed)
-                for fired in [None, (), *nonempty_subsets(range(len(t.outputs)))]:
-                    plan = index.plan(t, consumed, fired)
-                    want = _plan(fresh, t, branches, fired)
-                    case = (t.id, consumed, fired)
-                    assert plan == want, case
-                    assert (plan.trace, plan.leaves) == (want.trace, want.leaves), case
-                    assert firing_plan(model, t, branches, fired) == plan, case
-                    assert index.plan(t, consumed, fired) is plan, case
-                    compared += 1
-    assert compared > 1000
 
 
 def test_replaced_transition_is_not_served_the_original_plan(m9):
     t = m9.transitions[2]  # t3: from S5 on ev7 do a9 to S6
-    index = model_index(m9)
-    original = index.plan(t, _every_input(t), None)
-    assert original.trace == ("a9",)
+    assert firing_plan(m9, t).trace == ("a9",)
     changed = dataclasses.replace(t, shared_actions=("z",))
     assert firing_plan(m9, changed).trace == ("a9", "z")
     branch = dataclasses.replace(t.inputs[0], actions=("q",))
     assert firing_plan(m9, t, (branch,)).trace == ("q",)
-    assert index.plan(t, _every_input(t), None) is original
+    assert firing_plan(m9, t).trace == ("a9",)
 
 
-def test_plans_go_with_the_index(m1):
-    a = dataclasses.replace(m1)  # equal to m1, but a new object
-    t = a.transitions[0]
-    plan = weakref.ref(model_index(a).plan(t, _every_input(t), None))
-    assert plan() is not None  # kept by the index of a
-    model = weakref.ref(a)
-    del a, t
-    model_index(m1)  # the index moves to m1
-    gc.collect()
-    assert plan() is None and model() is None
+_EXPLORE_RESULTS = (Configuration, ExploreStep, Firing, FiringPlan, OutputPlan, StepResult)
+
+
+def _reachable(root):
+    """Every object reachable from ``root`` through ``gc.get_referents``,
+    not descending into classes or modules."""
+    seen, todo = {}, [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen[id(obj)] = obj
+        todo.extend(gc.get_referents(obj))
+    return seen.values()
+
+
+def test_explore_leaves_nothing_on_the_model_index(fixtures, three_levels):
+    for model in [*fixtures.values(), three_levels]:
+        runs = explore(model, 4)
+        assert runs
+        index = model_index(model)
+        assert index.model is model
+        left = [o for o in _reachable(index.__dict__) if isinstance(o, _EXPLORE_RESULTS)]
+        assert left == [], left[:3]
 
 
 def test_three_level_moves(three_levels):
@@ -362,3 +359,106 @@ def assert_firings_match(model):
 def test_firings_for_matches_per_join_reference(fixtures, three_levels):
     compared = sum(assert_firings_match(model) for model in _models(fixtures, three_levels))
     assert compared > 1000
+
+
+# ---------------------------------------------------------------------------
+# Stimuli: _offers over the configuration view
+# ---------------------------------------------------------------------------
+
+
+def reference_offers(candidates, counts):
+    """The stimuli at a configuration, computed from its candidate
+    transitions and token counts, with the guard fold written out."""
+    out = {}
+
+    def add(events, valuation):
+        key = (tuple(sorted(events)), tuple(sorted(valuation.items())))
+        if key not in out:
+            out[key] = (events, valuation)
+
+    for t in candidates:
+        if not any(counts.get(b.source, 0) >= 1 for b in t.inputs):
+            continue
+        base_events = {b.event for b in t.inputs if b.event}
+        if t.shared_event:
+            base_events.add(t.shared_event)
+        base_val = {}
+        if t.shared_guard:
+            for atom, neg in t.shared_guard.literals:
+                base_val[atom] = not neg
+        if t.split_kind == "or":
+            guarded = [i for i, b in enumerate(t.outputs) if b.guard]
+            for included in nonempty_subsets(guarded):
+                valuation = dict(base_val)
+                ok = True
+                for i in guarded:
+                    for atom, neg in t.outputs[i].guard.literals:
+                        want = (not neg) if i in included else neg
+                        if valuation.setdefault(atom, want) != want:
+                            ok = False
+                    if not ok:
+                        break
+                if ok:
+                    add(base_events, valuation)
+            continue
+        valuation = dict(base_val)
+        if len(t.outputs) == 1 and t.outputs[0].guard:
+            for atom, neg in t.outputs[0].guard.literals:
+                valuation.setdefault(atom, not neg)
+        if t.join_kind in ("xor", "multi"):
+            for b in t.inputs:
+                if counts.get(b.source, 0) >= 1:
+                    ev = {b.event} if b.event else set()
+                    if t.shared_event:
+                        ev.add(t.shared_event)
+                    add(ev, valuation)
+        else:
+            add(base_events, valuation)
+    return out
+
+
+# Or-splits with one guarded output (t2, and t5 whose shared guard denies
+# it), with multi-literal guards (t3), and plain transitions whose shared
+# guard repeats an output-guard atom with the opposite sign (t4, t6), next
+# to an xor-join with a shared event (t7).
+OFFER_CASES = """\
+process "Offer cases" {
+  state S1
+  state S2
+  state S3
+  state S4
+  state S5
+  trans t1 { from alpha on go split and to S1, S2 }
+  trans t2 { from S1 on e1 split or to S3 if g1 }
+  trans t3 { from S2 on e2 split or to S3 if g2 and not g3, S4 if g3 and g4, S5 }
+  trans t4 { from S3 on e4 if not g5 to S4 if g5 and g6 }
+  trans t5 { from S1 on e5 split or if not g7 to S5 if g7 }
+  trans t6 { from S4 on e6 if g8 and not g9 to S5 if not g8 }
+  trans t7 { from S3 on e7, S5 join xor on e8 do a7 to Beta }
+}
+"""
+
+
+def assert_offers_match(model):
+    """Compare ``_offers``, order included, with the reference at every
+    configuration ``explore(model, 4)`` reaches.  Returns the number of
+    stimuli compared."""
+    index = model_index(model)
+    start = initial_configuration(model)
+    configs = {start} | {s.after for run in explore(model, 4) for s in run}
+    compared = 0
+    for config in sorted(configs, key=repr):
+        counts = config.counts()
+        want = reference_offers(index.candidates(counts), counts)
+        got = _offers(_view(model, config)[1])
+        assert list(got.items()) == list(want.items()), config
+        compared += len(got)
+    return compared
+
+
+def test_offers_match_reference(fixtures, three_levels):
+    cases = parse_dsl(OFFER_CASES)
+    assert validate(cases) == []
+    assert assert_offers_match(cases) >= 10
+    models = [*fixtures.values(), three_levels, *(random_model(seed) for seed in range(60))]
+    assert sum(assert_offers_match(model) for model in models) > 1000

@@ -9,6 +9,7 @@ import pytest
 from flowspec import model as m
 from flowspec.emit import emit_feature
 from flowspec.errors import UnknownState
+from flowspec.generator import GeneratorLimits, random_model
 from flowspec.model import (
     Configuration,
     InBranch,
@@ -236,6 +237,68 @@ def test_namespaces_disjoint_in_valid_models(fixtures):
         for i, a in enumerate(spaces):
             for b in spaces[i + 1 :]:
                 assert not (a & b)
+
+
+# Test-local copies of the four per-space walks ``ModelIndex.spaces`` replaced.
+
+
+def _state_paths(model):
+    return {node.path for node in m.iter_states(model)}
+
+
+def _event_names(model):
+    names = set()
+    for t in model.transitions:
+        if t.shared_event:
+            names.add(t.shared_event)
+        for b in t.inputs:
+            if b.event:
+                names.add(b.event)
+    return names
+
+
+def _guard_atoms(model):
+    atoms = set()
+    for t in model.transitions:
+        if t.shared_guard:
+            atoms.update(t.shared_guard.atoms())
+        for b in t.outputs:
+            if b.guard:
+                atoms.update(b.guard.atoms())
+    return atoms
+
+
+def _action_names(model):
+    names = set()
+    for node in m.iter_states(model):
+        names.update(node.entry_actions)
+        names.update(node.exit_actions)
+    for t in model.transitions:
+        names.update(t.shared_actions)
+        for b in t.inputs:
+            names.update(b.actions)
+        for b in t.outputs:
+            names.update(b.actions)
+    return names
+
+
+def test_namespaces_match_one_walk_per_space(fixtures):
+    models = [*fixtures.values(), *(random_model(seed) for seed in range(40))]
+    models += [
+        random_model(seed, GeneratorLimits(n + 2, n))
+        for n, seeds in ((80, 30), (160, 8))
+        for seed in range(seeds)
+    ]
+    for model in models:
+        want = {
+            "state": _state_paths(model) | {model.initial_name, model.final_name},
+            "event": _event_names(model),
+            "guard": _guard_atoms(model),
+            "action": _action_names(model),
+        }
+        spaces = m.namespaces(model)
+        assert list(spaces) == ["state", "event", "guard", "action"]
+        assert spaces == want, model.title
 
 
 def test_split_kind_rules():

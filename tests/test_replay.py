@@ -16,12 +16,12 @@ from flowspec.model import (
     TransitionDecl,
     firing_plan,
     initial_configuration,
-    model_index,
 )
 from flowspec.replay import (
     ExploreStep,
     StepResult,
     _offers,
+    _view,
     check_suite,
     enabled,
     explore,
@@ -32,8 +32,7 @@ from flowspec.replay import (
 
 def _stimuli(model, config):
     """The (events, valuation) pairs ``explore`` offers at ``config``."""
-    counts = config.counts()
-    return list(_offers(model_index(model).candidates(counts), counts).values())
+    return list(_offers(_view(model, config)[1]).values())
 
 
 TRUE = {"g1": True, "g2": True, "h1": True, "h2": True, "h3": True}

@@ -126,3 +126,47 @@ def test_pattern_matches_originating_text(words, quote_one):
     assert re.fullmatch(regex, f"Given {text}")
     assert skeleton.slug[0].isalpha()
     assert re.fullmatch(r"[a-z][a-z0-9_]*", skeleton.slug)
+
+
+def test_group_marker_text_in_the_step_is_kept():
+    s = extract_skeleton("Given", "mail to user@group1@example")
+    assert s.pattern == "Given mail to user@group1@example"
+    assert s.slug == "given_mail_to_user_group1_example"
+    s = extract_skeleton("Given", 'mail "x" to user@group1@example')
+    assert s.pattern == 'Given mail "(.*)" to user@group1@example'
+    assert s.slug == "given_mail_group1_to_user_group1_example"
+    regex = "(.*)".join(re.escape(p) for p in s.pattern.split("(.*)"))
+    assert re.fullmatch(regex, 'Given mail "x" to user@group1@example')
+
+
+def _tagged_skeleton(keyword, text):
+    """Skeleton built the earlier way: tag each quoted span with an
+    ``@groupN@`` marker, then strip the markers."""
+    counter = 0
+
+    def replace(match):
+        nonlocal counter
+        counter += 1
+        return f'"(.*)"@group{counter}@'
+
+    tagged = re.sub(r'"[^"]*"', replace, text)
+    pattern_text = re.sub(r"@group\d+@", "", tagged)
+    slug_source = re.sub(r'"\(\.\*\)"@(group\d+)@', r" \1 ", tagged)
+    slug = re.sub(r"[^a-z0-9]+", "_", f"{keyword} {slug_source}".lower()).strip("_")
+    return f"{keyword} {pattern_text}", slug
+
+
+def test_split_skeleton_matches_tagging_on_marker_free_text():
+    import random
+
+    rng = random.Random(5)
+    pieces = ['"', '"', "a", "Z", "7", " ", "@", "group", "(.*)", "_", "-", "."]
+    compared = 0
+    for _ in range(3000):
+        text = "".join(rng.choice(pieces) for _ in range(rng.randrange(1, 12)))
+        if text.count('"') % 2 or re.search(r"@group\d+@", text):
+            continue
+        s = extract_skeleton("When", text)
+        assert (s.pattern, s.slug) == _tagged_skeleton("When", text), text
+        compared += 1
+    assert compared > 1000

@@ -2,7 +2,8 @@
 
 import pytest
 
-from flowspec.errors import SemanticError, XmlError
+from flowspec.dsl import parse_dsl
+from flowspec.errors import ModelSyntaxError, SemanticError, XmlError
 from flowspec.model import validate
 from flowspec.xmlio import parse_xml
 
@@ -41,6 +42,33 @@ def test_missing_target_attribute_is_xml_error():
     with pytest.raises(XmlError) as exc:
         parse_xml(text)
     assert "target" in str(exc.value)
+
+
+def test_second_initial_child_is_xml_error():
+    text = """\
+<process title="x">
+  <state id="P">
+    <initial id="A"/>
+    <initial id="B"/>
+    <state id="A"/>
+    <state id="B"/>
+  </state>
+  <trans id="t1">
+    <in src="alpha" event="go"/>
+    <out target="P"/>
+  </trans>
+</process>
+"""
+    with pytest.raises(XmlError) as exc:
+        parse_xml(text)
+    assert "initial child of 'P' declared twice" in str(exc.value)
+    # the DSL rejects the same model
+    with pytest.raises(ModelSyntaxError) as exc:
+        parse_dsl(
+            'process "x" {\n  state P {\n    initial A\n    initial B\n'
+            "    state A\n    state B\n  }\n  trans t1 { from alpha on go to P }\n}\n"
+        )
+    assert "initial child declared twice" in str(exc.value)
 
 
 def test_malformed_xml_is_xml_error():

@@ -62,6 +62,7 @@ class _Parser:
     def __init__(self, text: str, filename: str):
         self.text = text
         self.filename = filename
+        self.closing: dict[int, int] = {}  # index of each matched "{" -> its "}"
         self.toks = self.scan()
         self.pos = 0
 
@@ -69,6 +70,7 @@ class _Parser:
 
     def scan(self) -> list[_Tok]:
         toks: list[_Tok] = []
+        opens: list[int] = []
         match = None
         for match in _TOKEN_RE.finditer(self.text):
             kind = match.lastgroup
@@ -82,6 +84,10 @@ class _Parser:
                 self.fail("UnexpectedToken", f"stray character {word!r}", tok)
             if kind == "string" and "\\" in word:
                 tok = tok._replace(text=_ESCAPE_RE.sub(r"\1", word))
+            elif kind == "punct" and word == "{":
+                opens.append(len(toks))
+            elif kind == "punct" and word == "}" and opens:
+                self.closing[opens.pop()] = len(toks)
             toks.append(tok)
         # end of input is placed at the start of a comment that runs up to it
         end = len(self.text)
@@ -96,7 +102,8 @@ class _Parser:
         return SourceSpan(self.filename, line, tok.offset - self.text.rfind("\n", 0, tok.offset))
 
     def peek(self, ahead: int = 0) -> _Tok:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+        # `next` never steps past eof, and a look ahead follows a comma
+        return self.toks[self.pos + ahead]
 
     def next(self) -> _Tok:
         tok = self.toks[self.pos]
@@ -129,15 +136,22 @@ class _Parser:
 
     def at(self, text: str) -> bool:
         """True if the next token is the keyword or punctuation `text`."""
-        tok = self.peek()
+        tok = self.toks[self.pos]
         return tok.kind != "string" and tok.text == text
+
+    def accept(self, text: str) -> bool:
+        """Step over the next token if it is the keyword or punctuation
+        `text`; the eof token never matches, so this stays on it."""
+        if self.at(text):
+            self.pos += 1
+            return True
+        return False
 
     # -- grammar -----------------------------------------------------------
 
     def parse_model(self) -> m.ProcessModel:
-        if not self.at("process"):
+        if not self.accept("process"):
             self.fail("MissingProcessHeader", "input does not start with a process block")
-        self.next()
         title = self.expect_string("title")
         self.expect("{")
 
@@ -204,9 +218,8 @@ class _Parser:
             name = local
         path = name if parent is None else f"{parent}.{name}"
         known.add(path)
-        if not self.at("{"):
+        if not self.accept("{"):
             return m.StateNode(name=name, path=path)
-        self.next()
         entry: list[str] = []
         exit_: list[str] = []
         initial: str | None = None
@@ -215,14 +228,11 @@ class _Parser:
             tok = self.peek()
             if tok.kind == "eof":
                 self.fail("UnexpectedEnd", f"unterminated state block {path!r}", tok)
-            if self.at("entry"):
-                self.next()
+            if self.accept("entry"):
                 entry.extend(self.parse_identlist())
-            elif self.at("exit"):
-                self.next()
+            elif self.accept("exit"):
                 exit_.extend(self.parse_identlist())
-            elif self.at("initial"):
-                self.next()
+            elif self.accept("initial"):
                 child_tok = self.expect_ident("initial child")
                 child = child_tok.text
                 if "." not in child:
@@ -251,21 +261,17 @@ class _Parser:
         )
 
     def capture_trans(self) -> tuple[_Tok, int, int]:
-        """Record the token range of a trans block for the second pass."""
+        """Record the token range of a trans block for the second pass and
+        step past its closing brace."""
         self.expect("trans")
         name_tok = self.expect_ident("transition id")
         self.expect("{")
         start = self.pos
-        depth = 1
-        while depth:
-            tok = self.next()
-            if tok.kind == "eof":
-                self.fail("UnexpectedEnd", "unterminated trans block", tok)
-            if tok.kind == "punct" and tok.text == "{":
-                depth += 1
-            elif tok.kind == "punct" and tok.text == "}":
-                depth -= 1
-        return name_tok, start, self.pos - 1
+        end = self.closing.get(start - 1)
+        if end is None:
+            self.fail("UnexpectedEnd", "unterminated trans block", self.toks[-1])
+        self.pos = end + 1
+        return name_tok, start, end
 
     def parse_trans(self, name_tok: _Tok, start: int, end: int, known: set[str]) -> m.TransitionDecl:
         """Parse the body captured by `capture_trans`, once every state is
@@ -273,39 +279,32 @@ class _Parser:
         self.pos = start
         self.expect("from")
         inputs = [self.parse_inbr(known)]
-        while self.at(","):
-            self.next()
+        while self.accept(","):
             inputs.append(self.parse_inbr(known))
         join_kind = "none"
-        if self.at("join"):
-            self.next()
+        if self.accept("join"):
             tok = self.expect_ident("join kind")
-            if tok.text not in ("and", "xor", "or", "multi"):
+            if tok.text == "none" or tok.text not in m.JOIN_KINDS:
                 self.fail("UnexpectedToken", f"bad join kind {tok.text!r}", tok)
             join_kind = tok.text
         split_kind = "none"
-        if self.at("split"):
-            self.next()
+        if self.accept("split"):
             tok = self.expect_ident("split kind")
-            if tok.text not in ("and", "or"):
+            if tok.text == "none" or tok.text not in m.SPLIT_KINDS:
                 self.fail("UnexpectedToken", f"bad split kind {tok.text!r}", tok)
             split_kind = tok.text
         shared_event = None
-        if self.at("on"):
-            self.next()
+        if self.accept("on"):
             shared_event = self.expect_ident("event").text
         shared_guard = None
-        if self.at("if"):
-            self.next()
+        if self.accept("if"):
             shared_guard = self.parse_guard()
         shared_actions: tuple[str, ...] = ()
-        if self.at("do"):
-            self.next()
+        if self.accept("do"):
             shared_actions = tuple(self.parse_identlist(stop_at=known))
         self.expect("to")
         outputs = [self.parse_outbr(known)]
-        while self.at(","):
-            self.next()
+        while self.accept(","):
             outputs.append(self.parse_outbr(known))
         if self.pos != end:
             self.fail("UnexpectedToken", f"unexpected {self.peek().text!r} in trans block")
@@ -323,43 +322,32 @@ class _Parser:
     def parse_inbr(self, known: set[str]) -> m.InBranch:
         source = self.expect_ident("source state").text
         event = None
-        if self.at("on"):
-            self.next()
+        if self.accept("on"):
             event = self.expect_ident("event").text
         actions: tuple[str, ...] = ()
-        if self.at("do"):
-            self.next()
+        if self.accept("do"):
             actions = tuple(self.parse_identlist(stop_at=known))
         return m.InBranch(source=source, event=event, actions=actions)
 
     def parse_outbr(self, known: set[str]) -> m.OutBranch:
         target = self.expect_ident("target state").text
         guard = None
-        if self.at("if"):
-            self.next()
+        if self.accept("if"):
             guard = self.parse_guard()
         actions: tuple[str, ...] = ()
-        if self.at("do"):
-            self.next()
+        if self.accept("do"):
             actions = tuple(self.parse_identlist(stop_at=known))
-        mandatory = False
-        if self.at("mandatory"):
-            self.next()
-            mandatory = True
+        mandatory = self.accept("mandatory")
         return m.OutBranch(target=target, guard=guard, actions=actions, mandatory=mandatory)
 
     def parse_guard(self) -> m.GuardExpr:
         literals = [self.parse_literal()]
-        while self.at("and"):
-            self.next()
+        while self.accept("and"):
             literals.append(self.parse_literal())
         return m.GuardExpr(tuple(literals))
 
     def parse_literal(self) -> tuple[str, bool]:
-        negated = False
-        if self.at("not"):
-            self.next()
-            negated = True
+        negated = self.accept("not")
         atom = self.expect_ident("guard atom").text
         return atom, negated
 
@@ -396,8 +384,10 @@ def parse_guard(text: str, filename: str = "<string>") -> m.GuardExpr:
 
 
 def quote(text: str) -> str:
-    """A double-quoted string with backslash escapes, as DSL and DOT read it."""
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    """A double-quoted string with backslash escapes, as DSL and DOT read it;
+    a newline is escaped too, so the string stays one token."""
+    escaped = text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\\n")
+    return f'"{escaped}"'
 
 
 def _identlist(names) -> str:

@@ -15,6 +15,9 @@ Conventions understood by the parser:
   - leading comments may carry hints: ``# flowspec: mode=strict``,
     ``# states: S1, S2``, ``# guards: g1``, ``# events: ...``,
     ``# actions: ...``, ``# initial: start``, ``# final: stop``.
+
+The clause keywords, header prefixes and hint keys are spelled once, below;
+the parser reads each line once and the formatter writes the same shapes.
 """
 
 from __future__ import annotations
@@ -22,13 +25,25 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NoReturn
 
 from .errors import FeatureSyntaxError, SourceSpan
 from .model import is_ident
 
 _AND_SPLIT = re.compile(r"\s+AND\s+")
 _SEQ_SPLIT = re.compile(r"\s*;\s*")
-_KEYWORDS = {"given": "Given", "when": "When", "then": "Then"}
+
+KEYWORDS = ("Given", "When", "Then")
+# document field and line prefix; only ``Feature:`` needs no space after it
+_HEADERS = (
+    ("title", "Feature:"),
+    ("role", "As a "),
+    ("feature", "I request "),
+    ("benefit", "To gain "),
+)
+# comment hints in the order they are written; the first four list names
+_HINT_KEYS = ("states", "events", "guards", "actions", "initial", "final")
+_NAME_HINTS = _HINT_KEYS[:4]
 
 
 @dataclass(frozen=True)
@@ -105,38 +120,29 @@ class Scenario:
     name: str
     steps: tuple[Step, ...]
 
-    def _texts(self, keyword: str) -> list[str]:
-        return [s.text for s in self.steps if s.keyword == keyword]
-
-    @cached_property
-    def given(self):
-        terms: list[Term] = []
-        for text in self._texts("Given"):
-            part = _structure_terms(text, "state")
-            if part is None:
-                return None
-            terms.extend(part)
-        return tuple(terms) or None
-
-    @cached_property
-    def when(self):
-        terms: list[Term] = []
-        for text in self._texts("When"):
-            part = _structure_terms(text, "event")
-            if part is None:
-                return None
-            terms.extend(part)
-        return tuple(terms) or None
-
-    @cached_property
-    def then(self):
-        items: list[ThenItem] = []
-        for text in self._texts("Then"):
-            part = _structure_then(text)
-            if part is None:
-                return None
-            items.extend(part)
+    def _clause(self, keyword: str, structure, *args):
+        """The structured items of every `keyword` step, or None when there
+        is none or one is prose."""
+        items = []
+        for step in self.steps:
+            if step.keyword == keyword:
+                part = structure(step.text, *args)
+                if part is None:
+                    return None
+                items.extend(part)
         return tuple(items) or None
+
+    @cached_property
+    def given(self) -> tuple[Term, ...] | None:
+        return self._clause("Given", _structure_terms, "state")
+
+    @cached_property
+    def when(self) -> tuple[Term, ...] | None:
+        return self._clause("When", _structure_terms, "event")
+
+    @cached_property
+    def then(self) -> tuple[ThenItem, ...] | None:
+        return self._clause("Then", _structure_then)
 
     @property
     def structured(self) -> bool:
@@ -152,12 +158,6 @@ class DocHints:
     initial: str | None = None
     final: str | None = None
 
-    def __bool__(self) -> bool:
-        return bool(
-            self.states or self.events or self.guards or self.actions
-            or self.initial or self.final
-        )
-
 
 @dataclass(frozen=True)
 class FeatureDoc:
@@ -172,10 +172,9 @@ class FeatureDoc:
 
 def scenario_from_clauses(name, given, when, then) -> Scenario:
     """Build a scenario from structured clauses, rendering its step text."""
-    steps = (
-        Step("Given", " AND ".join(t.render() for t in given)),
-        Step("When", " AND ".join(t.render() for t in when)),
-        Step("Then", " AND ".join(i.render() for i in then)),
+    steps = tuple(
+        Step(keyword, " AND ".join(item.render() for item in clause))
+        for keyword, clause in zip(KEYWORDS, (given, when, then))
     )
     return Scenario(name=name, steps=steps)
 
@@ -195,26 +194,14 @@ def format_feature(doc: FeatureDoc, style: str = "paper_upper") -> str:
     lines: list[str] = []
     if doc.mode_hint:
         lines.append(f"# flowspec: mode={doc.mode_hint}")
-    for key, values in (
-        ("states", doc.hints.states),
-        ("events", doc.hints.events),
-        ("guards", doc.hints.guards),
-        ("actions", doc.hints.actions),
-    ):
-        if values:
-            lines.append(f"# {key}: " + ", ".join(values))
-    if doc.hints.initial:
-        lines.append(f"# initial: {doc.hints.initial}")
-    if doc.hints.final:
-        lines.append(f"# final: {doc.hints.final}")
-    if doc.title:
-        lines.append(f"Feature: {doc.title}")
-    if doc.role:
-        lines.append(f"As a {doc.role}")
-    if doc.feature:
-        lines.append(f"I request {doc.feature}")
-    if doc.benefit:
-        lines.append(f"To gain {doc.benefit}")
+    for key in _HINT_KEYS:
+        value = getattr(doc.hints, key)
+        if value:
+            lines.append(f"# {key}: " + (", ".join(value) if key in _NAME_HINTS else value))
+    for name, prefix in _HEADERS:
+        value = getattr(doc, name)
+        if value:
+            lines.append(f"{prefix.rstrip()} {value}")
     for scenario in doc.scenarios:
         if lines:
             lines.append("")
@@ -229,58 +216,21 @@ def format_feature(doc: FeatureDoc, style: str = "paper_upper") -> str:
 # Parser
 # ---------------------------------------------------------------------------
 
-_HINT_RE = re.compile(r"#\s*(states|events|guards|actions|initial|final)\s*:\s*(.*)")
+_HINT_RE = re.compile(rf"#\s*({'|'.join(_HINT_KEYS)})\s*:\s*(.*)")
 _MODE_RE = re.compile(r"#\s*flowspec:\s*mode=([\w-]+)")
 
 
-class _DocBuilder:
-    def __init__(self, filename: str):
-        self.filename = filename
-        self.title = ""
-        self.role = ""
-        self.feature = ""
-        self.benefit = ""
-        self.mode_hint: str | None = None
-        self.hint_fields: dict[str, object] = {}
-        self.scenarios: list[Scenario] = []
-        self.names: set[str] = set()
-        self.current_name: str | None = None
-        self.current_steps: list[Step] = []
-        self.current_span: SourceSpan | None = None
-        self.auto = 0
-        self.saw_header = False
+def _fail(code: str, reason: str, filename: str, line: int) -> NoReturn:
+    raise FeatureSyntaxError(code, reason, SourceSpan(filename, line))
 
-    def span(self, line: int, column: int = 1) -> SourceSpan:
-        return SourceSpan(self.filename, line, column)
 
-    def open_scenario(self, name: str | None, span: SourceSpan):
-        self.close_scenario()
-        if name is None:
-            self.auto += 1
-            name = f"scenario {self.auto}"
-        if name in self.names:
-            raise FeatureSyntaxError(
-                "MalformedClause", f"duplicate scenario name {name!r}", span
-            )
-        self.current_name = name
-        self.current_steps = []
-        self.current_span = span
-
-    def close_scenario(self):
-        if self.current_name is None:
-            return
-        kinds = {s.keyword for s in self.current_steps}
-        if kinds != {"Given", "When", "Then"}:
-            missing = sorted({"Given", "When", "Then"} - kinds)
-            raise FeatureSyntaxError(
-                "MalformedClause",
-                f"scenario {self.current_name!r} lacks {', '.join(missing)} clauses",
-                self.current_span or self.span(1),
-            )
-        self.names.add(self.current_name)
-        self.scenarios.append(Scenario(self.current_name, tuple(self.current_steps)))
-        self.current_name = None
-        self.current_steps = []
+def _closed(name: str, steps: list[Step], filename: str, line: int) -> Scenario:
+    """The scenario opened at `line`, once it has a clause of each kind."""
+    missing = sorted(set(KEYWORDS).difference(s.keyword for s in steps))
+    if missing:
+        reason = f"scenario {name!r} lacks {', '.join(missing)} clauses"
+        _fail("MalformedClause", reason, filename, line)
+    return Scenario(name, tuple(steps))
 
 
 def parse_feature(text: str, filename: str = "<string>") -> FeatureDoc:
@@ -288,96 +238,77 @@ def parse_feature(text: str, filename: str = "<string>") -> FeatureDoc:
 
     Raises FeatureSyntaxError with codes EmptyDocument, MalformedClause
     (a malformed clause, or a name hinted in two roles) or UnknownKeyword.
+    Hint comments and header lines count only before the first scenario;
+    comments after it are ignored.
     """
-    b = _DocBuilder(filename)
-    in_preamble = True
+    mode_hint = None
+    hints: dict[str, object] = {}
+    header: dict[str, str] = {}
+    scenarios: dict[str, Scenario] = {}
+    name: str | None = None  # the open scenario, from its first line on
+    steps: list[Step] = []
+    start = 1  # the line that opened it
+    auto = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
-            if in_preamble:
-                mode = _MODE_RE.match(line)
-                if mode:
-                    b.mode_hint = mode.group(1)
+            if name is None and (mode := _MODE_RE.match(line)):
+                mode_hint = mode.group(1)
+            elif name is None and (hint := _HINT_RE.match(line)):
+                key, payload = hint.groups()
+                if key not in _NAME_HINTS:
+                    hints[key] = payload.strip()
                     continue
-                hint = _HINT_RE.match(line)
-                if hint:
-                    key, payload = hint.group(1), hint.group(2)
-                    if key in ("initial", "final"):
-                        b.hint_fields[key] = payload.strip()
-                    else:
-                        names = tuple(
-                            n.strip() for n in payload.split(",") if n.strip()
-                        )
-                        for other in ("states", "events", "guards", "actions"):
-                            clash = set(names) & set(b.hint_fields.get(other, ()))
-                            if other != key and clash:
-                                raise FeatureSyntaxError(
-                                    "MalformedClause",
-                                    f"{', '.join(sorted(clash))} hinted as both "
-                                    f"{other} and {key}",
-                                    b.span(lineno),
-                                )
-                        b.hint_fields[key] = names
+                names = tuple(n.strip() for n in payload.split(",") if n.strip())
+                for other in _NAME_HINTS:
+                    clash = set(names).intersection(hints.get(other, ()))
+                    if other != key and clash:
+                        reason = f"{', '.join(sorted(clash))} hinted as both {other} and {key}"
+                        _fail("MalformedClause", reason, filename, lineno)
+                hints[key] = names
             continue
-        span = b.span(lineno)
         first, _, rest = line.partition(" ")
-        rest = rest.strip()
+        keyword = first.capitalize()
+        step = None
         if line.startswith("Scenario:"):
-            in_preamble = False
-            name = line[len("Scenario:") :].strip() or None
-            b.open_scenario(name, span)
-            continue
-        keyword = _KEYWORDS.get(first.lower())
-        if keyword:
-            in_preamble = False
+            opened = line[len("Scenario:") :].strip() or None
+        elif keyword in KEYWORDS:
+            rest = rest.strip()
             if not rest:
-                raise FeatureSyntaxError("MalformedClause", "clause has no content", span)
-            if b.current_name is None or (
-                keyword == "Given"
-                and any(s.keyword == "Then" for s in b.current_steps)
+                _fail("MalformedClause", "clause has no content", filename, lineno)
+            step = Step(keyword, rest)
+            # a Given after a Then opens the next unnamed scenario
+            if name is not None and not (
+                keyword == "Given" and any(s.keyword == "Then" for s in steps)
             ):
-                b.open_scenario(None, span)
-            b.current_steps.append(Step(keyword, rest))
+                steps.append(step)
+                continue
+            opened = None
+        else:
+            for field_name, prefix in _HEADERS:
+                if name is None and line.startswith(prefix):
+                    header[field_name] = line[len(prefix) :].strip()
+                    break
+            else:
+                _fail("UnknownKeyword", f"unrecognized line {line!r}", filename, lineno)
             continue
-        if b.current_name is None and b.auto == 0 and not b.scenarios:
-            if line.startswith("Feature:"):
-                b.title = line[len("Feature:") :].strip()
-                b.saw_header = True
-                continue
-            if line.startswith("As a "):
-                b.role = line[len("As a ") :].strip()
-                b.saw_header = True
-                continue
-            if line.startswith("I request "):
-                b.feature = line[len("I request ") :].strip()
-                b.saw_header = True
-                continue
-            if line.startswith("To gain "):
-                b.benefit = line[len("To gain ") :].strip()
-                b.saw_header = True
-                continue
-        raise FeatureSyntaxError("UnknownKeyword", f"unrecognized line {line!r}", span)
-    b.close_scenario()
-    if not b.scenarios and not b.saw_header:
-        raise FeatureSyntaxError(
-            "EmptyDocument", "no scenarios or header lines found", b.span(1)
-        )
-    hints = DocHints(
-        states=tuple(b.hint_fields.get("states", ())),
-        events=tuple(b.hint_fields.get("events", ())),
-        guards=tuple(b.hint_fields.get("guards", ())),
-        actions=tuple(b.hint_fields.get("actions", ())),
-        initial=b.hint_fields.get("initial"),
-        final=b.hint_fields.get("final"),
-    )
+        if name is not None:
+            scenarios[name] = _closed(name, steps, filename, start)
+        if opened is None:
+            auto += 1
+            opened = f"scenario {auto}"
+        if opened in scenarios:
+            _fail("MalformedClause", f"duplicate scenario name {opened!r}", filename, lineno)
+        name, steps, start = opened, [step] if step else [], lineno
+    if name is not None:
+        scenarios[name] = _closed(name, steps, filename, start)
+    if not scenarios and not header:
+        _fail("EmptyDocument", "no scenarios or header lines found", filename, 1)
     return FeatureDoc(
-        title=b.title,
-        role=b.role,
-        feature=b.feature,
-        benefit=b.benefit,
-        scenarios=tuple(b.scenarios),
-        mode_hint=b.mode_hint,
-        hints=hints,
+        **header,
+        scenarios=tuple(scenarios.values()),
+        mode_hint=mode_hint,
+        hints=DocHints(**hints),
     )

@@ -12,12 +12,10 @@ import re
 from dataclasses import dataclass
 
 from .errors import UnbalancedQuotes
-from .feature import FeatureDoc
+from .feature import KEYWORDS, FeatureDoc
 
 _QUOTED = re.compile(r'"[^"]*"')
 _SLUG_JUNK = re.compile(r"[^a-z0-9]+")
-
-KEYWORDS = ("Given", "When", "Then")
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,15 @@
 
 import io
 import json
+import random
 import subprocess
 import sys
 
 from flowspec.cli import run
+from flowspec.dsl import serialize_dsl
+from flowspec.emit import emit_feature
+from flowspec.feature import format_feature
+from flowspec.generator import random_model
 
 from conftest import DATA_DIR
 
@@ -290,3 +295,63 @@ def test_check_reports_whole_unknown_mode_word(tmp_path):
     code, out, err = invoke("check", M9, str(suite))
     assert (code, out) == (2, "")
     assert f"error: {suite}: unknown mode 'strictly'" in err
+
+
+# -- seeded fuzz: no input makes the CLI fail internally --------------------
+
+# pieces a mutant may gain: brackets, quotes, escapes and the keywords of
+# both languages
+_FUZZ_PIECES = [
+    "{", "}", ",", '"', "\\", "\n", "#", " and ", " not ", " join and", " split or",
+    " mandatory", "state S1 ", "trans t9 { from alpha to S1 } ", "GIVEN ", "WHEN ", "THEN ",
+    " AND ", "NOT ", "; ", "Scenario: x\n", "# states: S1\n", "# events: S1\n", "_done",
+]
+
+
+def _fuzzed(text, rng):
+    """`text` after one to four splice, insert or delete edits."""
+    for _ in range(rng.randint(1, 4)):
+        i = rng.randrange(len(text) + 1)
+        j = min(len(text), i + rng.randint(1, 12))
+        edit = rng.randrange(3)
+        if edit == 0:  # splice: a piece of the text copied elsewhere
+            k = rng.randrange(len(text) + 1)
+            text = text[:k] + text[i:j] + text[k:]
+        elif edit == 1:
+            text = text[:i] + rng.choice(_FUZZ_PIECES) + text[i:]
+        else:
+            text = text[:i] + text[j:]
+    return text
+
+
+def test_mutated_inputs_never_exit_internal_error(tmp_path):
+    rng = random.Random(1)
+    pml, feature = tmp_path / "m.pml", tmp_path / "m.feature"
+    model_commands = (
+        ["compile", str(pml), "--mode", "strict"],
+        ["compile", str(pml)],
+        ["render", str(pml)],
+        ["lint", str(pml)],
+        ["check", str(pml), str(feature)],
+    )
+    feature_commands = (
+        ["reverse", str(feature)],
+        ["steps", str(feature)],
+        ["check", str(pml), str(feature), "--json"],
+    )
+    codes = []
+    for seed in range(16):
+        model = random_model(seed)
+        model_text = serialize_dsl(model)
+        for mode, style in (("strict", "gherkin"), ("paper_exact", "paper_upper")):
+            feature_text = format_feature(emit_feature(model, mode), style)
+            for _ in range(8):
+                # each side is mutated with the other intact, so check replays
+                for mutate_model, commands in ((True, model_commands), (False, feature_commands)):
+                    pml.write_text(_fuzzed(model_text, rng) if mutate_model else model_text)
+                    feature.write_text(feature_text if mutate_model else _fuzzed(feature_text, rng))
+                    for argv in commands:
+                        code, _, err = invoke(*argv)
+                        assert code != 3, (argv, pml.read_text(), feature.read_text(), err)
+                        codes.append(code)
+    assert {0, 1, 2} <= set(codes)

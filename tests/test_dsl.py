@@ -8,6 +8,7 @@ from flowspec.dsl import _TOKEN_RE, _Parser, parse_dsl, serialize_dsl
 from flowspec.errors import ModelSyntaxError, SemanticError, SourceSpan
 from flowspec.generator import GeneratorLimits, random_model
 from flowspec.model import ProcessModel, StateNode
+from flowspec.xmlio import parse_xml
 
 from conftest import FIXTURE_DSL, M1_DSL
 
@@ -133,6 +134,25 @@ process "p" {
     assert parse_dsl(serialize_dsl(model)) == model
 
 
+HEADER_STRINGS = {"title": "a\nb", "role": "r\n", "feature": "\nf \\ \"q\"", "benefit": "x\n\ny"}
+
+
+def test_header_strings_with_newlines_round_trip():
+    text = (
+        'process "a\\\nb" {\n  role "r\\\n"\n  feature "\\\nf \\\\ \\"q\\""\n'
+        '  benefit "x\\\n\\\ny"\n  state S1\n}\n'
+    )
+    model = parse_dsl(text)
+    assert {key: getattr(model, key) for key in HEADER_STRINGS} == HEADER_STRINGS
+    assert serialize_dsl(model) == text
+    assert parse_dsl(serialize_dsl(model)) == model
+
+    xml = '<process title="a&#10;b" role="r&#10;" feature="&#10;f \\ &quot;q&quot;" benefit="x&#10;&#10;y">'
+    from_xml = parse_xml(xml + '<state id="S1"/></process>')
+    assert from_xml == model
+    assert parse_dsl(serialize_dsl(from_xml)) == from_xml
+
+
 def test_unterminated_block_reports_end():
     with pytest.raises(ModelSyntaxError) as exc:
         parse_dsl('process "p" { state S1')
@@ -256,11 +276,16 @@ def _mutants(text, rng):
     return out
 
 
-def _differential_inputs():
-    rng = random.Random(7)
+def _bases():
     bases = list(FIXTURE_DSL.values())
     bases += [serialize_dsl(random_model(seed)) for seed in range(10)]
     bases += [serialize_dsl(random_model(seed, GeneratorLimits(162, 160))) for seed in range(2)]
+    return bases
+
+
+def _differential_inputs():
+    rng = random.Random(7)
+    bases = _bases()
     return bases + [mutant for base in bases for mutant in _mutants(base, rng)]
 
 
@@ -286,3 +311,66 @@ def test_regex_scanner_matches_the_character_loop():
 def test_ident_characters_match_str_isalnum():
     for c in map(chr, range(0x10000)):
         assert (_TOKEN_RE.match(c).lastgroup == "ident") == (c.isalnum() or c in "_."), hex(ord(c))
+
+
+# -- differential test against the depth-counting trans capture ------------
+
+
+class _DepthCountingParser(_Parser):
+    """The parser with the trans capture it had before `scan` matched
+    braces: a second walk over each body that counts brace depth."""
+
+    def capture_trans(self):
+        self.expect("trans")
+        name_tok = self.expect_ident("transition id")
+        self.expect("{")
+        start = self.pos
+        depth = 1
+        while depth:
+            tok = self.next()
+            if tok.kind == "eof":
+                self.fail("UnexpectedEnd", "unterminated trans block", tok)
+            if tok.kind == "punct" and tok.text == "{":
+                depth += 1
+            elif tok.kind == "punct" and tok.text == "}":
+                depth -= 1
+        return name_tok, start, self.pos - 1
+
+
+def _parsed(parser_class, text):
+    try:
+        return parser_class(text, "f.pml").parse_model()
+    except ModelSyntaxError as exc:
+        return exc.code, exc.reason, exc.span
+    except SemanticError as exc:
+        return exc.diagnostics
+
+
+def _brace_mutants(text, rng):
+    """Copies with a brace or a brace pair inserted before a token, or one
+    brace deleted."""
+    offsets = [tok.offset for tok in _Parser(text, "f.pml").toks]
+    braces = [i for i, ch in enumerate(text) if ch in "{}"]
+    out = []
+    for _ in range(8):
+        i = rng.choice(offsets)
+        out.append(text[:i] + rng.choice(["{ ", "} ", "{ } "]) + text[i:])
+        i = rng.choice(braces)
+        out.append(text[:i] + text[i + 1 :])
+    i, j = sorted(rng.sample(braces, 2))
+    out.append(text[:i] + text[i + 1 : j] + text[j + 1 :])  # a pair, often unmatched
+    return out
+
+
+def test_trans_capture_matches_the_depth_walk():
+    rng = random.Random(3)
+    inputs = _differential_inputs()
+    inputs += [mutant for base in _bases() for mutant in _brace_mutants(base, rng)]
+    outcomes = []
+    for text in inputs:
+        old = _parsed(_DepthCountingParser, text)
+        assert _parsed(_Parser, text) == old, repr(text[:60])
+        outcomes.append(old[:2] if isinstance(old, tuple) else type(old).__name__)
+    assert "ProcessModel" in outcomes and "list" in outcomes  # valid and invalid models
+    assert ("UnexpectedEnd", "unterminated trans block") in outcomes
+    assert ("UnexpectedToken", "unexpected '{' in trans block") in outcomes

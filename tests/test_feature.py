@@ -1,10 +1,26 @@
 """Feature text parsing, formatting and the parse/format adjunction."""
 
+import random
+import re
+
 import pytest
 
+from flowspec.dsl import parse_dsl
 from flowspec.emit import emit_feature
-from flowspec.errors import FeatureSyntaxError
-from flowspec.feature import ActionSeq, Term, format_feature, parse_feature
+from flowspec.errors import FeatureSyntaxError, SourceSpan
+from flowspec.feature import (
+    ActionSeq,
+    DocHints,
+    FeatureDoc,
+    Scenario,
+    Step,
+    Term,
+    format_feature,
+    parse_feature,
+)
+from flowspec.generator import random_model
+
+from conftest import DATA_DIR, FIXTURE_DSL
 
 SEQUENCE_TEXT = """\
 GIVEN S1
@@ -195,3 +211,219 @@ def test_random_documents_round_trip_through_text(rows):
     doc = parse_feature(text)
     for style in ("paper_upper", "gherkin"):
         assert parse_feature(format_feature(doc, style)) == doc
+
+
+# ---------------------------------------------------------------------------
+# Differential test against the builder-based parser
+# ---------------------------------------------------------------------------
+
+_OLD_KEYWORDS = {"given": "Given", "when": "When", "then": "Then"}
+_OLD_HINT_RE = re.compile(r"#\s*(states|events|guards|actions|initial|final)\s*:\s*(.*)")
+_OLD_MODE_RE = re.compile(r"#\s*flowspec:\s*mode=([\w-]+)")
+
+
+class _OldDocBuilder:
+    """The parser state the single-loop parser replaced, kept as the
+    reference."""
+
+    def __init__(self, filename):
+        self.filename = filename
+        self.title = ""
+        self.role = ""
+        self.feature = ""
+        self.benefit = ""
+        self.mode_hint = None
+        self.hint_fields = {}
+        self.scenarios = []
+        self.names = set()
+        self.current_name = None
+        self.current_steps = []
+        self.current_span = None
+        self.auto = 0
+        self.saw_header = False
+
+    def span(self, line, column=1):
+        return SourceSpan(self.filename, line, column)
+
+    def open_scenario(self, name, span):
+        self.close_scenario()
+        if name is None:
+            self.auto += 1
+            name = f"scenario {self.auto}"
+        if name in self.names:
+            raise FeatureSyntaxError(
+                "MalformedClause", f"duplicate scenario name {name!r}", span
+            )
+        self.current_name = name
+        self.current_steps = []
+        self.current_span = span
+
+    def close_scenario(self):
+        if self.current_name is None:
+            return
+        kinds = {s.keyword for s in self.current_steps}
+        if kinds != {"Given", "When", "Then"}:
+            missing = sorted({"Given", "When", "Then"} - kinds)
+            raise FeatureSyntaxError(
+                "MalformedClause",
+                f"scenario {self.current_name!r} lacks {', '.join(missing)} clauses",
+                self.current_span or self.span(1),
+            )
+        self.names.add(self.current_name)
+        self.scenarios.append(Scenario(self.current_name, tuple(self.current_steps)))
+        self.current_name = None
+        self.current_steps = []
+
+
+def _old_parse_feature(text, filename="<string>"):
+    b = _OldDocBuilder(filename)
+    in_preamble = True
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            if in_preamble:
+                mode = _OLD_MODE_RE.match(line)
+                if mode:
+                    b.mode_hint = mode.group(1)
+                    continue
+                hint = _OLD_HINT_RE.match(line)
+                if hint:
+                    key, payload = hint.group(1), hint.group(2)
+                    if key in ("initial", "final"):
+                        b.hint_fields[key] = payload.strip()
+                    else:
+                        names = tuple(
+                            n.strip() for n in payload.split(",") if n.strip()
+                        )
+                        for other in ("states", "events", "guards", "actions"):
+                            clash = set(names) & set(b.hint_fields.get(other, ()))
+                            if other != key and clash:
+                                raise FeatureSyntaxError(
+                                    "MalformedClause",
+                                    f"{', '.join(sorted(clash))} hinted as both "
+                                    f"{other} and {key}",
+                                    b.span(lineno),
+                                )
+                        b.hint_fields[key] = names
+            continue
+        span = b.span(lineno)
+        first, _, rest = line.partition(" ")
+        rest = rest.strip()
+        if line.startswith("Scenario:"):
+            in_preamble = False
+            name = line[len("Scenario:") :].strip() or None
+            b.open_scenario(name, span)
+            continue
+        keyword = _OLD_KEYWORDS.get(first.lower())
+        if keyword:
+            in_preamble = False
+            if not rest:
+                raise FeatureSyntaxError("MalformedClause", "clause has no content", span)
+            if b.current_name is None or (
+                keyword == "Given"
+                and any(s.keyword == "Then" for s in b.current_steps)
+            ):
+                b.open_scenario(None, span)
+            b.current_steps.append(Step(keyword, rest))
+            continue
+        if b.current_name is None and b.auto == 0 and not b.scenarios:
+            if line.startswith("Feature:"):
+                b.title = line[len("Feature:") :].strip()
+                b.saw_header = True
+                continue
+            if line.startswith("As a "):
+                b.role = line[len("As a ") :].strip()
+                b.saw_header = True
+                continue
+            if line.startswith("I request "):
+                b.feature = line[len("I request ") :].strip()
+                b.saw_header = True
+                continue
+            if line.startswith("To gain "):
+                b.benefit = line[len("To gain ") :].strip()
+                b.saw_header = True
+                continue
+        raise FeatureSyntaxError("UnknownKeyword", f"unrecognized line {line!r}", span)
+    b.close_scenario()
+    if not b.scenarios and not b.saw_header:
+        raise FeatureSyntaxError(
+            "EmptyDocument", "no scenarios or header lines found", b.span(1)
+        )
+    hints = DocHints(
+        states=tuple(b.hint_fields.get("states", ())),
+        events=tuple(b.hint_fields.get("events", ())),
+        guards=tuple(b.hint_fields.get("guards", ())),
+        actions=tuple(b.hint_fields.get("actions", ())),
+        initial=b.hint_fields.get("initial"),
+        final=b.hint_fields.get("final"),
+    )
+    return FeatureDoc(
+        title=b.title,
+        role=b.role,
+        feature=b.feature,
+        benefit=b.benefit,
+        scenarios=tuple(b.scenarios),
+        mode_hint=b.mode_hint,
+        hints=hints,
+    )
+
+
+# lines a mutant may gain: every header, hint, mode and clause shape, near
+# misses of each, and blank lines
+_LINE_POOL = [
+    "Feature: demo", "Feature:x", "Feature:", "As a tester", "As a", "As atester",
+    "I request things", "I request", "To gain insight", "To gain",
+    "# flowspec: mode=strict", "#flowspec:mode=paper-exact", "# states: S1, x",
+    "# events: ev1, x", "#guards:g1", "# actions: a1, S1", "# initial: start",
+    "# final:", "# not a hint",
+    "Scenario: one", "Scenario: scenario 1", "Scenario:", "Scenario:two",
+    "GIVEN S1", "Given S1 AND NOT g1", "gIvEn S2", "WHEN ev1", "when e",
+    "THEN a1", "Then a1; a2 AND S2", "GIVEN", "WHEN   ", "THEN",
+    "GIVEN\tS1", "stray words", "", "   ",
+]
+
+
+def _feature_corpus():
+    texts = [path.read_text() for path in sorted(DATA_DIR.rglob("*.feature"))]
+    texts += [SEQUENCE_TEXT, CHOICE_TEXT, SENTENCE_TEXT]
+    models = [parse_dsl(text) for text in FIXTURE_DSL.values()]
+    models += [random_model(seed) for seed in range(40)]
+    for model in models:
+        for mode, style in (("strict", "gherkin"), ("paper_exact", "paper_upper")):
+            texts.append(format_feature(emit_feature(model, mode), style))
+    rng = random.Random(5)
+    mutants = []
+    for text in texts:
+        for _ in range(8):
+            lines = text.split("\n")
+            for _ in range(rng.randint(1, 3)):
+                i = rng.randrange(len(lines))
+                edit = rng.randrange(3)
+                if edit == 0:
+                    lines.insert(i, rng.choice(_LINE_POOL))
+                elif edit == 1:
+                    del lines[i]
+                else:
+                    lines.insert(i, lines[i])
+                lines = lines or [""]
+            mutants.append("\n".join(lines))
+    mutants += ["\n".join(rng.choices(_LINE_POOL, k=rng.randint(0, 8))) for _ in range(200)]
+    return texts + mutants
+
+
+def _read(parse, text):
+    try:
+        return parse(text, "f.feature")
+    except FeatureSyntaxError as exc:
+        return exc.code, exc.reason, exc.span
+
+
+def test_parser_matches_the_builder_parser():
+    outcomes = []
+    for text in _feature_corpus():
+        old = _read(_old_parse_feature, text)
+        assert _read(parse_feature, text) == old, repr(text[:80])
+        outcomes.append(old[0] if isinstance(old, tuple) else "ok")
+    assert {"ok", "EmptyDocument", "MalformedClause", "UnknownKeyword"} <= set(outcomes)

@@ -14,6 +14,8 @@ import argparse
 import json
 import os
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from functools import cache
 from pathlib import Path
 
 from .dot import render_dot
@@ -94,7 +96,10 @@ def _style_for(args, mode: str) -> str:
     return "paper_upper" if mode == "paper-exact" else "gherkin"
 
 
+@cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing keeps no state
+    in it, and ``prog`` is fixed, so every ``run`` can share it."""
     parser = argparse.ArgumentParser(
         prog="flowspec",
         description="Compile process models to Given-When-Then features and back.",
@@ -237,11 +242,13 @@ _COMMANDS = {
 def run(argv=None, stdout=None, stderr=None) -> int:
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
-    parser = _parser()
     try:
-        args = parser.parse_args(argv)
+        # argparse writes its help, usage and errors to sys.stdout and
+        # sys.stderr; send them to the streams this call was given
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            args = _parser().parse_args(argv)
     except SystemExit as exc:
-        # argparse prints usage itself; normalize the code
+        # argparse has printed what it had to say; normalize the code
         return INPUT_ERROR if exc.code not in (0, None) else OK
     try:
         return _COMMANDS[args.command](args, stdout, stderr)

@@ -38,15 +38,20 @@ from .errors import ModelSyntaxError, SemanticError, SourceSpan
 
 _HEADER_KEYS = ("role", "feature", "benefit", "initialname", "finalname")
 
-# One alternative per token kind; the group that matched names the kind.  A
+# One match per token: the blanks and comments before it, then one
+# alternative per token kind, and the group that matched names the kind.  A
 # string that does not close on its line, or at all, fails its alternative
-# and falls through to `bad` at the opening quote.
+# and falls through to `bad` at the opening quote.  The blank prefix never
+# backtracks: after it, `bad` matches any character and `eof` the end of the
+# text, so some alternative always matches where the greedy prefix stops, and
+# a long run of blanks costs one pass.
 _TOKEN_RE = re.compile(
-    r"""(?P<skip>[ \t\r\n]+|\#[^\n]*)
-      | (?P<punct>[{},])
-      | "(?P<string>(?:[^"\\\n]|\\[\s\S])*)"
-      | (?P<ident>[\w.]+)
-      | (?P<bad>[\s\S])""",
+    r"""(?:[ \t\r\n]+|\#[^\n]*)*
+      (?: (?P<punct>[{},])
+        | "(?P<string>(?:[^"\\\n]|\\[\s\S])*)"
+        | (?P<ident>[\w.]+)
+        | (?P<bad>[\s\S])
+        | (?P<eof>\Z))""",
     re.VERBOSE,
 )
 _ESCAPE_RE = re.compile(r"\\([\s\S])")
@@ -71,29 +76,34 @@ class _Parser:
     def scan(self) -> list[_Tok]:
         toks: list[_Tok] = []
         opens: list[int] = []
-        match = None
-        for match in _TOKEN_RE.finditer(self.text):
+        text = self.text
+        for match in _TOKEN_RE.finditer(text):
             kind = match.lastgroup
-            if kind == "skip":
-                continue
             word = match[kind]
-            tok = _Tok(kind, word, match.start())
+            offset = match.start(kind)
+            if kind == "string":
+                offset -= 1  # at the opening quote
+                if "\\" in word:
+                    word = _ESCAPE_RE.sub(r"\1", word)
+            elif kind == "eof":
+                # end of input is placed at the start of a comment that runs
+                # up to it: the first "#" on the last line of the blanks.
+                # After blanks or a comment at the end, `finditer` would
+                # also yield an empty match there, so stop here.
+                comment = text.find("#", max(match.start(), text.rfind("\n", match.start()) + 1))
+                toks.append(_Tok(kind, word, offset if comment < 0 else comment))
+                break
+            tok = _Tok(kind, word, offset)
             if kind == "bad":
                 if word == '"':
                     self.fail("BadString", "unterminated string", tok)
                 self.fail("UnexpectedToken", f"stray character {word!r}", tok)
-            if kind == "string" and "\\" in word:
-                tok = tok._replace(text=_ESCAPE_RE.sub(r"\1", word))
-            elif kind == "punct" and word == "{":
-                opens.append(len(toks))
-            elif kind == "punct" and word == "}" and opens:
-                self.closing[opens.pop()] = len(toks)
+            if kind == "punct":
+                if word == "{":
+                    opens.append(len(toks))
+                elif word == "}" and opens:
+                    self.closing[opens.pop()] = len(toks)
             toks.append(tok)
-        # end of input is placed at the start of a comment that runs up to it
-        end = len(self.text)
-        if match and self.text.startswith("#", match.start()):
-            end = match.start()
-        toks.append(_Tok("eof", "", end))
         return toks
 
     def span(self, tok: _Tok) -> SourceSpan:

@@ -6,10 +6,11 @@ and transitions that may fan in (joins) and fan out (splits).  All values are
 immutable after construction; every other module consumes this one.
 
 Facts derived from a model (its path->node map, the name space table, the
-leaf targets of multi-joins, its or-splits and its transitions keyed by input
-source) live in a ``ModelIndex``.  Each fact is computed on first use and
-then kept, so ``validate`` pays only for the name spaces it reads while
-replay builds the rest once per model instead of once per scenario or step.
+kind a feature term is read as, the leaf targets of multi-joins, its
+or-splits and its transitions keyed by input source) live in a
+``ModelIndex``.  Each fact is computed on first use and then kept, so
+``validate`` pays only for the name spaces it reads while replay builds the
+rest once per model instead of once per scenario or step.
 ``model_index`` keeps the index of one model at a time, the last one asked
 for, compared by identity: replay, emission and canonicalization work
 through one model after another, so one entry serves them all.  (A cache per
@@ -274,6 +275,16 @@ class ModelIndex:
             "guard": frozenset(atoms),
             "action": frozenset(actions),
         }
+
+    @cached_property
+    def kinds(self) -> dict[str, str]:
+        """Name -> the first name space in ``spaces`` that holds it, the
+        kind a bare feature term is read as."""
+        out: dict[str, str] = {}
+        for kind, names in self.spaces.items():
+            for name in names:
+                out.setdefault(name, kind)
+        return out
 
     @cached_property
     def multi_targets(self) -> frozenset[str]:

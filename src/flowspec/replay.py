@@ -243,11 +243,6 @@ def _is_subsequence(needle, haystack) -> bool:
     return all(x in it for x in needle)
 
 
-def _classify_atom(spaces: dict[str, set[str]], atom: str) -> str:
-    """The first name space of ``model.namespaces`` that holds ``atom``."""
-    return next((kind for kind, names in spaces.items() if atom in names), "unknown")
-
-
 def replay_scenario(model: ProcessModel, scenario: Scenario, mode: str = "strict") -> Verdict:
     """Execute one step from the scenario's GIVEN and judge its THEN.
 
@@ -260,11 +255,11 @@ def replay_scenario(model: ProcessModel, scenario: Scenario, mode: str = "strict
     if not scenario.structured:
         return Verdict(False, (("structured clauses", "free-text steps", scenario.name),))
 
-    spaces = m.model_index(model).spaces
+    kinds = m.model_index(model).kinds
     paths: list[str] = []
     valuation: dict[str, bool] = {}
     for term in scenario.given:
-        kind = _classify_atom(spaces, term.atom)
+        kind = kinds.get(term.atom, "unknown")
         if kind == "state" and not term.negated:
             paths.append(term.atom)
         elif kind == "guard":
@@ -282,7 +277,7 @@ def replay_scenario(model: ProcessModel, scenario: Scenario, mode: str = "strict
 
     events: set[str] = set()
     for term in scenario.when:
-        kind = _classify_atom(spaces, term.atom)
+        kind = kinds.get(term.atom, "unknown")
         if kind == "guard":
             valuation.setdefault(term.atom, not term.negated)
         elif term.atom != COMPLETION_EVENT:
@@ -293,7 +288,7 @@ def replay_scenario(model: ProcessModel, scenario: Scenario, mode: str = "strict
     for item in scenario.then:
         run: list[str] = []
         for atom in item.actions:
-            if _classify_atom(spaces, atom) == "state":
+            if kinds.get(atom) == "state":
                 if run:
                     expected_chunks.append(tuple(run))
                     run = []

@@ -6,7 +6,7 @@ import random
 import subprocess
 import sys
 
-from flowspec.cli import run
+from flowspec.cli import _parser, run
 from flowspec.dsl import serialize_dsl
 from flowspec.emit import emit_feature
 from flowspec.feature import format_feature
@@ -22,6 +22,7 @@ def invoke(*argv):
 
 
 M1 = str(DATA_DIR / "m1.pml")
+M3 = str(DATA_DIR / "m3.pml")
 M9 = str(DATA_DIR / "m9.pml")
 M9_XML = str(DATA_DIR / "m9.xml")
 SPECIAL = str(DATA_DIR / "special_cases.feature")
@@ -157,10 +158,53 @@ def test_syntax_error_is_input_error(tmp_path):
 
 
 def test_unknown_flag_exits_two(capsys):
-    code, _out, _err = invoke("compile", M1, "--bogus")
+    # with no streams given, run writes to sys.stdout and sys.stderr
+    code = run(["compile", M1, "--bogus"])
     assert code == 2
     captured = capsys.readouterr()
     assert "usage:" in captured.err
+
+
+def test_argparse_output_goes_to_the_given_streams(capsys):
+    code, out, err = invoke("check")
+    assert code == 2
+    assert out == "" and "usage:" in err
+    code, out, err = invoke("--help")
+    assert code == 0
+    assert "usage:" in out and "replay feature files against a model" in out and err == ""
+    assert capsys.readouterr() == ("", "")
+
+
+def test_one_parser_serves_every_run(tmp_path, monkeypatch):
+    monkeypatch.delenv("FLOWSPEC_STYLE", raising=False)
+    strict, paper = tmp_path / "m3.strict.feature", tmp_path / "m3.paper.feature"
+    assert invoke("compile", M3, "--mode", "strict", "-o", str(strict))[0] == 0
+    assert invoke("compile", M3, "-o", str(paper))[0] == 0
+    target = tmp_path / "out.feature"
+    argvs = [
+        ("check", M3, str(strict), "--mode", "strict", "--json"),
+        ("check", M3, str(paper)),  # mode from the file's hint
+        ("compile", M3, "--bogus"),
+        ("--help",),
+        ("compile", M3, "-o", str(target)),
+        ("lint", M3),
+    ]
+
+    def results(order):
+        out = {}
+        for argv in order:
+            out[argv] = invoke(*argv)
+            if target.exists():
+                out[argv] += (target.read_text(),)
+                target.unlink()
+        return out
+
+    forwards = results(argvs)
+    assert results(argvs[::-1]) == forwards
+    # the paper-exact suite fails only on its Synchronization rows
+    assert forwards[argvs[1]][0] == 1 and forwards[argvs[1]][1].count("FAIL Synchronization") == 2
+    assert [forwards[argv][0] for argv in argvs] == [0, 1, 2, 0, 0, 0]
+    assert _parser() is _parser()
 
 
 def test_every_subcommand_is_byte_reproducible():

@@ -1,6 +1,7 @@
 """DSL parser and serializer: grammar coverage and the round-trip law."""
 
 import random
+import time
 
 import pytest
 
@@ -311,6 +312,33 @@ def test_regex_scanner_matches_the_character_loop():
 def test_ident_characters_match_str_isalnum():
     for c in map(chr, range(0x10000)):
         assert (_TOKEN_RE.match(c).lastgroup == "ident") == (c.isalnum() or c in "_."), hex(ord(c))
+
+
+def _parse_outcome(text):
+    try:
+        return parse_dsl(text)
+    except ModelSyntaxError as exc:
+        return exc.code, exc.reason
+
+
+@pytest.mark.parametrize("base", [M1_DSL, M1_DSL.rstrip().removesuffix("}")], ids=["valid", "unclosed"])
+def test_blank_runs_scan_in_linear_time(base):
+    # one regex match takes all the blanks before a token, and it never
+    # backtracks into them
+    padded = [
+        base + " " * 1_000_000,
+        base + "# c\n" * 100_000,
+        base + "#" + "c" * 1_000_000,
+        base + " \t# x\r\n" * 100_000,
+        " " * 1_000_000 + base,
+    ]
+    expected = _parse_outcome(base)
+    for text in padded:
+        start = time.perf_counter()
+        outcome = _parse_outcome(text)
+        elapsed = time.perf_counter() - start
+        assert outcome == expected, repr(text[-20:])
+        assert elapsed < 1.0, (repr(text[-20:]), elapsed)
 
 
 # -- differential test against the depth-counting trans capture ------------

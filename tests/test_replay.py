@@ -15,7 +15,10 @@ from flowspec.model import (
     StateNode,
     TransitionDecl,
     firing_plan,
+    guard,
     initial_configuration,
+    model_index,
+    validate,
 )
 from flowspec.replay import (
     ExploreStep,
@@ -168,6 +171,39 @@ def test_illegal_given_raises(m9):
     doc = parse_feature("GIVEN S6.1 AND S6.2\nWHEN ev8\nTHEN a10\n")
     with pytest.raises(IllegalGiven):
         replay_scenario(m9, doc.scenarios[0], "paper_exact")
+
+
+# -- the atom-kind table ---------------------------------------------------
+
+
+def test_kinds_name_the_first_space_holding_each_name(fixtures):
+    models = list(fixtures.values()) + [random_model(seed) for seed in range(40)]
+    for model in models:
+        index = model_index(model)
+        assert index.kinds.keys() == set().union(*index.spaces.values())
+        for names in index.spaces.values():
+            for name in names:
+                first = next(kind for kind, space in index.spaces.items() if name in space)
+                assert index.kinds[name] == first, name
+
+
+def test_a_name_both_state_and_guard_replays_as_a_state():
+    # X is a state and also t3's guard; the state space comes first
+    model = ProcessModel(
+        states=(StateNode("S1", "S1"), StateNode("X", "X"), StateNode("S2", "S2")),
+        transitions=(
+            TransitionDecl("t0", (InBranch("alpha"),), (OutBranch("S1"),)),
+            TransitionDecl("t1", (InBranch("S1", "e1"),), (OutBranch("X"),)),
+            TransitionDecl("t2", (InBranch("X", "e2"),), (OutBranch("S2"),)),
+            TransitionDecl("t3", (InBranch("S2", "e3"),), (OutBranch("S1", guard("X")),)),
+        ),
+    )
+    assert [d.code for d in validate(model)] == ["NamespaceCollision"]
+    assert model_index(model).kinds["X"] == "state"
+    # as a guard, X would leave GIVEN with no state; in THEN it would be an action
+    for text in ("GIVEN X\nWHEN e2\nTHEN S2\n", "GIVEN S1\nWHEN e1\nTHEN X\n"):
+        scenario = parse_feature(text).scenarios[0]
+        assert replay_scenario(model, scenario, "strict").passed, text
 
 
 def test_strict_mode_requires_exact_configuration(m2):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from . import model as m
 from .errors import TooManyChoiceBranches
-from .feature import ActionSeq, FeatureDoc, Scenario, StateTerm, Term, scenario_from_clauses
+from .feature import KEYWORDS, FeatureDoc, Scenario, Step
 from .model import COMPLETION_EVENT, PatternKind, ProcessModel, TransitionDecl, normalize_mode
 from .patterns import classify, effective_guard_literals
 
@@ -40,31 +40,28 @@ def enumerate_choice_subsets(branches):
 
 
 # -- THEN item shapes --------------------------------------------------------
+# Each helper gives the text of its THEN items, which ``row`` joins by AND.
 
 
-def _trace_items(plan: m.FiringPlan) -> list:
+def _trace_items(plan: m.FiringPlan) -> list[str]:
     """The whole trace as one sequence, then the resulting leaves."""
     trace = plan.trace
-    items: list = [ActionSeq(trace)] if trace else []
-    return items + [StateTerm(leaf) for leaf in plan.leaves]
+    return (["; ".join(trace)] if trace else []) + list(plan.leaves)
 
 
-def _action_items(plan: m.FiringPlan) -> list:
+def _action_items(plan: m.FiringPlan) -> list[str]:
     """One term per action, or the resulting leaves when there are none."""
-    return [ActionSeq((a,)) for a in plan.trace] or [
-        StateTerm(leaf) for leaf in plan.leaves
-    ]
+    return list(plan.trace or plan.leaves)
 
 
-def _special_items(plan: m.FiringPlan, outputs) -> list:
+def _special_items(plan: m.FiringPlan, outputs) -> list[str]:
     """Entry/exit styling: one term per action, and per output its entry
     actions standing in for the resulting state when there are any."""
-    prefix = plan.exit_actions + plan.actions
-    items: list = [ActionSeq((a,)) for a in prefix]
+    items = [*plan.exit_actions, *plan.actions]
     for out in outputs:
-        items.extend(ActionSeq((a,)) for a in out.branch.actions + out.entry_actions)
+        items.extend(out.branch.actions + out.entry_actions)
         if not out.entry_actions:
-            items.append(StateTerm(out.leaf))
+            items.append(out.leaf)
     return items
 
 
@@ -77,16 +74,15 @@ class _Emitter:
 
     def row(self, name, t, consumed, items, given_lits=(), when_lits=()) -> Scenario:
         """GIVEN the consumed sources and ``given_lits``; WHEN their events,
-        then ``when_lits``, else the completion event."""
-        given = [Term(b.source, False, "state") for b in consumed]
-        given.extend(Term(a, n, "guard") for a, n in given_lits)
-        when = [Term(b.event, False, "event") for b in consumed if b.event]
+        then ``when_lits``, else the completion event; THEN ``items``."""
+        given = [b.source for b in consumed]
+        given.extend("NOT " + a if n else a for a, n in given_lits)
+        when = [b.event for b in consumed if b.event]
         if t.shared_event:
-            when.append(Term(t.shared_event, False, "event"))
-        when.extend(Term(a, n, "guard") for a, n in when_lits)
-        return scenario_from_clauses(
-            name, given, when or [Term(COMPLETION_EVENT, False, "event")], items
-        )
+            when.append(t.shared_event)
+        when.extend("NOT " + a if n else a for a, n in when_lits)
+        texts = (given, when or [COMPLETION_EVENT], items)
+        return Scenario(name, tuple(map(Step, KEYWORDS, map(" AND ".join, texts))))
 
     # -- strict mode -----------------------------------------------------
 

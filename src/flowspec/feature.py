@@ -170,15 +170,6 @@ class FeatureDoc:
     hints: DocHints = DocHints()
 
 
-def scenario_from_clauses(name, given, when, then) -> Scenario:
-    """Build a scenario from structured clauses, rendering its step text."""
-    steps = tuple(
-        Step(keyword, " AND ".join(item.render() for item in clause))
-        for keyword, clause in zip(KEYWORDS, (given, when, then))
-    )
-    return Scenario(name=name, steps=steps)
-
-
 # ---------------------------------------------------------------------------
 # Formatter
 # ---------------------------------------------------------------------------

@@ -186,6 +186,8 @@ def iter_states(model: ProcessModel):
 
 def chain(path: str) -> list[str]:
     """Ancestor chain from outermost to the path itself."""
+    if "." not in path:
+        return [path]
     parts = path.split(".")
     return [".".join(parts[: i + 1]) for i in range(len(parts))]
 
@@ -490,9 +492,9 @@ def firing_plan(
     chain that does not contain every fired target (the whole chain when no
     target fires).  It enters, outermost first, each state on a fired
     target's chain that contains no consumed source, then the target's
-    default descendants.  No state is left or entered twice, and a
-    pseudostate is neither left nor entered.  A state contains a path
-    exactly when it is on the path's ancestor chain.
+    default descendants, even one that is a consumed source.  No state is
+    left or entered twice, and a pseudostate is neither left nor entered.
+    A state contains a path exactly when it is on the path's ancestor chain.
     """
     consumed = transition.inputs if consumed is None else tuple(consumed)
     index = model_index(model)
@@ -504,15 +506,23 @@ def firing_plan(
     source_chains = [chain(b.source) for b in consumed]
     target_chains = [chain(b.target) for b in fired]
     around_sources = {p for up in source_chains for p in up}
-    around_every_target = set(target_chains[0]).intersection(*target_chains[1:]) if fired else ()
+    if len(target_chains) == 1:
+        around_every_target = target_chains[0]
+    elif target_chains:
+        around_every_target = set(target_chains[0]).intersection(*target_chains[1:])
+    else:
+        around_every_target = ()
 
-    exited: list[str] = []
+    exited: set[str] = set()
+    exit_actions: list[str] = []
     for branch, up in zip(consumed, source_chains):
         if branch.source in pseudostates:
             continue
         for path in reversed(up):
             if path not in around_every_target and path not in exited:
-                exited.append(path)
+                exited.add(path)
+                if path in nodes:
+                    exit_actions.extend(nodes[path].exit_actions)
 
     entered: set[str] = set()
     outputs: list[OutputPlan] = []
@@ -523,16 +533,19 @@ def firing_plan(
             continue
         leaf = index.leaf(target)
         paths = [p for p in up if p not in around_sources]
-        paths += chain(leaf)[len(up) :]
-        paths = [p for p in paths if p not in entered]
-        entered.update(paths)
-        entry_actions = tuple(a for p in paths if p in nodes for a in nodes[p].entry_actions)
-        outputs.append(OutputPlan(branch, entry_actions, leaf))
+        # default descendants: entered even when one is a consumed source
+        if leaf != target:
+            paths += chain(leaf)[len(up) :]
+        entry_actions: list[str] = []
+        for p in paths:
+            if p not in entered:
+                entered.add(p)
+                if p in nodes:
+                    entry_actions.extend(nodes[p].entry_actions)
+        outputs.append(OutputPlan(branch, tuple(entry_actions), leaf))
 
     return FiringPlan(
-        exit_actions=tuple(
-            a for p in exited if p in nodes for a in nodes[p].exit_actions
-        ),
+        exit_actions=tuple(exit_actions),
         actions=tuple(a for b in consumed for a in b.actions) + transition.shared_actions,
         outputs=tuple(outputs),
     )

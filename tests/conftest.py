@@ -41,3 +41,15 @@ m6 = _single("m6")
 m7 = _single("m7")
 m8 = _single("m8")
 m9 = _single("m9")
+
+
+@pytest.fixture(scope="session")
+def generated_models():
+    """40 generated models at the default limits, then 8 larger ones."""
+    from flowspec.generator import GeneratorLimits, random_model
+
+    large = GeneratorLimits(max_states=82, max_transitions=80)
+    return [
+        *(random_model(seed) for seed in range(40)),
+        *(random_model(seed, large) for seed in range(8)),
+    ]

@@ -2,10 +2,21 @@
 
 import pytest
 
+from flowspec import emit
 from flowspec.emit import emit_feature, enumerate_choice_subsets
 from flowspec.errors import TooManyChoiceBranches
-from flowspec.feature import format_feature
+from flowspec.feature import (
+    KEYWORDS,
+    STYLES,
+    ActionSeq,
+    Scenario,
+    StateTerm,
+    Step,
+    Term,
+    format_feature,
+)
 from flowspec.dsl import parse_dsl
+from flowspec.model import COMPLETION_EVENT, normalize_mode
 
 from gwt_texts import PATTERN_GOLDENS, gwt_lines, normalize_block, pattern_lines
 from gwt_texts import SPECIAL_CASES_GWT
@@ -100,6 +111,69 @@ def test_scenario_names_unique(fixtures):
 def test_unknown_mode_rejected(m1):
     with pytest.raises(ValueError):
         emit_feature(m1, "loose")
+
+
+# ---------------------------------------------------------------------------
+# Emission pinned to the term renderer
+# ---------------------------------------------------------------------------
+# The emitter writes step text directly.  The copies below build each clause
+# from Term, ActionSeq and StateTerm items and render them, as it once did;
+# both must give the same scenarios and the same feature text.
+
+
+def _term_trace_items(plan):
+    trace = plan.trace
+    items = [ActionSeq(trace)] if trace else []
+    return items + [StateTerm(leaf) for leaf in plan.leaves]
+
+
+def _term_action_items(plan):
+    return [ActionSeq((a,)) for a in plan.trace] or [
+        StateTerm(leaf) for leaf in plan.leaves
+    ]
+
+
+def _term_special_items(plan, outputs):
+    items = [ActionSeq((a,)) for a in plan.exit_actions + plan.actions]
+    for out in outputs:
+        items.extend(ActionSeq((a,)) for a in out.branch.actions + out.entry_actions)
+        if not out.entry_actions:
+            items.append(StateTerm(out.leaf))
+    return items
+
+
+class _TermEmitter(emit._Emitter):
+    def row(self, name, t, consumed, items, given_lits=(), when_lits=()):
+        given = [Term(b.source, False, "state") for b in consumed]
+        given.extend(Term(a, n, "guard") for a, n in given_lits)
+        when = [Term(b.event, False, "event") for b in consumed if b.event]
+        if t.shared_event:
+            when.append(Term(t.shared_event, False, "event"))
+        when.extend(Term(a, n, "guard") for a, n in when_lits)
+        clauses = (given, when or [Term(COMPLETION_EVENT, False, "event")], items)
+        steps = tuple(
+            Step(keyword, " AND ".join(item.render() for item in clause))
+            for keyword, clause in zip(KEYWORDS, clauses)
+        )
+        return Scenario(name=name, steps=steps)
+
+
+def _term_emission(model, mode, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(emit, "_trace_items", _term_trace_items)
+        patch.setattr(emit, "_action_items", _term_action_items)
+        patch.setattr(emit, "_special_items", _term_special_items)
+        return _TermEmitter(model, normalize_mode(mode)).emit()
+
+
+def test_emission_matches_term_renderer(fixtures, generated_models, monkeypatch):
+    for model in [*fixtures.values(), *generated_models]:
+        for mode in ("paper_exact", "strict"):
+            got = emit_feature(model, mode)
+            want = _term_emission(model, mode, monkeypatch)
+            assert got.scenarios == want.scenarios, (model.title, mode)
+            for style in STYLES:
+                assert format_feature(got, style) == format_feature(want, style)
 
 
 # ---------------------------------------------------------------------------

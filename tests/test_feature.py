@@ -175,8 +175,8 @@ def test_parse_format_adjunction_on_texts(text, style):
 
 
 @pytest.mark.parametrize("style", ["paper_upper", "gherkin"])
-def test_parse_format_adjunction_on_emitted_docs(fixtures, style):
-    for model in fixtures.values():
+def test_parse_format_adjunction_on_emitted_docs(fixtures, generated_models, style):
+    for model in [*fixtures.values(), *generated_models]:
         for mode in ("paper_exact", "strict"):
             doc = emit_feature(model, mode)
             assert parse_feature(format_feature(doc, style)) == doc

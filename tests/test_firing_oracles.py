@@ -103,11 +103,41 @@ def three_levels():
     return model
 
 
-def _models(fixtures, three_levels):
+# A move from a default child to its parent (t2) leaves the child and enters
+# it again as a default descendant; from the other child (t3) only the
+# default child is entered.
+RE_ENTRY = """\
+process "Re-entry" {
+  state A {
+    entry ea
+    exit xa
+    initial A.x
+    state A.x {
+      entry ex
+      exit xx
+    }
+    state A.y
+  }
+  trans t1 { from alpha to A }
+  trans t2 { from A.x on e to A }
+  trans t3 { from A.y on f to A }
+}
+"""
+
+
+@pytest.fixture(scope="module")
+def re_entry():
+    model = parse_dsl(RE_ENTRY)
+    assert validate(model) == []
+    return model
+
+
+def _models(fixtures, three_levels, re_entry):
     return [
         *fixtures.values(),
         *(random_model(seed) for seed in range(40)),
         three_levels,
+        re_entry,
     ]
 
 
@@ -201,9 +231,18 @@ def assert_plans_match(model):
     return compared
 
 
-def test_firing_plan_matches_chain_depth_reference(fixtures, three_levels):
-    compared = sum(assert_plans_match(model) for model in _models(fixtures, three_levels))
+def test_firing_plan_matches_chain_depth_reference(fixtures, three_levels, re_entry):
+    models = _models(fixtures, three_levels, re_entry)
+    compared = sum(assert_plans_match(model) for model in models)
     assert compared > 1000
+
+
+def test_default_descendant_is_entered_again_when_consumed(re_entry):
+    t = {tr.id: tr for tr in re_entry.transitions}
+    plan = firing_plan(re_entry, t["t2"])
+    assert plan.trace == ("xx", "ex")
+    assert plan.leaves == ("A.x",)
+    assert firing_plan(re_entry, t["t3"]).trace == ("ex",)
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +395,9 @@ def assert_firings_match(model):
     return compared
 
 
-def test_firings_for_matches_per_join_reference(fixtures, three_levels):
-    compared = sum(assert_firings_match(model) for model in _models(fixtures, three_levels))
+def test_firings_for_matches_per_join_reference(fixtures, three_levels, re_entry):
+    models = _models(fixtures, three_levels, re_entry)
+    compared = sum(assert_firings_match(model) for model in models)
     assert compared > 1000
 
 

@@ -11,7 +11,6 @@ strict output to Gherkin casing.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -184,7 +183,7 @@ def _cmd_check(args, stdout, stderr) -> int:
         verdicts.extend(check_suite(model, doc, mode).verdicts)
     report = report_for(model, verdicts)
     if args.json is not None:
-        text = json.dumps(report.to_json(), indent=2) + "\n"
+        text = report.to_json_text() + "\n"
         _write(None if args.json == "-" else args.json, text, stdout)
     else:
         for name, verdict in report.verdicts:

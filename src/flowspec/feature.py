@@ -1,11 +1,12 @@
 """Given-When-Then feature documents: types, text parser and formatter.
 
 A scenario's source of truth is its raw step lines.  Structured views
-(terms, action sequences) are derived from the text on demand, so a document
-produced by the emitter and the same document re-read from disk compare
-equal.  Steps whose text is free prose (quoted sentences rather than bare
-tokens) simply have no structured view; they still feed the skeleton
-generator.
+(terms, action sequences) are derived from the text, so a document produced
+by the emitter and the same document re-read from disk compare equal.  The
+three views of a scenario are built together, in one pass over its steps,
+on first use, and then kept.  Steps whose text is free prose (quoted
+sentences rather than bare tokens) simply have no structured view; they
+still feed the skeleton generator.
 
 Conventions understood by the parser:
   - ``GIVEN/WHEN/THEN`` or ``Given/When/Then`` keywords, one clause per line;
@@ -28,7 +29,7 @@ from functools import cached_property
 from typing import NoReturn
 
 from .errors import FeatureSyntaxError, SourceSpan
-from .model import is_ident
+from .model import IDENT_RE
 
 _AND_SPLIT = re.compile(r"\s+AND\s+")
 _SEQ_SPLIT = re.compile(r"\s*;\s*")
@@ -92,27 +93,41 @@ class Step:
     text: str
 
 
-def _structure_terms(text: str, default_role: str):
-    terms = []
-    for chunk in _AND_SPLIT.split(text.strip()):
-        negated = False
-        if chunk.startswith("NOT "):
-            negated = True
-            chunk = chunk[4:].strip()
-        if not is_ident(chunk):
-            return None
-        terms.append(Term(chunk, negated, "guard" if negated else default_role))
-    return tuple(terms)
+_ident = IDENT_RE.match
+_ROLES = {"Given": "state", "When": "event"}  # a negated term is a guard
 
 
-def _structure_then(text: str):
-    items = []
-    for chunk in _AND_SPLIT.split(text.strip()):
-        parts = [p for p in _SEQ_SPLIT.split(chunk.strip()) if p]
-        if not parts or not all(is_ident(p) for p in parts):
-            return None
-        items.append(ActionSeq(tuple(parts)))
-    return tuple(items)
+def _structure(steps: tuple[Step, ...]) -> tuple:
+    """The (given, when, then) views of `steps`, read in one pass.  A view
+    is None when its keyword has no step or has a prose step."""
+    views: dict[str, list | None] = {"Given": [], "When": [], "Then": []}
+    for step in steps:
+        keyword = step.keyword
+        items = views.get(keyword)
+        if items is None:  # not a clause keyword, or its view is already prose
+            continue
+        chunks = _AND_SPLIT.split(step.text.strip())
+        if keyword == "Then":
+            for chunk in chunks:
+                parts = [p for p in _SEQ_SPLIT.split(chunk) if p]
+                if not parts or not all(map(_ident, parts)):
+                    break
+                items.append(ActionSeq(tuple(parts)))
+            else:
+                continue
+        else:
+            role = _ROLES[keyword]
+            for chunk in chunks:
+                negated = chunk.startswith("NOT ")
+                if negated:
+                    chunk = chunk[4:].strip()
+                if not _ident(chunk):
+                    break
+                items.append(Term(chunk, negated, "guard" if negated else role))
+            else:
+                continue
+        views[keyword] = None
+    return tuple(tuple(items) if items else None for items in views.values())
 
 
 @dataclass(frozen=True)
@@ -120,33 +135,25 @@ class Scenario:
     name: str
     steps: tuple[Step, ...]
 
-    def _clause(self, keyword: str, structure, *args):
-        """The structured items of every `keyword` step, or None when there
-        is none or one is prose."""
-        items = []
-        for step in self.steps:
-            if step.keyword == keyword:
-                part = structure(step.text, *args)
-                if part is None:
-                    return None
-                items.extend(part)
-        return tuple(items) or None
-
     @cached_property
+    def _views(self) -> tuple:
+        return _structure(self.steps)
+
+    @property
     def given(self) -> tuple[Term, ...] | None:
-        return self._clause("Given", _structure_terms, "state")
+        return self._views[0]
 
-    @cached_property
+    @property
     def when(self) -> tuple[Term, ...] | None:
-        return self._clause("When", _structure_terms, "event")
+        return self._views[1]
 
-    @cached_property
+    @property
     def then(self) -> tuple[ThenItem, ...] | None:
-        return self._clause("Then", _structure_then)
+        return self._views[2]
 
     @property
     def structured(self) -> bool:
-        return self.given is not None and self.when is not None and self.then is not None
+        return None not in self._views
 
 
 @dataclass(frozen=True)

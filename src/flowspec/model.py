@@ -22,13 +22,14 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import Diagnostic, UnknownState
 
-IDENT_RE = re.compile(r"[A-Za-z0-9_]+(?:\.[A-Za-z0-9_]+)*$")
+IDENT_RE = re.compile(r"[A-Za-z0-9_]+(?:\.[A-Za-z0-9_]+)*\Z")
 
 DEFAULT_INITIAL = "alpha"
 DEFAULT_FINAL = "Beta"
@@ -451,32 +452,20 @@ def nonempty_subsets(items) -> list[tuple]:
     ]
 
 
-@dataclass(frozen=True)
-class OutputPlan:
+class OutputPlan(NamedTuple):
     branch: OutBranch
     entry_actions: tuple[str, ...]
     leaf: str  # resulting active path
 
 
-@dataclass(frozen=True)
-class FiringPlan:
+class FiringPlan(NamedTuple):
     """Everything a single firing runs, in execution order."""
 
     exit_actions: tuple[str, ...]
     actions: tuple[str, ...]  # input-branch actions, then shared actions
     outputs: tuple[OutputPlan, ...]
-
-    # derived from the three fields above when the plan is built
-    trace: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    leaves: tuple[str, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        trace = [*self.exit_actions, *self.actions]
-        for plan in self.outputs:
-            trace.extend(plan.branch.actions)
-            trace.extend(plan.entry_actions)
-        object.__setattr__(self, "trace", tuple(trace))
-        object.__setattr__(self, "leaves", tuple(plan.leaf for plan in self.outputs))
+    trace: tuple[str, ...]  # the three fields' actions as they run
+    leaves: tuple[str, ...]  # each output's resulting active path
 
 
 def firing_plan(
@@ -524,12 +513,17 @@ def firing_plan(
                 if path in nodes:
                     exit_actions.extend(nodes[path].exit_actions)
 
+    actions = tuple(a for b in consumed for a in b.actions) + transition.shared_actions
+    trace = [*exit_actions, *actions]
     entered: set[str] = set()
     outputs: list[OutputPlan] = []
+    leaves: list[str] = []
     for branch, up in zip(fired, target_chains):
         target = branch.target
+        trace.extend(branch.actions)
         if target in pseudostates:
             outputs.append(OutputPlan(branch, (), target))
+            leaves.append(target)
             continue
         leaf = index.leaf(target)
         paths = [p for p in up if p not in around_sources]
@@ -542,12 +536,12 @@ def firing_plan(
                 entered.add(p)
                 if p in nodes:
                     entry_actions.extend(nodes[p].entry_actions)
+        trace.extend(entry_actions)
         outputs.append(OutputPlan(branch, tuple(entry_actions), leaf))
+        leaves.append(leaf)
 
     return FiringPlan(
-        exit_actions=tuple(exit_actions),
-        actions=tuple(a for b in consumed for a in b.actions) + transition.shared_actions,
-        outputs=tuple(outputs),
+        tuple(exit_actions), actions, tuple(outputs), tuple(trace), tuple(leaves)
     )
 
 

@@ -10,7 +10,9 @@ first).  Unmentioned guard atoms are false during replay.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import model as m
 from .errors import FlowspecError, IllegalGiven, NondeterminismConflict
@@ -375,6 +377,42 @@ class CheckReport:
             "coverage": self.coverage,
             "uncovered": list(self.uncovered),
         }
+
+    def to_json_text(self) -> str:
+        """The text of ``json.dumps(self.to_json(), indent=2)``, written from
+        the report's fixed shape with the C string encoder."""
+        verdicts = []
+        for name, v in self.verdicts:
+            mismatches = [
+                '{\n          "expected": ' + _quote(e)
+                + ',\n          "observed": ' + _quote(o)
+                + ',\n          "position": ' + _quote(p)
+                + "\n        }"
+                for e, o, p in v.mismatches
+            ]
+            verdicts.append(
+                '{\n      "scenario": ' + _quote(name)
+                + ',\n      "passed": ' + ("true" if v.passed else "false")
+                + ',\n      "mismatches": ' + _json_list(mismatches, 6)
+                + ',\n      "fired": ' + _json_list(map(_quote, v.fired), 6)
+                + "\n    }"
+            )
+        return (
+            '{\n  "verdicts": ' + _json_list(verdicts, 2)
+            + ',\n  "coverage": ' + json.dumps(self.coverage)
+            + ',\n  "uncovered": ' + _json_list(map(_quote, self.uncovered), 2)
+            + "\n}"
+        )
+
+
+def _json_list(items, indent: int) -> str:
+    """A JSON list of encoded items, laid out as ``indent=2`` lays out a
+    list whose key starts at column `indent`."""
+    items = list(items)
+    if not items:
+        return "[]"
+    pad = "\n" + " " * (indent + 2)
+    return "[" + pad + ("," + pad).join(items) + "\n" + " " * indent + "]"
 
 
 def report_for(model: ProcessModel, verdicts) -> CheckReport:

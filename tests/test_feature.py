@@ -19,6 +19,7 @@ from flowspec.feature import (
     parse_feature,
 )
 from flowspec.generator import random_model
+from flowspec.model import is_ident
 
 from conftest import DATA_DIR, FIXTURE_DSL
 
@@ -427,3 +428,114 @@ def test_parser_matches_the_builder_parser():
         assert _read(parse_feature, text) == old, repr(text[:80])
         outcomes.append(old[0] if isinstance(old, tuple) else "ok")
     assert {"ok", "EmptyDocument", "MalformedClause", "UnknownKeyword"} <= set(outcomes)
+
+
+# ---------------------------------------------------------------------------
+# Differential test against the per-keyword clause reading
+# ---------------------------------------------------------------------------
+
+
+def _old_structure_terms(text, default_role):
+    terms = []
+    for chunk in re.split(r"\s+AND\s+", text.strip()):
+        negated = False
+        if chunk.startswith("NOT "):
+            negated = True
+            chunk = chunk[4:].strip()
+        if not is_ident(chunk):
+            return None
+        terms.append(Term(chunk, negated, "guard" if negated else default_role))
+    return tuple(terms)
+
+
+def _old_structure_then(text):
+    items = []
+    for chunk in re.split(r"\s+AND\s+", text.strip()):
+        parts = [p for p in re.split(r"\s*;\s*", chunk.strip()) if p]
+        if not parts or not all(is_ident(p) for p in parts):
+            return None
+        items.append(ActionSeq(tuple(parts)))
+    return tuple(items)
+
+
+def _old_clause(steps, keyword, structure, *args):
+    """The reference view: every `keyword` step structured on its own, one
+    walk over the steps per keyword."""
+    items = []
+    for step in steps:
+        if step.keyword == keyword:
+            part = structure(step.text, *args)
+            if part is None:
+                return None
+            items.extend(part)
+    return tuple(items) or None
+
+
+def _old_views(steps):
+    return (
+        _old_clause(steps, "Given", _old_structure_terms, "state"),
+        _old_clause(steps, "When", _old_structure_terms, "event"),
+        _old_clause(steps, "Then", _old_structure_then),
+    )
+
+
+def _with_roles(view):
+    """Equality of Terms ignores the role, so compare it explicitly."""
+    if view is None:
+        return None
+    return [(t.atom, t.negated, t.role) if isinstance(t, Term) else t for t in view]
+
+
+_ATOMS = ["S1", "g1", "ev_2", "a.b", "x.y.z"]
+_NOISE = [
+    "AND", " AND  AND ", " and ", "NOT", "NOT\t", " NOT ", "NOT  ", ";", ";;", " ;; ",
+    " ", "\t", "\xa0", ".", '"', "é", "a-b", "S1.", ".a", "\n",
+]
+
+
+def _clause_text(rng, keyword):
+    """Clause text that is well formed for `keyword` more often than not:
+    sequences mostly in THEN, negations elsewhere, and noise spliced in
+    one time in four."""
+    then = keyword == "Then"
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        if rng.random() < (0.5 if then else 0.05):
+            term = rng.choice(["; ", ";", " ; ", "\t;"]).join(
+                rng.choices(_ATOMS, k=rng.randint(1, 3))
+            )
+        else:
+            negation = "" if then else rng.choice(["", "", "", "NOT ", "NOT \t"])
+            term = negation + rng.choice(_ATOMS)
+        terms.append(term)
+    text = rng.choice([" AND ", " AND ", "\tAND\t", "\xa0AND  "]).join(terms)
+    if rng.random() < 1 / 4:
+        i = rng.randint(0, len(text))
+        text = text[:i] + rng.choice(_NOISE) + text[i:]
+    return rng.choice(["", "", " ", "\t"]) + text + rng.choice(["", "", " ", "\xa0"])
+
+
+def test_one_pass_clause_reading_matches_per_keyword_reading():
+    rng = random.Random(14)
+    keywords = ["Given", "When", "Then"]
+    prose = 'there is a resource at "http://localhost:8081/r"'
+    views = scenarios = 0
+    for n in range(6000):
+        # a step of each keyword, then up to three more of any
+        picked = keywords + rng.choices(keywords, k=rng.randint(0, 3))
+        rng.shuffle(picked)
+        steps = [Step(keyword, _clause_text(rng, keyword)) for keyword in picked]
+        if n % 10 == 0:  # one prose step among the others
+            steps.insert(rng.randrange(len(steps) + 1), Step(rng.choice(keywords), prose))
+        if n % 25 == 0:  # a step under no clause keyword is in no view
+            steps.insert(rng.randrange(len(steps) + 1), Step("And", "S1"))
+        scenario = Scenario(f"s{n}", tuple(steps))
+        want = _old_views(scenario.steps)
+        got = (scenario.given, scenario.when, scenario.then)
+        assert [_with_roles(v) for v in got] == [_with_roles(v) for v in want], steps
+        assert scenario.structured == (None not in want)
+        views += sum(v is not None for v in want)
+        scenarios += scenario.structured
+    # both outcomes occur often enough to be compared
+    assert 3600 < views < 14400
+    assert 600 < scenarios < 5400

@@ -32,7 +32,7 @@ def simple(name, path=None, **kw):
 def test_is_ident_accepts_tokens_and_paths():
     for good in ("S1", "ev11", "a_1", "S6.1", "Beta", "x.y.z", "1"):
         assert m.is_ident(good)
-    for bad in ("", "S 1", ".S1", "S1.", "S..1", "a-b", "é"):
+    for bad in ("", "S 1", ".S1", "S1.", "S..1", "a-b", "é", "S1\n", "S6.1\n"):
         assert not m.is_ident(bad)
 
 
@@ -129,6 +129,31 @@ def test_completion_event_is_reserved(kind):
     )
     reserved = [d for d in validate(bad) if d.code == "ReservedName"]
     assert [(d.location, d.message.split()[0]) for d in reserved] == [(name, kind)]
+
+
+@pytest.mark.parametrize("kind", ["state", "event", "guard", "action"])
+def test_trailing_newline_name_is_a_bad_ident(kind):
+    name = "x1\n"
+    states = (simple("S1"), simple(name if kind == "state" else "S2"))
+    bad = ProcessModel(
+        states=states,
+        transitions=(
+            TransitionDecl(
+                id="t1",
+                inputs=(InBranch("S1", event=name if kind == "event" else "e1"),),
+                outputs=(
+                    OutBranch(
+                        states[1].path,
+                        guard=guard(name) if kind == "guard" else None,
+                        actions=(name,) if kind == "action" else (),
+                    ),
+                ),
+            ),
+        ),
+    )
+    assert [d.location for d in validate(bad) if d.code == "BadIdent"] == [
+        name if kind == "state" else "t1"
+    ]
 
 
 def _join_model(*sources, join_kind="and"):

@@ -1,5 +1,7 @@
 """Replay semantics: enabledness, stepping, verdicts, coverage, exploration."""
 
+import json
+
 import pytest
 
 from flowspec.dsl import parse_dsl
@@ -21,8 +23,10 @@ from flowspec.model import (
     validate,
 )
 from flowspec.replay import (
+    CheckReport,
     ExploreStep,
     StepResult,
+    Verdict,
     _offers,
     _view,
     check_suite,
@@ -272,6 +276,48 @@ def test_check_report_json_shape(m1):
     assert list(payload) == ["verdicts", "coverage", "uncovered"]
     assert payload["coverage"] == 1.0
     assert payload["verdicts"][0]["scenario"] == "Sequence t1"
+
+
+def _mutated(doc):
+    """Every third scenario of `doc` with an action its firing cannot run
+    appended to its THEN."""
+    scenarios = tuple(
+        Scenario(s.name, s.steps + (Step("Then", "zz_not_run"),)) if i % 3 == 0 else s
+        for i, s in enumerate(doc.scenarios)
+    )
+    return FeatureDoc(title=doc.title, scenarios=scenarios)
+
+
+def _assert_json_text(report):
+    assert report.to_json_text() == json.dumps(report.to_json(), indent=2)
+
+
+def test_report_text_is_json_dumps_on_generated_suites(fixtures, generated_models):
+    outcomes = set()
+    for model in [*fixtures.values(), *generated_models]:
+        strict = emit_feature(model, "strict")
+        for doc, mode in (
+            (strict, "strict"),
+            (emit_feature(model, "paper_exact"), "paper_exact"),
+            (_mutated(strict), "strict"),
+        ):
+            report = check_suite(model, doc, mode)
+            _assert_json_text(report)
+            outcomes.update(v.passed for _, v in report.verdicts)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("coverage", [0.0, 1.0, 1 / 3])
+def test_report_text_is_json_dumps_on_edge_reports(coverage):
+    odd = 'q"b\\s\nl\u2028 é 名 \x00\t'
+    _assert_json_text(CheckReport((), coverage, ()))
+    _assert_json_text(CheckReport((("s", Verdict(True)),), coverage, ("t1",)))
+    verdicts = (
+        (odd, Verdict(False, ((odd, "", "then trace"), ("a1", odd, odd)), (odd,))),
+        ("", Verdict(True, (), ("t1", "t2"))),
+        ("s2", Verdict(False, (("a", "b", "then actions[0]"),))),
+    )
+    _assert_json_text(CheckReport(verdicts, coverage, (odd, "t3")))
 
 
 # ---------------------------------------------------------------------------

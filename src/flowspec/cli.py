@@ -45,8 +45,9 @@ class _InputError(Exception):
 
 
 def _read(path: str) -> str:
+    """The text of a UTF-8 file, without a byte-order mark at its start."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}") from exc
 

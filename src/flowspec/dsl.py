@@ -19,8 +19,11 @@ ends on its own line unless the newline is escaped):
     guard     = ["not"] IDENT ("and" ["not"] IDENT)*
     identlist = IDENT ("," IDENT)*
 
-Comments run from ``#`` to end of line.  A diagnostic names its token by
-1-based line and column, counted in characters.  Inside a composite block a
+Comments run from ``#`` to end of line.  The parser reads the tokens as
+plain strings: a string token keeps its quotes, so it never equals a
+keyword, and end of input is ``""``.  A diagnostic names its token by 1-based
+line and column, counted in characters; only a diagnostic computes one, by
+scanning the text again up to the failing token.  Inside a composite block a
 child may be declared by its local segment or by its full dotted path; a
 dotted name whose prefix does not match the enclosing state is rejected.  A
 comma inside ``do`` lists also separates branches; since action names and
@@ -31,36 +34,43 @@ as the next identifier is a declared state or pseudostate.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from itertools import islice
 
 from . import model as m
 from .errors import ModelSyntaxError, SemanticError, SourceSpan
 
 _HEADER_KEYS = ("role", "feature", "benefit", "initialname", "finalname")
 
-# One match per token: the blanks and comments before it, then one
-# alternative per token kind, and the group that matched names the kind.  A
-# string that does not close on its line, or at all, fails its alternative
-# and falls through to `bad` at the opening quote.  The blank prefix never
-# backtracks: after it, `bad` matches any character and `eof` the end of the
-# text, so some alternative always matches where the greedy prefix stops, and
-# a long run of blanks costs one pass.
+# One match per token: the blanks and comments before it, then the token as
+# the one group.  A string that does not close on its line, or at all, fails
+# its alternative and falls through to a lone '"'.  The blank prefix never
+# backtracks: after it, `[\s\S]` matches any character and `\Z` the end of
+# the text, so some alternative always matches where the greedy prefix
+# stops, and a long run of blanks costs one pass.
 _TOKEN_RE = re.compile(
     r"""(?:[ \t\r\n]+|\#[^\n]*)*
-      (?: (?P<punct>[{},])
-        | "(?P<string>(?:[^"\\\n]|\\[\s\S])*)"
-        | (?P<ident>[\w.]+)
-        | (?P<bad>[\s\S])
-        | (?P<eof>\Z))""",
+      ( [{},]
+      | "(?:[^"\\\n]|\\[\s\S])*"
+      | [\w.]+
+      | [\s\S]
+      | \Z)""",
     re.VERBOSE,
 )
 _ESCAPE_RE = re.compile(r"\\([\s\S])")
 
 
-class _Tok(NamedTuple):
-    kind: str  # "ident" | "string" | "punct" | "eof"
-    text: str
-    offset: int
+def _is_word(tok: str) -> bool:
+    """True for an identifier or keyword token: not punctuation, a string
+    or end of input."""
+    return tok != "" and tok[0] not in '{},"'
+
+
+def _shown(tok: str) -> str:
+    """A token as a diagnostic names it: a string without its quotes and
+    escapes."""
+    if tok[:1] == '"':
+        return _ESCAPE_RE.sub(r"\1", tok[1:-1])
+    return tok
 
 
 class _Parser:
@@ -73,86 +83,75 @@ class _Parser:
 
     # -- token plumbing ----------------------------------------------------
 
-    def scan(self) -> list[_Tok]:
-        toks: list[_Tok] = []
+    def scan(self) -> list[str]:
+        toks = _TOKEN_RE.findall(self.text)
+        if len(toks) > 1 and toks[-2] == "":
+            # after blanks at the end, `findall` also matches "" at the very
+            # end; the first "" is end of input
+            toks.pop()
+        for i, tok in enumerate(toks):
+            # every token of two or more characters is a string or a word
+            if len(tok) == 1 and not (tok.isalnum() or tok in "_.{},"):
+                if tok == '"':
+                    self.fail("BadString", "unterminated string", i)
+                self.fail("UnexpectedToken", f"stray character {tok!r}", i)
         opens: list[int] = []
-        text = self.text
-        for match in _TOKEN_RE.finditer(text):
-            kind = match.lastgroup
-            word = match[kind]
-            offset = match.start(kind)
-            if kind == "string":
-                offset -= 1  # at the opening quote
-                if "\\" in word:
-                    word = _ESCAPE_RE.sub(r"\1", word)
-            elif kind == "eof":
-                # end of input is placed at the start of a comment that runs
-                # up to it: the first "#" on the last line of the blanks.
-                # After blanks or a comment at the end, `finditer` would
-                # also yield an empty match there, so stop here.
-                comment = text.find("#", max(match.start(), text.rfind("\n", match.start()) + 1))
-                toks.append(_Tok(kind, word, offset if comment < 0 else comment))
-                break
-            tok = _Tok(kind, word, offset)
-            if kind == "bad":
-                if word == '"':
-                    self.fail("BadString", "unterminated string", tok)
-                self.fail("UnexpectedToken", f"stray character {word!r}", tok)
-            if kind == "punct":
-                if word == "{":
-                    opens.append(len(toks))
-                elif word == "}" and opens:
-                    self.closing[opens.pop()] = len(toks)
-            toks.append(tok)
+        for i, tok in enumerate(toks):
+            if tok == "{":
+                opens.append(i)
+            elif tok == "}" and opens:
+                self.closing[opens.pop()] = i
         return toks
 
-    def span(self, tok: _Tok) -> SourceSpan:
-        """1-based line and column of a token, counted in characters."""
-        line = self.text.count("\n", 0, tok.offset) + 1
-        return SourceSpan(self.filename, line, tok.offset - self.text.rfind("\n", 0, tok.offset))
+    def span(self, index: int) -> SourceSpan:
+        """Where token `index` starts, from a second scan of the text up to
+        it."""
+        return self.span_of(next(islice(_TOKEN_RE.finditer(self.text), index, None)))
 
-    def peek(self, ahead: int = 0) -> _Tok:
-        # `next` never steps past eof, and a look ahead follows a comma
-        return self.toks[self.pos + ahead]
+    def span_of(self, match: re.Match[str]) -> SourceSpan:
+        """1-based line and column of the token of a `_TOKEN_RE` match,
+        counted in characters."""
+        text = self.text
+        offset = match.start(1)
+        if not match[1]:
+            # end of input is placed at the start of a comment that runs up
+            # to it: the first "#" on the last line of the blanks
+            comment = text.find("#", max(match.start(), text.rfind("\n", match.start()) + 1))
+            if comment >= 0:
+                offset = comment
+        line = text.count("\n", 0, offset) + 1
+        return SourceSpan(self.filename, line, offset - text.rfind("\n", 0, offset))
 
-    def next(self) -> _Tok:
+    def fail(self, code: str, message: str, index: int | None = None):
+        """Raise at token `index`, by default the next token."""
+        raise ModelSyntaxError(code, message, self.span(self.pos if index is None else index))
+
+    def expect(self, text: str) -> None:
         tok = self.toks[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+        if tok != text:
+            self.fail("UnexpectedToken", f"expected {text!r}, found {_shown(tok)!r}")
+        self.pos += 1
 
-    def fail(self, code: str, message: str, tok: _Tok | None = None):
-        raise ModelSyntaxError(code, message, self.span(tok or self.peek()))
-
-    def expect(self, text: str) -> _Tok:
-        tok = self.next()
-        if tok.kind == "string" or tok.text != text:
-            self.fail("UnexpectedToken", f"expected {text!r}, found {tok.text!r}", tok)
-        return tok
-
-    def expect_ident(self, what: str) -> _Tok:
-        tok = self.next()
-        if tok.kind != "ident":
-            self.fail("UnexpectedToken", f"expected {what}, found {tok.text!r}", tok)
-        if not m.is_ident(tok.text):
-            self.fail("UnexpectedToken", f"malformed identifier {tok.text!r}", tok)
+    def expect_ident(self, what: str) -> str:
+        tok = self.toks[self.pos]
+        if not m.is_ident(tok):
+            if not _is_word(tok):
+                self.fail("UnexpectedToken", f"expected {what}, found {_shown(tok)!r}")
+            self.fail("UnexpectedToken", f"malformed identifier {tok!r}")
+        self.pos += 1
         return tok
 
     def expect_string(self, what: str) -> str:
-        tok = self.next()
-        if tok.kind != "string":
-            self.fail("UnexpectedToken", f"expected {what} string, found {tok.text!r}", tok)
-        return tok.text
-
-    def at(self, text: str) -> bool:
-        """True if the next token is the keyword or punctuation `text`."""
         tok = self.toks[self.pos]
-        return tok.kind != "string" and tok.text == text
+        if tok[:1] != '"':
+            self.fail("UnexpectedToken", f"expected {what} string, found {tok!r}")
+        self.pos += 1
+        return _shown(tok)
 
     def accept(self, text: str) -> bool:
         """Step over the next token if it is the keyword or punctuation
-        `text`; the eof token never matches, so this stays on it."""
-        if self.at(text):
+        `text`; end of input is never one, so this stays on it."""
+        if self.toks[self.pos] == text:
             self.pos += 1
             return True
         return False
@@ -160,6 +159,7 @@ class _Parser:
     # -- grammar -----------------------------------------------------------
 
     def parse_model(self) -> m.ProcessModel:
+        toks = self.toks
         if not self.accept("process"):
             self.fail("MissingProcessHeader", "input does not start with a process block")
         title = self.expect_string("title")
@@ -168,8 +168,9 @@ class _Parser:
         headers = {"role": "", "feature": "", "benefit": ""}
         initial_name = m.DEFAULT_INITIAL
         final_name = m.DEFAULT_FINAL
-        while self.peek().kind == "ident" and self.peek().text in _HEADER_KEYS:
-            key = self.next().text
+        while toks[self.pos] in _HEADER_KEYS:
+            key = toks[self.pos]
+            self.pos += 1
             value = self.expect_string(key)
             if key == "initialname":
                 initial_name = value
@@ -180,21 +181,19 @@ class _Parser:
 
         known = {initial_name, final_name}
         states: list[m.StateNode] = []
-        trans_slices: list[tuple[_Tok, int, int]] = []
-        while not self.at("}"):
-            tok = self.peek()
-            if tok.kind == "eof":
-                self.fail("UnexpectedEnd", "unterminated process block", tok)
-            if self.at("state"):
+        trans_slices: list[tuple[str, int, int]] = []
+        while (tok := toks[self.pos]) != "}":
+            if tok == "state":
                 states.append(self.parse_state(None, known))
-            elif self.at("trans"):
+            elif tok == "trans":
                 trans_slices.append(self.capture_trans())
+            elif tok == "":
+                self.fail("UnexpectedEnd", "unterminated process block")
             else:
-                self.fail("UnexpectedToken", f"expected 'state' or 'trans', found {tok.text!r}", tok)
-        self.expect("}")
-        tail = self.peek()
-        if tail.kind != "eof":
-            self.fail("UnexpectedToken", f"trailing input {tail.text!r}", tail)
+                self.fail("UnexpectedToken", f"expected 'state' or 'trans', found {_shown(tok)!r}")
+        self.pos += 1
+        if toks[self.pos] != "":
+            self.fail("UnexpectedToken", f"trailing input {_shown(toks[self.pos])!r}")
 
         model = m.ProcessModel(
             title=title,
@@ -214,16 +213,16 @@ class _Parser:
     def parse_state(self, parent: str | None, known: set[str]) -> m.StateNode:
         """Parse one state block; `parent` is the enclosing state's path and
         every path parsed is added to `known`."""
+        toks = self.toks
         self.expect("state")
-        name_tok = self.expect_ident("state name")
-        name = name_tok.text
+        name = self.expect_ident("state name")
         if "." in name:
             prefix, _, local = name.rpartition(".")
             if parent is None or prefix != parent:
                 self.fail(
                     "BadNesting",
                     f"dotted state name {name!r} does not match the enclosing state",
-                    name_tok,
+                    self.pos - 1,
                 )
             name = local
         path = name if parent is None else f"{parent}.{name}"
@@ -234,33 +233,27 @@ class _Parser:
         exit_: list[str] = []
         initial: str | None = None
         children: list[m.StateNode] = []
-        while not self.at("}"):
-            tok = self.peek()
-            if tok.kind == "eof":
-                self.fail("UnexpectedEnd", f"unterminated state block {path!r}", tok)
+        while (tok := toks[self.pos]) != "}":
             if self.accept("entry"):
                 entry.extend(self.parse_identlist())
             elif self.accept("exit"):
                 exit_.extend(self.parse_identlist())
             elif self.accept("initial"):
-                child_tok = self.expect_ident("initial child")
-                child = child_tok.text
+                child = self.expect_ident("initial child")
                 if "." not in child:
                     child = f"{path}.{child}"
                 elif not child.startswith(path + "."):
-                    self.fail(
-                        "BadNesting",
-                        f"initial child {child_tok.text!r} is outside {path!r}",
-                        child_tok,
-                    )
+                    self.fail("BadNesting", f"initial child {child!r} is outside {path!r}", self.pos - 1)
                 if initial is not None:
-                    self.fail("UnexpectedToken", "initial child declared twice", child_tok)
+                    self.fail("UnexpectedToken", "initial child declared twice", self.pos - 1)
                 initial = child
-            elif self.at("state"):
+            elif tok == "state":
                 children.append(self.parse_state(path, known))
+            elif tok == "":
+                self.fail("UnexpectedEnd", f"unterminated state block {path!r}")
             else:
-                self.fail("UnexpectedToken", f"unexpected {tok.text!r} in state block", tok)
-        self.expect("}")
+                self.fail("UnexpectedToken", f"unexpected {_shown(tok)!r} in state block")
+        self.pos += 1
         return m.StateNode(
             name=name,
             path=path,
@@ -270,20 +263,20 @@ class _Parser:
             initial_child=initial,
         )
 
-    def capture_trans(self) -> tuple[_Tok, int, int]:
+    def capture_trans(self) -> tuple[str, int, int]:
         """Record the token range of a trans block for the second pass and
         step past its closing brace."""
         self.expect("trans")
-        name_tok = self.expect_ident("transition id")
+        name = self.expect_ident("transition id")
         self.expect("{")
         start = self.pos
         end = self.closing.get(start - 1)
         if end is None:
-            self.fail("UnexpectedEnd", "unterminated trans block", self.toks[-1])
+            self.fail("UnexpectedEnd", "unterminated trans block", len(self.toks) - 1)
         self.pos = end + 1
-        return name_tok, start, end
+        return name, start, end
 
-    def parse_trans(self, name_tok: _Tok, start: int, end: int, known: set[str]) -> m.TransitionDecl:
+    def parse_trans(self, name: str, start: int, end: int, known: set[str]) -> m.TransitionDecl:
         """Parse the body captured by `capture_trans`, once every state is
         known; `end` is the index of its closing brace."""
         self.pos = start
@@ -293,19 +286,17 @@ class _Parser:
             inputs.append(self.parse_inbr(known))
         join_kind = "none"
         if self.accept("join"):
-            tok = self.expect_ident("join kind")
-            if tok.text == "none" or tok.text not in m.JOIN_KINDS:
-                self.fail("UnexpectedToken", f"bad join kind {tok.text!r}", tok)
-            join_kind = tok.text
+            join_kind = self.expect_ident("join kind")
+            if join_kind == "none" or join_kind not in m.JOIN_KINDS:
+                self.fail("UnexpectedToken", f"bad join kind {join_kind!r}", self.pos - 1)
         split_kind = "none"
         if self.accept("split"):
-            tok = self.expect_ident("split kind")
-            if tok.text == "none" or tok.text not in m.SPLIT_KINDS:
-                self.fail("UnexpectedToken", f"bad split kind {tok.text!r}", tok)
-            split_kind = tok.text
+            split_kind = self.expect_ident("split kind")
+            if split_kind == "none" or split_kind not in m.SPLIT_KINDS:
+                self.fail("UnexpectedToken", f"bad split kind {split_kind!r}", self.pos - 1)
         shared_event = None
         if self.accept("on"):
-            shared_event = self.expect_ident("event").text
+            shared_event = self.expect_ident("event")
         shared_guard = None
         if self.accept("if"):
             shared_guard = self.parse_guard()
@@ -317,9 +308,9 @@ class _Parser:
         while self.accept(","):
             outputs.append(self.parse_outbr(known))
         if self.pos != end:
-            self.fail("UnexpectedToken", f"unexpected {self.peek().text!r} in trans block")
+            self.fail("UnexpectedToken", f"unexpected {_shown(self.toks[self.pos])!r} in trans block")
         return m.TransitionDecl(
-            id=name_tok.text,
+            id=name,
             inputs=tuple(inputs),
             outputs=tuple(outputs),
             join_kind=join_kind,
@@ -330,17 +321,17 @@ class _Parser:
         )
 
     def parse_inbr(self, known: set[str]) -> m.InBranch:
-        source = self.expect_ident("source state").text
+        source = self.expect_ident("source state")
         event = None
         if self.accept("on"):
-            event = self.expect_ident("event").text
+            event = self.expect_ident("event")
         actions: tuple[str, ...] = ()
         if self.accept("do"):
             actions = tuple(self.parse_identlist(stop_at=known))
         return m.InBranch(source=source, event=event, actions=actions)
 
     def parse_outbr(self, known: set[str]) -> m.OutBranch:
-        target = self.expect_ident("target state").text
+        target = self.expect_ident("target state")
         guard = None
         if self.accept("if"):
             guard = self.parse_guard()
@@ -358,17 +349,16 @@ class _Parser:
 
     def parse_literal(self) -> tuple[str, bool]:
         negated = self.accept("not")
-        atom = self.expect_ident("guard atom").text
-        return atom, negated
+        return self.expect_ident("guard atom"), negated
 
     def parse_identlist(self, stop_at: set[str] | None = None) -> list[str]:
-        items = [self.expect_ident("name").text]
-        while self.at(",") and self.peek(1).kind == "ident":
-            nxt = self.peek(1).text
+        toks = self.toks
+        items = [self.expect_ident("name")]
+        while toks[self.pos] == "," and _is_word(nxt := toks[self.pos + 1]):
             if stop_at is not None and nxt in stop_at:
                 break  # comma starts the next branch
-            self.next()
-            items.append(self.expect_ident("name").text)
+            self.pos += 1
+            items.append(self.expect_ident("name"))
         return items
 
 
@@ -382,9 +372,9 @@ def parse_guard(text: str, filename: str = "<string>") -> m.GuardExpr:
     ModelSyntaxError."""
     parser = _Parser(text, filename)
     guard = parser.parse_guard()
-    tail = parser.peek()
-    if tail.kind != "eof":
-        parser.fail("UnexpectedToken", f"trailing input {tail.text!r}", tail)
+    tail = parser.toks[parser.pos]
+    if tail != "":
+        parser.fail("UnexpectedToken", f"trailing input {_shown(tail)!r}")
     return guard
 
 

@@ -157,6 +157,39 @@ def test_syntax_error_is_input_error(tmp_path):
     assert code == 2
 
 
+def test_byte_order_mark_at_the_start_is_skipped(tmp_path, monkeypatch):
+    names = ["m1.pml", "m9.pml", "m9.xml", "special_cases.feature"]
+    commands = [
+        ("lint", "m1.pml"),
+        ("compile", "m9.pml", "--mode", "strict"),
+        ("compile", "m9.xml"),
+        ("check", "m9.pml", "special_cases.feature"),
+        ("check", "m9.xml", "special_cases.feature", "--json"),
+    ]
+    outputs = {}
+    for prefix in ("", "\ufeff"):
+        folder = tmp_path / ("bom" if prefix else "plain")
+        folder.mkdir()
+        for name in names:
+            (folder / name).write_text(prefix + (DATA_DIR / name).read_text(), encoding="utf-8")
+        monkeypatch.chdir(folder)
+        outputs[prefix] = [invoke(*argv) for argv in commands]
+    assert outputs["\ufeff"] == outputs[""]
+    assert [code for code, _, _ in outputs[""]] == [0, 0, 0, 0, 0]
+
+
+def test_byte_order_mark_elsewhere_is_a_stray_character(tmp_path):
+    text = (DATA_DIR / "m1.pml").read_text()
+    bad = {"twice.pml": "\ufeff\ufeff" + text, "inside.pml": text.replace("state S1", "state \ufeffS1")}
+    errors = {}
+    for name, content in bad.items():
+        (tmp_path / name).write_text(content, encoding="utf-8")
+        code, _out, errors[name] = invoke("lint", str(tmp_path / name))
+        assert code == 2
+        assert "stray character " + repr("\ufeff") in errors[name]
+    assert "twice.pml:1:1:" in errors["twice.pml"]
+
+
 def test_unknown_flag_exits_two(capsys):
     # with no streams given, run writes to sys.stdout and sys.stderr
     code = run(["compile", M1, "--bogus"])

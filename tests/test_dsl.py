@@ -5,13 +5,15 @@ import time
 
 import pytest
 
-from flowspec.dsl import _TOKEN_RE, _Parser, parse_dsl, serialize_dsl
+from flowspec.dsl import _TOKEN_RE, _Parser, _shown, parse_dsl, parse_guard, serialize_dsl
 from flowspec.errors import ModelSyntaxError, SemanticError, SourceSpan
 from flowspec.generator import GeneratorLimits, random_model
 from flowspec.model import ProcessModel, StateNode
 from flowspec.xmlio import parse_xml
 
+import dsl_reference
 from conftest import FIXTURE_DSL, M1_DSL
+from test_xmlio import BAD_CONDS
 
 
 def test_m1_shape(m1):
@@ -252,9 +254,24 @@ def _scanned(scan, text):
         return exc.code, exc.reason, exc.span
 
 
+def _kind(tok):
+    if tok == "":
+        return "eof"
+    if tok[0] == '"':
+        return "string"
+    return "punct" if tok in "{}," else "ident"
+
+
 def _regex_tokens(text):
+    """(kind, text, span) per token, eof last.  Every span comes from one
+    pass of the token regex; `_Parser.span`, which rescans the text for each
+    call, is checked against them at 64 tokens spread over the text and eof."""
     parser = _Parser(text, "f.pml")
-    return [(tok.kind, tok.text, parser.span(tok)) for tok in parser.toks]
+    spans = [parser.span_of(match) for match, _ in zip(_TOKEN_RE.finditer(text), parser.toks)]
+    count = len(parser.toks)
+    for i in {*range(0, count, max(1, count // 64)), count - 1}:
+        assert parser.span(i) == spans[i], (repr(text[:60]), i)
+    return [(_kind(tok), _shown(tok), span) for tok, span in zip(parser.toks, spans)]
 
 
 def _mutants(text, rng):
@@ -311,7 +328,12 @@ def test_regex_scanner_matches_the_character_loop():
 
 def test_ident_characters_match_str_isalnum():
     for c in map(chr, range(0x10000)):
-        assert (_TOKEN_RE.match(c).lastgroup == "ident") == (c.isalnum() or c in "_."), hex(ord(c))
+        # a run of identifier characters is one token (and so is '""', an
+        # empty string), and a lone character is stray where the character
+        # loop says so
+        assert (_TOKEN_RE.findall(c * 2)[0] == c * 2) == (c.isalnum() or c in '_."'), hex(ord(c))
+        char_loop = _scanned(lambda t: _char_loop_tokens(t, "f.pml"), c)
+        assert _scanned(_regex_tokens, c) == char_loop, hex(ord(c))
 
 
 def _parse_outcome(text):
@@ -341,6 +363,23 @@ def test_blank_runs_scan_in_linear_time(base):
         assert elapsed < 1.0, (repr(text[-20:]), elapsed)
 
 
+@pytest.mark.parametrize("tail", ["@", '"ab'], ids=["stray", "unterminated"])
+def test_errors_after_long_runs_are_placed_in_linear_time(tail):
+    # the span of a diagnostic comes from one more scan up to its token
+    padded = [
+        M1_DSL + " " * 1_000_000 + tail,
+        M1_DSL + "# c\n" * 250_000 + tail,
+        " " * 1_000_000 + M1_DSL + tail,
+        M1_DSL + "ab " * 333_333 + tail,
+    ]
+    for text in padded:
+        start = time.perf_counter()
+        outcome = _parsed(_Parser, text)
+        elapsed = time.perf_counter() - start
+        assert outcome == _parsed(dsl_reference._Parser, text), repr(text[-20:])
+        assert elapsed < 1.0, (repr(text[-20:]), elapsed)
+
+
 # -- differential test against the depth-counting trans capture ------------
 
 
@@ -350,19 +389,20 @@ class _DepthCountingParser(_Parser):
 
     def capture_trans(self):
         self.expect("trans")
-        name_tok = self.expect_ident("transition id")
+        name = self.expect_ident("transition id")
         self.expect("{")
         start = self.pos
         depth = 1
         while depth:
-            tok = self.next()
-            if tok.kind == "eof":
-                self.fail("UnexpectedEnd", "unterminated trans block", tok)
-            if tok.kind == "punct" and tok.text == "{":
+            tok = self.toks[self.pos]
+            if tok == "":
+                self.fail("UnexpectedEnd", "unterminated trans block")
+            self.pos += 1
+            if tok == "{":
                 depth += 1
-            elif tok.kind == "punct" and tok.text == "}":
+            elif tok == "}":
                 depth -= 1
-        return name_tok, start, self.pos - 1
+        return name, start, self.pos - 1
 
 
 def _parsed(parser_class, text):
@@ -377,7 +417,9 @@ def _parsed(parser_class, text):
 def _brace_mutants(text, rng):
     """Copies with a brace or a brace pair inserted before a token, or one
     brace deleted."""
-    offsets = [tok.offset for tok in _Parser(text, "f.pml").toks]
+    # the offset of each token, eof included once (no base ends in a comment)
+    toks = _Parser(text, "f.pml").toks
+    offsets = [match.start(1) for match in _TOKEN_RE.finditer(text)][: len(toks)]
     braces = [i for i, ch in enumerate(text) if ch in "{}"]
     out = []
     for _ in range(8):
@@ -402,3 +444,43 @@ def test_trans_capture_matches_the_depth_walk():
     assert "ProcessModel" in outcomes and "list" in outcomes  # valid and invalid models
     assert ("UnexpectedEnd", "unterminated trans block") in outcomes
     assert ("UnexpectedToken", "unexpected '{' in trans block") in outcomes
+
+
+# -- differential test against the parser that read `_Tok` tokens ----------
+
+GUARD_TEXTS = [
+    *BAD_CONDS,
+    "",
+    "g1 and not g2",
+    "not not g1",
+    "g1 and g2 }",
+    '"g1"',
+    'g1 and "x',
+    "g1 @",
+    "g1.x and not é",
+    "g1\n and\tg2",
+]
+
+
+def _guard(parse, text):
+    try:
+        return parse(text, "f.pml")
+    except ModelSyntaxError as exc:
+        return exc.code, exc.reason, exc.span
+
+
+def test_string_tokens_match_the_tok_parser():
+    rng = random.Random(3)
+    inputs = _differential_inputs()
+    inputs += [mutant for base in _bases() for mutant in _brace_mutants(base, rng)]
+    outcomes = set()
+    for text in inputs:
+        old = _parsed(dsl_reference._Parser, text)
+        assert _parsed(_Parser, text) == old, repr(text[:60])
+        outcomes.add(old[0] if isinstance(old, tuple) else type(old).__name__)
+        if isinstance(old, tuple):
+            outcomes.add(old[1].partition(" '")[0])
+    for text in GUARD_TEXTS:
+        assert _guard(parse_guard, text) == _guard(dsl_reference.parse_guard, text), repr(text)
+    # valid and invalid models, and each error the scanner raises
+    assert {"ProcessModel", "list", "BadString", "stray character", "unterminated trans block"} <= outcomes

@@ -47,7 +47,7 @@ _HINT_KEYS = ("states", "events", "guards", "actions", "initial", "final")
 _NAME_HINTS = _HINT_KEYS[:4]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Term:
     """One conjunct of a GIVEN or WHEN clause.
 
@@ -64,7 +64,7 @@ class Term:
         return ("NOT " if self.negated else "") + self.atom
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ActionSeq:
     """Ordered actions, rendered joined by '; '."""
 
@@ -74,7 +74,7 @@ class ActionSeq:
         return "; ".join(self.actions)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StateTerm:
     """A resulting-state term in a THEN clause."""
 
@@ -87,7 +87,7 @@ class StateTerm:
 ThenItem = ActionSeq | StateTerm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Step:
     keyword: str  # "Given" | "When" | "Then"
     text: str
@@ -130,6 +130,7 @@ def _structure(steps: tuple[Step, ...]) -> tuple:
     return tuple(tuple(items) if items else None for items in views.values())
 
 
+# Keeps its dict: the cached_property below stores its value there.
 @dataclass(frozen=True)
 class Scenario:
     name: str
@@ -156,7 +157,7 @@ class Scenario:
         return None not in self._views
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DocHints:
     states: tuple[str, ...] = ()
     events: tuple[str, ...] = ()
@@ -166,7 +167,7 @@ class DocHints:
     final: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FeatureDoc:
     title: str = ""
     role: str = ""

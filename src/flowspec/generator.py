@@ -11,9 +11,11 @@ join inputs all carry events, and names never collide across namespaces.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 
 from . import model as m
+from .emit import MAX_CHOICE_BRANCHES
 from .model import GuardExpr, InBranch, OutBranch, ProcessModel, StateNode, TransitionDecl
 
 
@@ -22,6 +24,14 @@ class GeneratorLimits:
     max_states: int = 12
     max_transitions: int = 10
     max_or_arity: int = 3  # guarded branches per or-split and or-join width
+
+    def __post_init__(self):
+        # a split needs two branches, and emission enumerates at most
+        # MAX_CHOICE_BRANCHES guarded ones
+        if not 2 <= self.max_or_arity <= MAX_CHOICE_BRANCHES:
+            raise ValueError(
+                f"max_or_arity must be between 2 and {MAX_CHOICE_BRANCHES}, got {self.max_or_arity}"
+            )
 
 
 class _Builder:
@@ -37,8 +47,11 @@ class _Builder:
         self.counters = {"S": 0, "ev": 0, "g": 0, "a": 0, "t": 0}
 
     def fresh(self, prefix: str) -> str:
+        """The next name for ``prefix``, interned so that models share one
+        string per name.  A name is the prefix and a counter the model's
+        size bounds, so the interned set stays small."""
         self.counters[prefix] += 1
-        return f"{prefix}{self.counters[prefix]}"
+        return sys.intern(f"{prefix}{self.counters[prefix]}")
 
     def new_state(self) -> str:
         name = self.fresh("S")
@@ -54,7 +67,7 @@ class _Builder:
         self.states.append(parent)
         children = []
         for _ in range(n_children):
-            child = f"{parent}.{self.fresh('S')}"
+            child = sys.intern(f"{parent}.{self.fresh('S')}")
             children.append(child)
         self.composites[parent] = children
         return parent, children
@@ -235,7 +248,7 @@ class _Builder:
         def node(path: str) -> StateNode:
             children = tuple(node(c) for c in self.composites.get(path, ()))
             return StateNode(
-                name=path.rsplit(".", 1)[-1],
+                name=sys.intern(path.rsplit(".", 1)[-1]),
                 path=path,
                 entry_actions=self.entry_actions.get(path, ()),
                 exit_actions=self.exit_actions.get(path, ()),

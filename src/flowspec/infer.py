@@ -72,7 +72,7 @@ _JOIN_KIND_OF = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InferenceHints:
     declared_states: frozenset[str] = frozenset()
     declared_events: frozenset[str] = frozenset()

@@ -13,9 +13,13 @@ or-splits and its transitions keyed by input source) live in a
 rest once per model instead of once per scenario or step.
 ``model_index`` keeps the index of one model at a time, the last one asked
 for, compared by identity: replay, emission and canonicalization work
-through one model after another, so one entry serves them all.  (A cache per
-model kept an index alive for each of 1,600 generated models in a
-lint-and-explore run and raised its peak memory by 18 %.)
+through one model after another, so one entry serves them all, and a run
+over many models holds no index beside each one.
+
+The value types are slotted, so a state, branch, transition, guard or
+configuration carries no per-instance ``__dict__``.  ``ProcessModel`` keeps
+its dict: a model must take weak references, and ``weakref_slot`` needs
+Python 3.11.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ def is_ident(text: str) -> bool:
     return bool(IDENT_RE.match(text))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GuardExpr:
     """Conjunction of possibly negated boolean atoms."""
 
@@ -70,7 +74,7 @@ def guard(*literals) -> GuardExpr:
     return GuardExpr(tuple(out))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StateNode:
     """A state; composite when ``children`` is nonempty.
 
@@ -90,7 +94,7 @@ class StateNode:
         return bool(self.children)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pseudostate:
     """Initial or final marker; resolvable like a state but carries nothing."""
 
@@ -102,14 +106,14 @@ class Pseudostate:
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InBranch:
     source: str
     event: str | None = None
     actions: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OutBranch:
     target: str
     guard: GuardExpr | None = None
@@ -117,7 +121,7 @@ class OutBranch:
     mandatory: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransitionDecl:
     id: str
     inputs: tuple[InBranch, ...]
@@ -129,6 +133,7 @@ class TransitionDecl:
     shared_actions: tuple[str, ...] = ()
 
 
+# Keeps its dict: a model must take weak references, and weakref_slot needs 3.11.
 @dataclass(frozen=True)
 class ProcessModel:
     title: str = ""
@@ -361,7 +366,7 @@ def model_index(model: ProcessModel) -> ModelIndex:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Configuration:
     """Multiset of active state paths, plus bookkeeping for or-splits.
 

@@ -16,14 +16,14 @@ from .errors import Diagnostic
 from .model import PatternKind, ProcessModel, TransitionDecl
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PatternInstance:
     kind: PatternKind
     transition_id: str
     notes: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StateSpecialCase:
     kind: PatternKind  # ENTRY_EXIT_CASE or EMBEDDED_STATES
     state_path: str

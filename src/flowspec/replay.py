@@ -30,7 +30,7 @@ from .patterns import effective_guard_literals
 MAX_EXPLORE_DEPTH = 32
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Firing:
     transition: TransitionDecl
     consumed: tuple[int, ...]  # input indices
@@ -38,14 +38,14 @@ class Firing:
     clear_mark: str | None = None  # or-split id whose activation is consumed
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepResult:
     fired: tuple[str, ...]
     trace: tuple[str, ...]
     after: Configuration
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     passed: bool
     mismatches: tuple[tuple[str, str, str], ...] = ()  # (expected, observed, position)
@@ -350,7 +350,7 @@ def replay_scenario(model: ProcessModel, scenario: Scenario, mode: str = "strict
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckReport:
     verdicts: tuple[tuple[str, Verdict], ...]
     coverage: float
@@ -444,7 +444,7 @@ def check_suite(model: ProcessModel, doc: FeatureDoc, mode: str = "strict") -> C
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExploreStep:
     events: tuple[str, ...]
     valuation: tuple[tuple[str, bool], ...]

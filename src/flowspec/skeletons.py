@@ -18,7 +18,7 @@ _QUOTED = re.compile(r'"[^"]*"')
 _SLUG_JUNK = re.compile(r"[^a-z0-9]+")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepSkeleton:
     keyword: str
     pattern: str

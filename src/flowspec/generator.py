@@ -19,13 +19,17 @@ from .emit import MAX_CHOICE_BRANCHES
 from .model import GuardExpr, InBranch, OutBranch, ProcessModel, StateNode, TransitionDecl
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class GeneratorLimits:
     max_states: int = 12
     max_transitions: int = 10
     max_or_arity: int = 3  # guarded branches per or-split and or-join width
 
     def __post_init__(self):
+        # every model has a first state and the transition into it
+        for name in ("max_states", "max_transitions"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         # a split needs two branches, and emission enumerates at most
         # MAX_CHOICE_BRANCHES guarded ones
         if not 2 <= self.max_or_arity <= MAX_CHOICE_BRANCHES:

@@ -57,7 +57,10 @@ class GuardExpr:
         return tuple(a for a, _ in self.literals)
 
     def holds(self, valuation) -> bool:
-        return all(bool(valuation.get(a, False)) != neg for a, neg in self.literals)
+        for a, neg in self.literals:
+            if bool(valuation.get(a, False)) == neg:
+                return False
+        return True
 
     def render(self) -> str:
         return " and ".join(("not " if neg else "") + a for a, neg in self.literals)
@@ -493,13 +496,11 @@ def firing_plan(
     consumed = transition.inputs if consumed is None else tuple(consumed)
     index = model_index(model)
     nodes = index.nodes
-    pseudostates = (model.initial_name, model.final_name)
+    initial, final = model.initial_name, model.final_name
     fired = transition.outputs
     if fired_outputs is not None:
         fired = [fired[i] for i in fired_outputs]
-    source_chains = [chain(b.source) for b in consumed]
     target_chains = [chain(b.target) for b in fired]
-    around_sources = {p for up in source_chains for p in up}
     if len(target_chains) == 1:
         around_every_target = target_chains[0]
     elif target_chains:
@@ -507,16 +508,21 @@ def firing_plan(
     else:
         around_every_target = ()
 
+    around_sources: set[str] = set()
     exited: set[str] = set()
     exit_actions: list[str] = []
-    for branch, up in zip(consumed, source_chains):
-        if branch.source in pseudostates:
+    for branch in consumed:
+        source = branch.source
+        up = chain(source)
+        around_sources.update(up)
+        if source == initial or source == final:
             continue
         for path in reversed(up):
             if path not in around_every_target and path not in exited:
                 exited.add(path)
-                if path in nodes:
-                    exit_actions.extend(nodes[path].exit_actions)
+                node = nodes.get(path)
+                if node is not None:
+                    exit_actions.extend(node.exit_actions)
 
     actions = tuple(a for b in consumed for a in b.actions) + transition.shared_actions
     trace = [*exit_actions, *actions]
@@ -526,7 +532,7 @@ def firing_plan(
     for branch, up in zip(fired, target_chains):
         target = branch.target
         trace.extend(branch.actions)
-        if target in pseudostates:
+        if target == initial or target == final:
             outputs.append(OutputPlan(branch, (), target))
             leaves.append(target)
             continue
@@ -539,15 +545,14 @@ def firing_plan(
         for p in paths:
             if p not in entered:
                 entered.add(p)
-                if p in nodes:
-                    entry_actions.extend(nodes[p].entry_actions)
+                node = nodes.get(p)
+                if node is not None:
+                    entry_actions.extend(node.entry_actions)
         trace.extend(entry_actions)
         outputs.append(OutputPlan(branch, tuple(entry_actions), leaf))
         leaves.append(leaf)
 
-    return FiringPlan(
-        tuple(exit_actions), actions, tuple(outputs), tuple(trace), tuple(leaves)
-    )
+    return FiringPlan(tuple(exit_actions), actions, tuple(outputs), tuple(trace), tuple(leaves))
 
 
 # ---------------------------------------------------------------------------

@@ -114,13 +114,14 @@ def firings_for(
     when all of them are ready.  An and-join or a plain transition fires
     when every input is ready.
     """
-    return _firings(_entry(model, t, config, config.counts()), events, valuation)
+    entry = _entry(model, t, config, config.counts())
+    return [Firing(*firing) for firing in _firings(entry, events, valuation)]
 
 
 def _entry(model, t, config, counts):
     """(``t``, its active input positions, its or-join match) at ``config``,
     whose token counts are ``counts``."""
-    active = tuple(i for i, b in enumerate(t.inputs) if counts.get(b.source, 0) >= 1)
+    active = tuple([i for i, b in enumerate(t.inputs) if counts.get(b.source, 0) >= 1])
     match = _match_or_split(model, t, config) if t.join_kind == "or" else None
     return t, active, match
 
@@ -134,8 +135,10 @@ def _view(model: ProcessModel, config: Configuration):
     return counts, [_entry(model, t, config, counts) for t in candidates]
 
 
-def _firings(entry, events, valuation) -> list[Firing]:
-    """``firings_for`` of one ``_entry``."""
+def _firings(entry, events, valuation) -> list[tuple]:
+    """``firings_for`` of one ``_entry``, each firing as a plain
+    ``(transition, consumed, fired_outputs, clear_mark)`` tuple in the field
+    order of ``Firing``."""
     t, active, match = entry
     if t.shared_event is not None and t.shared_event not in events:
         return []
@@ -145,19 +148,19 @@ def _firings(entry, events, valuation) -> list[Firing]:
     if outs is None:
         return []
     inputs = t.inputs
-    ready = tuple(i for i in active if inputs[i].event is None or inputs[i].event in events)
+    ready = tuple([i for i in active if inputs[i].event is None or inputs[i].event in events])
 
     if t.join_kind == "multi":
-        return [Firing(t, (i,), outs) for i in ready]
+        return [(t, (i,), outs, None) for i in ready]
     if t.join_kind == "xor":
-        return [Firing(t, ready[:1], outs)] if ready else []
+        return [(t, ready[:1], outs, None)] if ready else []
     if t.join_kind == "or":
         split_id, wanted = match or (None, active)
         if wanted and set(wanted) <= set(ready):
-            return [Firing(t, wanted, outs, clear_mark=split_id)]
+            return [(t, wanted, outs, split_id)]
         return []
     if len(ready) == len(inputs):
-        return [Firing(t, ready, outs)]
+        return [(t, ready, outs, None)]
     return []
 
 
@@ -179,31 +182,29 @@ def step(model: ProcessModel, config: Configuration, events, valuation) -> StepR
     Raises NondeterminismConflict when the enabled firings demand more
     tokens from some state than the configuration holds.
     """
-    return _step(model, config, _view(model, config), set(events), valuation, {})
+    return StepResult(*_step(model, config, _view(model, config), set(events), valuation, {}))
 
 
-def _step(model, config, view, events, valuation, plans) -> StepResult:
-    """``step``, given the ``_view`` of ``config`` and ``events`` as a set.
-    ``plans`` keeps firing plans by (``id`` of the transition, consumed
-    positions, fired outputs), so the caller must hold every transition it
-    keys for as long as it keeps the dict."""
+def _step(model, config, view, events, valuation, plans) -> tuple:
+    """``step``, given the ``_view`` of ``config`` and ``events`` as a set,
+    as a plain ``(fired, trace, after)`` tuple in the field order of
+    ``StepResult``.  ``plans`` keeps firing plans by (``id`` of the
+    transition, consumed positions, fired outputs), so the caller must hold
+    every transition it keys for as long as it keeps the dict."""
     counts, entries = view
     firings = [f for entry in entries for f in _firings(entry, events, valuation)]
 
     counts = dict(counts)
     demand: dict[str, int] = {}
-    for firing in firings:
-        for i in firing.consumed:
-            src = firing.transition.inputs[i].source
+    for t, consumed, _, _ in firings:
+        for i in consumed:
+            src = t.inputs[i].source
             demand[src] = demand.get(src, 0) + 1
     for src, needed in demand.items():
         left = counts.get(src, 0) - needed
         if left < 0:
             raise NondeterminismConflict(sorted({
-                f.transition.id
-                for f in firings
-                for i in f.consumed
-                if f.transition.inputs[i].source == src
+                t.id for t, consumed, _, _ in firings for i in consumed if t.inputs[i].source == src
             }))
         if left:
             counts[src] = left
@@ -213,26 +214,23 @@ def _step(model, config, view, events, valuation, plans) -> StepResult:
     marks = dict(config.or_marks)
     trace: list[str] = []
     fired_ids: list[str] = []
-    for firing in firings:
-        t = firing.transition
-        key = (id(t), firing.consumed, firing.fired_outputs)
+    for t, consumed, outs, clear_mark in firings:
+        key = (id(t), consumed, outs)
         plan = plans.get(key)
         if plan is None:
-            consumed = tuple(t.inputs[i] for i in firing.consumed)
-            plan = plans[key] = m.firing_plan(model, t, consumed, firing.fired_outputs)
+            branches = tuple(t.inputs[i] for i in consumed)
+            plan = plans[key] = m.firing_plan(model, t, branches, outs)
         for leaf in plan.leaves:
             counts[leaf] = counts.get(leaf, 0) + 1
         if t.split_kind == "or":
-            marks[t.id] = firing.fired_outputs
-        if firing.clear_mark is not None:
-            marks.pop(firing.clear_mark, None)
+            marks[t.id] = outs
+        if clear_mark is not None:
+            marks.pop(clear_mark, None)
         trace.extend(plan.trace)
         fired_ids.append(t.id)
 
-    after = Configuration(
-        tuple(sorted(counts.items())), tuple(sorted(marks.items()))
-    )
-    return StepResult(tuple(fired_ids), tuple(trace), after)
+    after = Configuration(tuple(sorted(counts.items())), tuple(sorted(marks.items())))
+    return tuple(fired_ids), tuple(trace), after
 
 
 # ---------------------------------------------------------------------------
@@ -522,24 +520,17 @@ def explore(
         if len(prefix) < depth_bound:
             # one view of the configuration serves every stimulus
             view = _view(model, config)
-            for (sorted_events, sorted_valuation), (events, valuation) in _offers(
-                view[1]
-            ).items():
+            offers = _offers(view[1])
+            for (sorted_events, sorted_valuation), (events, valuation) in offers.items():
                 try:
-                    result = _step(model, config, view, events, valuation, plans)
+                    fired, trace, after = _step(model, config, view, events, valuation, plans)
                 except NondeterminismConflict:
                     continue
-                if not result.fired:
+                if not fired:
                     continue
-                record = ExploreStep(
-                    sorted_events,
-                    sorted_valuation,
-                    result.fired,
-                    result.trace,
-                    result.after,
-                )
+                record = ExploreStep(sorted_events, sorted_valuation, fired, trace, after)
                 extended = True
-                walk(result.after, prefix + (record,))
+                walk(after, prefix + (record,))
         if not extended and prefix:
             traces.append(prefix)
 

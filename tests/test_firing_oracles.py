@@ -204,16 +204,23 @@ def reference_firing_plan(model, transition, consumed=None, fired_outputs=None):
             entered_all.add(p)
         outputs.append((branch, tuple(entry_actions), leaf))
 
+    actions = tuple(input_actions) + tuple(transition.shared_actions)
+    trace = [*exit_actions, *actions]
+    for branch, entry_actions, _ in outputs:
+        trace += [*branch.actions, *entry_actions]
     return SimpleNamespace(
         exit_actions=tuple(exit_actions),
-        actions=tuple(input_actions) + tuple(transition.shared_actions),
+        actions=actions,
         outputs=outputs,
+        trace=tuple(trace),
+        leaves=tuple(leaf for _, _, leaf in outputs),
     )
 
 
 def assert_plans_match(model):
     """Compare every field on every consumed and fired subset, the empty
-    ones and the defaults included.  Returns the number of comparisons."""
+    ones and the defaults included: the exits, actions and outputs, and the
+    trace and leaves that replay reads.  Returns the number of comparisons."""
     compared = 0
     for t in model.transitions:
         consumed_cases = [None, (), *nonempty_subsets(t.inputs)]
@@ -227,12 +234,16 @@ def assert_plans_match(model):
                 assert plan.exit_actions == want.exit_actions, case
                 assert plan.actions == want.actions, case
                 assert got == want.outputs, case
+                assert plan.trace == want.trace, case
+                assert plan.leaves == want.leaves, case
                 compared += 1
     return compared
 
 
-def test_firing_plan_matches_chain_depth_reference(fixtures, three_levels, re_entry):
-    models = _models(fixtures, three_levels, re_entry)
+def test_firing_plan_matches_chain_depth_reference(
+    fixtures, generated_models, three_levels, re_entry
+):
+    models = [*_models(fixtures, three_levels, re_entry), *generated_models]
     compared = sum(assert_plans_match(model) for model in models)
     assert compared > 1000
 

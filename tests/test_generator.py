@@ -45,10 +45,26 @@ def test_generated_model_bytes_are_pinned(size, seed):
     assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[size][seed]
 
 
-@pytest.mark.parametrize("arity", [-1, 0, 1, MAX_CHOICE_BRANCHES + 1, 12])
-def test_or_arity_out_of_range_is_rejected(arity):
-    with pytest.raises(ValueError, match="max_or_arity"):
-        GeneratorLimits(3, 3, arity)
+@pytest.mark.parametrize(
+    "limits, field",
+    [
+        *(
+            pytest.param((3, 3, arity), "max_or_arity", id=str(arity))
+            for arity in [-1, 0, 1, MAX_CHOICE_BRANCHES + 1, 12]
+        ),
+        pytest.param((0, 0), "max_states", id="0,0"),
+        pytest.param((-5, -5), "max_states", id="-5,-5"),
+        pytest.param((0, 3), "max_states", id="0,3"),
+        pytest.param((3, 0), "max_transitions", id="3,0"),
+        pytest.param((3, -5), "max_transitions", id="3,-5"),
+    ],
+)
+def test_or_arity_out_of_range_is_rejected(limits, field):
+    """Out-of-range arities, and sizes below one state or one transition,
+    are rejected with the field's name (below them the generator would still
+    build its first state and transition)."""
+    with pytest.raises(ValueError, match=field):
+        GeneratorLimits(*limits)
 
 
 def test_narrowest_or_arity_generates():

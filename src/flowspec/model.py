@@ -184,13 +184,11 @@ def normalize_mode(mode: str) -> str:
 
 def iter_states(model: ProcessModel):
     """Depth-first, declaration-ordered iteration over all state nodes."""
-
-    def walk(nodes):
-        for node in nodes:
-            yield node
-            yield from walk(node.children)
-
-    yield from walk(model.states)
+    stack = list(reversed(model.states))
+    while stack:
+        node = stack.pop()
+        yield node
+        stack += reversed(node.children)
 
 
 def chain(path: str) -> list[str]:
@@ -492,67 +490,72 @@ def firing_plan(
     default descendants, even one that is a consumed source.  No state is
     left or entered twice, and a pseudostate is neither left nor entered.
     A state contains a path exactly when it is on the path's ancestor chain.
+    Raises UnknownState for an undeclared consumed source or fired target.
     """
-    consumed = transition.inputs if consumed is None else tuple(consumed)
-    index = model_index(model)
-    nodes = index.nodes
+    nodes = model_index(model).nodes
     initial, final = model.initial_name, model.final_name
-    fired = transition.outputs
-    if fired_outputs is not None:
-        fired = [fired[i] for i in fired_outputs]
-    target_chains = [chain(b.target) for b in fired]
-    if len(target_chains) == 1:
-        around_every_target = target_chains[0]
-    elif target_chains:
-        around_every_target = set(target_chains[0]).intersection(*target_chains[1:])
-    else:
-        around_every_target = ()
+    outs = transition.outputs
+    fired = range(len(outs)) if fired_outputs is None else fired_outputs
+    # the states that contain every fired target: a common prefix of chains
+    around_targets: list[str] | tuple[str, ...] | None = None
+    for i in fired:
+        target = outs[i].target
+        up = chain(target) if "." in target else (target,)
+        around_targets = up if around_targets is None else [p for p in around_targets if p in up]
+    around_targets = around_targets or ()
 
+    # every state that contains a consumed source; those left are among them
     around_sources: set[str] = set()
-    exited: set[str] = set()
     exit_actions: list[str] = []
-    for branch in consumed:
+    actions: list[str] = []
+    for branch in transition.inputs if consumed is None else consumed:
         source = branch.source
-        up = chain(source)
-        around_sources.update(up)
+        actions += branch.actions
         if source == initial or source == final:
+            around_sources.update(chain(source))
             continue
-        for path in reversed(up):
-            if path not in around_every_target and path not in exited:
-                exited.add(path)
-                node = nodes.get(path)
-                if node is not None:
-                    exit_actions.extend(node.exit_actions)
+        if source not in nodes:
+            raise UnknownState(source)
+        # innermost first; a state met again has its ancestors met too
+        for path in reversed(chain(source)) if "." in source else (source,):
+            if path in around_sources:
+                break
+            around_sources.add(path)
+            if path not in around_targets:
+                exit_actions += nodes[path].exit_actions if path in nodes else ()
+    actions += transition.shared_actions
 
-    actions = tuple(a for b in consumed for a in b.actions) + transition.shared_actions
-    trace = [*exit_actions, *actions]
+    trace = exit_actions + actions
     entered: set[str] = set()
     outputs: list[OutputPlan] = []
     leaves: list[str] = []
-    for branch, up in zip(fired, target_chains):
+    for i in fired:
+        branch = outs[i]
         target = branch.target
-        trace.extend(branch.actions)
+        trace += branch.actions
         if target == initial or target == final:
             outputs.append(OutputPlan(branch, (), target))
             leaves.append(target)
             continue
-        leaf = index.leaf(target)
-        paths = [p for p in up if p not in around_sources]
-        # default descendants: entered even when one is a consumed source
-        if leaf != target:
-            paths += chain(leaf)[len(up) :]
+        node = nodes.get(target)
+        if node is None:
+            raise UnknownState(target)
         entry_actions: list[str] = []
-        for p in paths:
-            if p not in entered:
-                entered.add(p)
-                node = nodes.get(p)
-                if node is not None:
-                    entry_actions.extend(node.entry_actions)
-        trace.extend(entry_actions)
-        outputs.append(OutputPlan(branch, tuple(entry_actions), leaf))
-        leaves.append(leaf)
+        for path in chain(target) if "." in target else (target,):
+            if path not in around_sources and path not in entered:
+                entered.add(path)
+                entry_actions += nodes[path].entry_actions if path in nodes else ()
+        # default descendants: entered even when one is a consumed source
+        while node.children and node.initial_child:
+            node = nodes[node.initial_child]
+            if node.path not in entered:
+                entered.add(node.path)
+                entry_actions += node.entry_actions
+        trace += entry_actions
+        outputs.append(OutputPlan(branch, tuple(entry_actions), node.path))
+        leaves.append(node.path)
 
-    return FiringPlan(tuple(exit_actions), actions, tuple(outputs), tuple(trace), tuple(leaves))
+    return FiringPlan(tuple(exit_actions), tuple(actions), tuple(outputs), tuple(trace), tuple(leaves))
 
 
 # ---------------------------------------------------------------------------

@@ -150,7 +150,7 @@ def _reachable_paths(model: ProcessModel) -> set[str]:
     itself.  A worklist of newly reached paths visits the transitions that
     read each of them.  ``model`` must pass ``validate``."""
     index = m.model_index(model)
-    transitions = model.transitions
+    nodes, transitions = index.nodes, model.transitions
     start = model.initial_name
     reached, marked, todo = {start}, {start}, [start]
     while todo:
@@ -159,7 +159,10 @@ def _reachable_paths(model: ProcessModel) -> set[str]:
                 if b.target in marked:
                     continue
                 marked.add(b.target)
-                for p in m.chain(index.leaf(b.target)):
+                paths = m.chain(b.target)
+                while (node := nodes.get(paths[-1])) and node.initial_child:
+                    paths.append(node.initial_child)
+                for p in paths:
                     if p not in reached:
                         reached.add(p)
                         todo.append(p)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import model as m
-from .errors import FlowspecError, IllegalGiven, NondeterminismConflict
+from .errors import FlowspecError, IllegalGiven, NondeterminismConflict, UnknownState
 from .feature import FeatureDoc, Scenario
 from .model import (
     COMPLETION_EVENT,
@@ -504,10 +504,14 @@ def explore(
     """Exhaustively enumerate maximal runs up to ``depth_bound`` steps.
 
     Branches over the event sets and guard valuations each reachable
-    transition could be offered; conflicting stimuli are skipped.
+    transition could be offered; conflicting stimuli are skipped.  Raises
+    UnknownState when ``start`` holds a path the model does not declare.
     """
     if depth_bound > MAX_EXPLORE_DEPTH:
         raise ValueError(f"depth bound above {MAX_EXPLORE_DEPTH}")
+    for path, _ in () if start is None else start.entries:
+        if path not in m.model_index(model).spaces["state"]:
+            raise UnknownState(path)
     if depth_bound <= 0:
         return []
     traces: list[tuple[ExploreStep, ...]] = []

@@ -6,7 +6,9 @@
 compute the same results the earlier way, with chain depths
 (``_common_depth``), one input scan per join kind (``_input_satisfied``) and
 the stimuli from candidates and token counts (``reference_offers``), and
-every result is compared with them.
+every result is compared with them.  ``model.iter_states`` and
+``patterns._reachable_paths`` are compared the same way with the recursive
+walk and the leaf-chain worklist they replaced.
 """
 
 import dataclasses
@@ -17,19 +19,24 @@ from types import SimpleNamespace
 import pytest
 
 from flowspec.dsl import parse_dsl
+from flowspec.errors import UnknownState
 from flowspec.generator import random_model
 from flowspec.model import (
     Configuration,
     FiringPlan,
+    InBranch,
+    OutBranch,
     OutputPlan,
     chain,
     firing_plan,
     initial_configuration,
     is_pseudostate,
+    iter_states,
     model_index,
     nonempty_subsets,
     validate,
 )
+from flowspec.patterns import _reachable_paths
 from flowspec.replay import (
     ExploreStep,
     Firing,
@@ -254,6 +261,74 @@ def test_default_descendant_is_entered_again_when_consumed(re_entry):
     assert plan.trace == ("xx", "ex")
     assert plan.leaves == ("A.x",)
     assert firing_plan(re_entry, t["t3"]).trace == ("ex",)
+
+
+def test_firing_plan_rejects_an_undeclared_source_or_target(m1):
+    t1, t2 = m1.transitions  # alpha -> S1, S1 -> S2
+    with pytest.raises(UnknownState, match="Ghost"):
+        firing_plan(m1, t1, (InBranch("Ghost"),))
+    with pytest.raises(UnknownState, match="Ghost"):
+        firing_plan(m1, dataclasses.replace(t2, outputs=(OutBranch("Ghost"),)))
+    with pytest.raises(UnknownState, match="S1.x"):
+        firing_plan(m1, t2, (InBranch("S1.x"),))
+
+
+def test_firing_plan_passes_over_pseudostate_ends(m1):
+    t1, t2 = m1.transitions
+    plan = firing_plan(m1, t1, (InBranch("alpha", "start", ("a0",)),))
+    assert (plan.exit_actions, plan.actions, plan.leaves) == ((), ("a0",), ("S1",))
+    into_final = dataclasses.replace(t2, outputs=(OutBranch("Beta", None, ("b0",)),))
+    plan = firing_plan(m1, into_final, (InBranch("alpha"),))
+    assert plan.outputs == (OutputPlan(into_final.outputs[0], (), "Beta"),)
+    assert (plan.trace, plan.leaves) == (("b0",), ("Beta",))
+
+
+# ---------------------------------------------------------------------------
+# Hierarchy walks: the explicit-stack iter_states and the node-descending
+# reachability worklist
+# ---------------------------------------------------------------------------
+
+
+def reference_iter_states(model):
+    """The earlier recursive pre-order walk."""
+
+    def walk(nodes):
+        for node in nodes:
+            yield node
+            yield from walk(node.children)
+
+    yield from walk(model.states)
+
+
+def reference_worklist_reachable_paths(model):
+    """The earlier worklist, which reached the chain of each target's leaf."""
+    index = model_index(model)
+    start = model.initial_name
+    reached, marked, todo = {start}, {start}, [start]
+    while todo:
+        for i in index.by_source.get(todo.pop(), ()):
+            for b in model.transitions[i].outputs:
+                if b.target in marked:
+                    continue
+                marked.add(b.target)
+                for p in chain(index.leaf(b.target)):
+                    if p not in reached:
+                        reached.add(p)
+                        todo.append(p)
+    return reached
+
+
+def test_hierarchy_walks_match_references(fixtures, generated_models, three_levels, re_entry):
+    models = [*_models(fixtures, three_levels, re_entry), *generated_models]
+    assert max(len(m.transitions) for m in models) >= 60
+    nested = 0
+    for model in models:
+        got, want = list(iter_states(model)), list(reference_iter_states(model))
+        assert len(got) == len(want), model.title
+        assert all(a is b for a, b in zip(got, want)), model.title
+        assert _reachable_paths(model) == reference_worklist_reachable_paths(model), model.title
+        nested += any(node.children for node in got)
+    assert nested >= 10
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 from flowspec.dsl import parse_dsl
 from flowspec.emit import emit_feature
-from flowspec.errors import IllegalGiven, NondeterminismConflict
+from flowspec.errors import IllegalGiven, NondeterminismConflict, UnknownState
 from flowspec.feature import FeatureDoc, Scenario, Step, parse_feature
 from flowspec.generator import GeneratorLimits, random_model
 from flowspec.model import (
@@ -340,6 +340,22 @@ def test_explore_m6_one_trace_per_guard_subset(m6):
     assert len(traces) == 3
     finals = {tuple(sorted(t[-1].after.paths())) for t in traces}
     assert finals == {("E1", "E2"), ("E1", "E3"), ("E1", "E2", "E3")}
+
+
+def test_explore_rejects_an_undeclared_start_state(m1):
+    with pytest.raises(UnknownState, match="Nope"):
+        explore(m1, 2, Configuration.of("Nope"))
+    with pytest.raises(UnknownState, match="Nope"):
+        explore(m1, 2, Configuration.of("S1", "Nope"))
+
+
+def test_explore_accepts_every_configuration_it_lists(fixtures):
+    # validation checks only that each entry is declared: a reachable
+    # configuration need not pass legal_configuration
+    for model in fixtures.values():
+        for run in explore(model, 3):
+            for s in run:
+                explore(model, 1, s.after)
 
 
 def test_explore_depth_bound_enforced(m1):

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from . import model as m
 from .model import PatternKind, ProcessModel, TransitionDecl
-from .patterns import classify, effective_guard_literals
 
 
 def _branch_guards(t: TransitionDecl) -> tuple:
@@ -43,7 +42,7 @@ def _characteristic_traces(model: ProcessModel, t: TransitionDecl, kind: Pattern
             traces.append(m.firing_plan(model, t, None, fired).trace)
         traces.append(m.firing_plan(model, t).trace)
         return tuple(traces)
-    if kind in (PatternKind.SIMPLE_MERGE, PatternKind.MULTIPLE_MERGE):
+    if kind in m.PER_INPUT_MERGES:
         for b in t.inputs:
             traces.append(m.firing_plan(model, t, (b,), None).trace)
         return tuple(traces)
@@ -63,20 +62,10 @@ def transition_signature(model: ProcessModel, t: TransitionDecl, kind: PatternKi
         guards = ("per-branch", _branch_guards(t))
         mandatory = tuple(b.guard is None for b in t.outputs)
     else:
-        guards = ("folded", effective_guard_literals(t))
+        guards = ("folded", m.effective_guard_literals(t))
         mandatory = tuple(False for _ in t.outputs)
     targets = tuple(m.leaf_path(model, b.target) for b in t.outputs)
-    join_class = (
-        kind.value
-        if kind
-        in (
-            PatternKind.SYNCHRONIZATION,
-            PatternKind.SYNCHRONIZE_MERGE,
-            PatternKind.SIMPLE_MERGE,
-            PatternKind.MULTIPLE_MERGE,
-        )
-        else "none"
-    )
+    join_class = kind.value if t.join_kind in m.MERGES else "none"
     return (
         kind.value,
         join_class,
@@ -93,14 +82,13 @@ def transition_signature(model: ProcessModel, t: TransitionDecl, kind: PatternKi
 
 def canonical_form(model: ProcessModel) -> dict:
     """A comparable summary of state structure and transition behavior."""
-    instances, _ = classify(model)
-    kinds = {inst.transition_id: inst.kind for inst in instances}
+    patterns = m.model_index(model).patterns
     states = {
         node.path: (tuple(c.path for c in node.children), node.initial_child)
         for node in m.iter_states(model)
     }
     transitions = {
-        t.id: transition_signature(model, t, kinds[t.id]) for t in model.transitions
+        t.id: transition_signature(model, t, patterns[t.id][0]) for t in model.transitions
     }
     return {
         "initial": model.initial_name,

@@ -22,10 +22,7 @@ from __future__ import annotations
 from . import model as m
 from .errors import TooManyChoiceBranches
 from .feature import KEYWORDS, FeatureDoc, Scenario, Step
-from .model import COMPLETION_EVENT, PatternKind, ProcessModel, TransitionDecl, normalize_mode
-from .patterns import classify, effective_guard_literals
-
-MAX_CHOICE_BRANCHES = 10
+from .model import COMPLETION_EVENT, MAX_CHOICE_BRANCHES, PatternKind, ProcessModel, TransitionDecl, normalize_mode
 
 
 def enumerate_choice_subsets(branches):
@@ -69,8 +66,7 @@ class _Emitter:
     def __init__(self, model: ProcessModel, mode: str):
         self.model = model
         self.mode = mode
-        instances, _ = classify(model)
-        self.kinds = {inst.transition_id: inst.kind for inst in instances}
+        self.patterns = m.model_index(model).patterns
 
     def row(self, name, t, consumed, items, given_lits=(), when_lits=()) -> Scenario:
         """GIVEN the consumed sources and ``given_lits``; WHEN their events,
@@ -97,8 +93,8 @@ class _Emitter:
                 self.strict_firing(f"{base} {i + 1}", t, t.inputs, fired, lits)
                 for i, (fired, lits) in enumerate(self.choice_cases(t))
             ]
-        lits = effective_guard_literals(t)
-        if kind in (PatternKind.SIMPLE_MERGE, PatternKind.MULTIPLE_MERGE):
+        lits = m.effective_guard_literals(t)
+        if kind in m.PER_INPUT_MERGES:
             return [
                 self.strict_firing(f"{base} {i + 1}", t, (inp,), None, lits)
                 for i, inp in enumerate(t.inputs)
@@ -148,14 +144,10 @@ class _Emitter:
 
     def paper_scenarios(self, t: TransitionDecl, kind: PatternKind) -> list[Scenario]:
         base = f"{kind.value} {t.id}"
-        lits = effective_guard_literals(t)
+        lits = m.effective_guard_literals(t)
         if kind == PatternKind.SYNCHRONIZE_MERGE:
             return [self.strict_firing(base, t, t.inputs, None, lits)]
-        if kind in (
-            PatternKind.MULTIPLE_MERGE,
-            PatternKind.SYNCHRONIZATION,
-            PatternKind.SIMPLE_MERGE,
-        ):
+        if kind in m.MERGES.values():
             items = _trace_items if kind == PatternKind.MULTIPLE_MERGE else _action_items
             return [
                 self.row(
@@ -195,7 +187,7 @@ class _Emitter:
     def emit(self) -> FeatureDoc:
         scenarios: list[Scenario] = []
         for t in self.model.transitions:
-            kind = self.kinds[t.id]
+            kind = self.patterns[t.id][0]
             if self.mode == "strict":
                 scenarios.extend(self.strict_scenarios(t, kind))
             else:

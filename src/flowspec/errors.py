@@ -37,14 +37,18 @@ class FlowspecError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ModelSyntaxError(FlowspecError):
-    """Malformed model text (DSL). Carries a span and a stable code."""
+class SpannedError(FlowspecError):
+    """Malformed input text. Carries a span and a stable code."""
 
     def __init__(self, code: str, message: str, span: SourceSpan):
         super().__init__(f"{code} at {span}: {message}")
         self.code = code
         self.span = span
         self.reason = message
+
+
+class ModelSyntaxError(SpannedError):
+    """Malformed model text (DSL)."""
 
 
 class SemanticError(FlowspecError):
@@ -68,14 +72,8 @@ class UnknownState(FlowspecError):
         self.path = path
 
 
-class FeatureSyntaxError(FlowspecError):
+class FeatureSyntaxError(SpannedError):
     """Malformed feature text. Codes: EmptyDocument, MalformedClause, UnknownKeyword."""
-
-    def __init__(self, code: str, message: str, span: SourceSpan):
-        super().__init__(f"{code} at {span}: {message}")
-        self.code = code
-        self.span = span
-        self.reason = message
 
 
 class TooManyChoiceBranches(FlowspecError):

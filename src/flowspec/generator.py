@@ -15,7 +15,6 @@ import sys
 from dataclasses import dataclass
 
 from . import model as m
-from .emit import MAX_CHOICE_BRANCHES
 from .model import GuardExpr, InBranch, OutBranch, ProcessModel, StateNode, TransitionDecl
 
 
@@ -32,9 +31,9 @@ class GeneratorLimits:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         # a split needs two branches, and emission enumerates at most
         # MAX_CHOICE_BRANCHES guarded ones
-        if not 2 <= self.max_or_arity <= MAX_CHOICE_BRANCHES:
+        if not 2 <= self.max_or_arity <= m.MAX_CHOICE_BRANCHES:
             raise ValueError(
-                f"max_or_arity must be between 2 and {MAX_CHOICE_BRANCHES}, got {self.max_or_arity}"
+                f"max_or_arity must be between 2 and {m.MAX_CHOICE_BRANCHES}, got {self.max_or_arity}"
             )
 
 

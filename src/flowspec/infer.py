@@ -62,14 +62,9 @@ _NAME_RE = re.compile(
 _SHAPE_CARRIES_TARGET = {PatternKind.SYNCHRONIZE_MERGE, PatternKind.MULTIPLE_MERGE}
 
 # A single scenario of these kinds is one combined row over every input.
-_COMBINED_JOINS = {PatternKind.SYNCHRONIZATION, PatternKind.SYNCHRONIZE_MERGE}
+_COMBINED_JOINS = set(m.MERGES.values()) - m.PER_INPUT_MERGES
 
-_JOIN_KIND_OF = {
-    PatternKind.SIMPLE_MERGE: "xor",
-    PatternKind.MULTIPLE_MERGE: "multi",
-    PatternKind.SYNCHRONIZATION: "and",
-    PatternKind.SYNCHRONIZE_MERGE: "or",
-}
+_JOIN_KIND_OF = {kind: join for join, kind in m.MERGES.items()}
 
 
 @dataclass(frozen=True, slots=True)
@@ -633,9 +628,7 @@ class _Inferrer:
             # check comes first so that the subsets are only listed when few
             if len(members) < 3 or len(members) != 2**n - 1:
                 continue
-            if set(positives) != {
-                frozenset(c) for k in range(1, n + 1) for c in itertools.combinations(union, k)
-            }:
+            if set(positives) != set(map(frozenset, m.nonempty_subsets(union))):
                 continue
             family = sorted(members, key=lambda r: sum(not neg for _, neg in r.lits))
             fold(members, self.fold_choice(members[0].index, next(ids), family))

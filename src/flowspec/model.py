@@ -5,12 +5,16 @@ composite), one implicit initial pseudostate, an optional final pseudostate,
 and transitions that may fan in (joins) and fan out (splits).  All values are
 immutable after construction; every other module consumes this one.
 
-Facts derived from a model (its path->node map, the name space table, the
-kind a feature term is read as, the leaf targets of multi-joins, its
-or-splits and its transitions keyed by input source) live in a
-``ModelIndex``.  Each fact is computed on first use and then kept, so
-``validate`` pays only for the name spaces it reads while replay builds the
-rest once per model instead of once per scenario or step.
+Facts derived from a model live in a ``ModelIndex``: its path->node map,
+the name space table, the kind a feature term is read as, the leaf targets
+of multi-joins, its transitions keyed by input source, its or-splits, the
+first or-split into each or-split target, its exclusive-choice families,
+and each transition's workflow pattern with the or-splits feeding it.
+Classification, lint, emission and canonicalization all read that one
+pattern table, built from ``MERGES`` and ``SPLITS``.  Each fact is computed
+on first use and then kept, so ``validate`` pays only for the name spaces it
+reads while replay builds the rest once per model instead of once per
+scenario or step.
 ``model_index`` keeps the index of one model at a time, the last one asked
 for, compared by identity: replay, emission and canonicalization work
 through one model after another, so one entry serves them all, and a run
@@ -45,6 +49,11 @@ def is_ident(text: str) -> bool:
     """True for a nonempty token of letters/digits/underscores, with dots
     only as interior hierarchy separators."""
     return bool(IDENT_RE.match(text))
+
+
+def _is_plain(text: str) -> bool:
+    """True for an ``is_ident`` token with no dot: a name, not a path."""
+    return "." not in text and is_ident(text)
 
 
 @dataclass(frozen=True, slots=True)
@@ -164,6 +173,20 @@ class PatternKind(enum.Enum):
 
 JOIN_KINDS = ("none", "and", "xor", "or", "multi")
 SPLIT_KINDS = ("none", "and", "or")
+# The pattern a join reads as; an and-join that an or-split feeds is a
+# SynchronizeMerge instead (``ModelIndex.patterns``).
+MERGES = {
+    "and": PatternKind.SYNCHRONIZATION,
+    "or": PatternKind.SYNCHRONIZE_MERGE,
+    "xor": PatternKind.SIMPLE_MERGE,
+    "multi": PatternKind.MULTIPLE_MERGE,
+}
+# Merges whose strict rows fire one input each, so each input's trace shows.
+PER_INPUT_MERGES = frozenset({PatternKind.SIMPLE_MERGE, PatternKind.MULTIPLE_MERGE})
+# The pattern a split reads as when its transition does not join.
+SPLITS = {"and": PatternKind.PARALLEL_SPLIT, "or": PatternKind.MULTIPLE_CHOICE}
+# Or-split scenario enumeration covers at most this many guarded branches.
+MAX_CHOICE_BRANCHES = 10
 # Emission and replay modes, as library calls spell them.
 MODES = ("paper_exact", "strict")
 
@@ -227,6 +250,16 @@ def is_pseudostate(model: ProcessModel, path: str) -> bool:
 def leaf_path(model: ProcessModel, path: str) -> str:
     """Descend default children until a simple state (or pseudostate)."""
     return model_index(model).leaf(path)
+
+
+def effective_guard_literals(t: TransitionDecl) -> tuple[tuple[str, bool], ...]:
+    """Shared guard plus, for single-output transitions, the output guard."""
+    lits: list[tuple[str, bool]] = []
+    if t.shared_guard:
+        lits.extend(t.shared_guard.literals)
+    if len(t.outputs) == 1 and t.outputs[0].guard:
+        lits.extend(t.outputs[0].guard.literals)
+    return tuple(lits)
 
 
 def namespaces(model: ProcessModel) -> dict[str, frozenset[str]]:
@@ -309,6 +342,52 @@ class ModelIndex:
     @cached_property
     def or_splits(self) -> tuple[TransitionDecl, ...]:
         return tuple(t for t in self.model.transitions if t.split_kind == "or")
+
+    @cached_property
+    def or_split_of(self) -> dict[str, str]:
+        """Or-split output target -> id of the first or-split reaching it."""
+        out: dict[str, str] = {}
+        for t in self.or_splits:
+            for b in t.outputs:
+                out.setdefault(b.target, t.id)
+        return out
+
+    @cached_property
+    def choice_families(self) -> dict[str, list[TransitionDecl]]:
+        """Source -> its guarded single-input, single-output transitions
+        that neither join nor split, where it has two or more."""
+        groups: dict[str, list[TransitionDecl]] = {}
+        for t in self.model.transitions:
+            if (
+                len(t.inputs) == 1
+                and len(t.outputs) == 1
+                and t.split_kind == "none"
+                and t.join_kind == "none"
+                and effective_guard_literals(t)
+            ):
+                groups.setdefault(t.inputs[0].source, []).append(t)
+        return {src: ts for src, ts in groups.items() if len(ts) >= 2}
+
+    @cached_property
+    def patterns(self) -> dict[str, tuple[PatternKind, tuple[str, ...]]]:
+        """Transition id -> its workflow pattern and the sorted ids of the
+        or-splits that feed its inputs.  A join reads as in ``MERGES``, a
+        split that does not join as in ``SPLITS``, a choice family member as
+        an exclusive choice and any other transition as a sequence."""
+        or_split_of = self.or_split_of
+        family = {t.id for ts in self.choice_families.values() for t in ts}
+        out: dict[str, tuple[PatternKind, tuple[str, ...]]] = {}
+        for t in self.model.transitions:
+            fed = tuple(sorted({or_split_of[b.source] for b in t.inputs if b.source in or_split_of}))
+            kind = (
+                MERGES.get(t.join_kind)
+                or SPLITS.get(t.split_kind)
+                or (PatternKind.EXCLUSIVE_CHOICE if t.id in family else PatternKind.SEQUENCE)
+            )
+            if kind is PatternKind.SYNCHRONIZATION and fed:
+                kind = PatternKind.SYNCHRONIZE_MERGE
+            out[t.id] = (kind, fed)
+        return out
 
     @cached_property
     def by_source(self) -> dict[str, list[int]]:
@@ -573,7 +652,7 @@ def validate(model: ProcessModel) -> list[Diagnostic]:
     report: list[Diagnostic] = []
 
     for name, what in ((model.initial_name, "initial"), (model.final_name, "final")):
-        if not is_ident(name) or "." in name:
+        if not _is_plain(name):
             report.append(_diag("BadIdent", name, f"bad {what} pseudostate name"))
     if model.initial_name == model.final_name:
         report.append(
@@ -582,7 +661,7 @@ def validate(model: ProcessModel) -> list[Diagnostic]:
 
     paths: set[str] = set()
     for node in iter_states(model):
-        if not is_ident(node.name) or "." in node.name:
+        if not _is_plain(node.name):
             report.append(_diag("BadIdent", node.path, "state name is not a plain token"))
         if node.path in (model.initial_name, model.final_name):
             report.append(_diag("ReservedName", node.path, "state shadows a pseudostate"))
@@ -616,7 +695,7 @@ def validate(model: ProcessModel) -> list[Diagnostic]:
             )
 
     def check_plain(name: str, what: str, location: str):
-        if not is_ident(name) or "." in name:
+        if not _is_plain(name):
             report.append(_diag("BadIdent", location, f"bad {what} name {name!r}"))
 
     def check_guard(g: GuardExpr, location: str):
@@ -634,7 +713,7 @@ def validate(model: ProcessModel) -> list[Diagnostic]:
     tids: set[str] = set()
     for t in model.transitions:
         loc = t.id
-        if not is_ident(t.id) or "." in t.id:
+        if not _is_plain(t.id):
             report.append(_diag("BadIdent", loc, "bad transition id"))
         if t.id in tids:
             report.append(_diag("DuplicateTransitionId", loc, "duplicate transition id"))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import model as m
 from .errors import Diagnostic
-from .model import PatternKind, ProcessModel, TransitionDecl
+from .model import PatternKind, ProcessModel
 
 
 @dataclass(frozen=True, slots=True)
@@ -30,73 +30,16 @@ class StateSpecialCase:
     notes: tuple[str, ...] = ()
 
 
-def effective_guard_literals(t: TransitionDecl) -> tuple[tuple[str, bool], ...]:
-    """Shared guard plus, for single-output transitions, the output guard."""
-    lits: list[tuple[str, bool]] = []
-    if t.shared_guard:
-        lits.extend(t.shared_guard.literals)
-    if len(t.outputs) == 1 and t.outputs[0].guard:
-        lits.extend(t.outputs[0].guard.literals)
-    return tuple(lits)
-
-
-def or_split_targets(model: ProcessModel) -> dict[str, str]:
-    """Map each target of an or-split output to the splitting transition id."""
-    targets: dict[str, str] = {}
-    for t in model.transitions:
-        if t.split_kind == "or":
-            for b in t.outputs:
-                targets.setdefault(b.target, t.id)
-    return targets
-
-
-def choice_families(model: ProcessModel) -> dict[str, list[TransitionDecl]]:
-    """Groups of guarded single-input/single-output transitions per source."""
-    groups: dict[str, list[TransitionDecl]] = {}
-    for t in model.transitions:
-        if (
-            len(t.inputs) == 1
-            and len(t.outputs) == 1
-            and t.split_kind == "none"
-            and t.join_kind == "none"
-            and effective_guard_literals(t)
-        ):
-            groups.setdefault(t.inputs[0].source, []).append(t)
-    return {src: ts for src, ts in groups.items() if len(ts) >= 2}
-
-
 def classify(model: ProcessModel) -> tuple[list[PatternInstance], list[StateSpecialCase]]:
-    """Assign one pattern kind per transition, plus state-level special cases."""
-    or_targets = or_split_targets(model)
-    families = choice_families(model)
-    family_ids = {t.id for ts in families.values() for t in ts}
+    """Assign one pattern kind per transition, plus state-level special cases.
 
+    The kinds are ``ModelIndex.patterns``; an and-join that an or-split
+    feeds notes each feeding or-split."""
+    patterns = m.model_index(model).patterns
     instances: list[PatternInstance] = []
     for t in model.transitions:
-        notes: tuple[str, ...] = ()
-        if t.join_kind == "and":
-            fed_by = sorted(
-                {or_targets[b.source] for b in t.inputs if b.source in or_targets}
-            )
-            if fed_by:
-                kind = PatternKind.SYNCHRONIZE_MERGE
-                notes = tuple(f"inputs fed by or-split {tid}" for tid in fed_by)
-            else:
-                kind = PatternKind.SYNCHRONIZATION
-        elif t.join_kind == "or":
-            kind = PatternKind.SYNCHRONIZE_MERGE
-        elif t.join_kind == "xor":
-            kind = PatternKind.SIMPLE_MERGE
-        elif t.join_kind == "multi":
-            kind = PatternKind.MULTIPLE_MERGE
-        elif t.split_kind == "and":
-            kind = PatternKind.PARALLEL_SPLIT
-        elif t.split_kind == "or":
-            kind = PatternKind.MULTIPLE_CHOICE
-        elif t.id in family_ids:
-            kind = PatternKind.EXCLUSIVE_CHOICE
-        else:
-            kind = PatternKind.SEQUENCE
+        kind, fed = patterns[t.id]
+        notes = tuple(f"inputs fed by or-split {tid}" for tid in fed) if t.join_kind == "and" else ()
         instances.append(PatternInstance(kind=kind, transition_id=t.id, notes=notes))
 
     specials: list[StateSpecialCase] = []
@@ -173,14 +116,15 @@ def lint(model: ProcessModel) -> list[Diagnostic]:
     """Report semantic hazards on a structurally valid model.
 
     Codes: OverlappingGuards, UnreachableState, OrJoinWithoutOrSplit,
-    DanglingFinal.  All findings are warnings.
+    JoinWithSplit, DanglingFinal.  All findings are warnings.
     """
     report: list[Diagnostic] = []
+    index = m.model_index(model)
 
-    for source, family in sorted(choice_families(model).items()):
+    for source, family in sorted(index.choice_families.items()):
         for ta, tb in itertools.combinations(family, 2):
             witness = guards_overlap(
-                effective_guard_literals(ta), effective_guard_literals(tb)
+                m.effective_guard_literals(ta), m.effective_guard_literals(tb)
             )
             if witness is not None:
                 shown = ", ".join(f"{k}={v}" for k, v in sorted(witness.items()))
@@ -199,15 +143,18 @@ def lint(model: ProcessModel) -> list[Diagnostic]:
                 _warn("UnreachableState", node.path, "state is unreachable from the initial pseudostate")
             )
 
-    or_targets = or_split_targets(model)
     for t in model.transitions:
-        if t.join_kind == "or" and not any(b.source in or_targets for b in t.inputs):
+        if t.join_kind == "or" and not index.patterns[t.id][1]:
             report.append(
                 _warn(
                     "OrJoinWithoutOrSplit",
                     t.id,
                     "or-join has no upstream or-split feeding its inputs",
                 )
+            )
+        if t.join_kind in m.MERGES and t.split_kind in m.SPLITS:
+            report.append(
+                _warn("JoinWithSplit", t.id, "transition both joins and splits; emission and reverse read only the join")
             )
 
     final_targeted = any(

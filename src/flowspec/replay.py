@@ -22,10 +22,10 @@ from .model import (
     Configuration,
     ProcessModel,
     TransitionDecl,
+    effective_guard_literals,
     nonempty_subsets,
     normalize_mode,
 )
-from .patterns import effective_guard_literals
 
 MAX_EXPLORE_DEPTH = 32
 

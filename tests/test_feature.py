@@ -7,7 +7,7 @@ import pytest
 
 from flowspec.dsl import parse_dsl
 from flowspec.emit import emit_feature
-from flowspec.errors import FeatureSyntaxError, SourceSpan
+from flowspec.errors import FeatureSyntaxError, ModelSyntaxError, SourceSpan
 from flowspec.feature import (
     ActionSeq,
     DocHints,
@@ -75,6 +75,16 @@ def test_scenarios_split_on_given_after_then():
         "scenario 2",
         "scenario 3",
     ]
+
+
+def test_syntax_errors_share_their_fields_but_not_their_handlers():
+    span = SourceSpan("f.feature", 2, 3)
+    for cls in (FeatureSyntaxError, ModelSyntaxError):
+        exc = cls("MalformedClause", "no content", span)
+        assert str(exc) == "MalformedClause at f.feature:2:3: no content"
+        assert (exc.code, exc.span, exc.reason) == ("MalformedClause", span, "no content")
+    assert not issubclass(FeatureSyntaxError, ModelSyntaxError)
+    assert not issubclass(ModelSyntaxError, FeatureSyntaxError)
 
 
 def test_empty_input_rejected():

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from flowspec.canon import canonical_form
 from flowspec.dsl import parse_dsl
 from flowspec.generator import GeneratorLimits, random_model
 from flowspec.model import (
@@ -18,8 +19,12 @@ from flowspec.model import (
     chain,
     is_pseudostate,
     model_index,
+    validate,
 )
 from flowspec.patterns import _reachable_paths, classify, guards_overlap, lint
+
+import patterns_reference
+from conftest import FIXTURE_DSL
 
 
 def kinds_by_tid(model):
@@ -226,6 +231,54 @@ process "p" {
 """
     model = parse_dsl(text)
     assert "DanglingFinal" in [d.code for d in lint(model)]
+
+
+JOIN_SPLITS = [(join, split) for join in ("and", "or", "xor", "multi") for split in ("and", "or")]
+
+
+def join_split_model(join, split):
+    """An and-split into S1 and S2, then one transition that joins them and
+    splits to S3 and S4, guarded when it is an or-split."""
+    g1, g2 = ("if g1 ", "if g2 ") if split == "or" else ("", "")
+    return parse_dsl(f"""\
+process "join {join} split {split}" {{
+  state S1
+  state S2
+  state S3
+  state S4
+  trans t0 {{ from alpha on start split and to S1, S2 }}
+  trans t1 {{ from S1 on e1, S2 on e2 join {join} split {split} to S3 {g1}do a1, S4 {g2}do a2 }}
+}}
+""")
+
+
+@pytest.mark.parametrize("join,split", JOIN_SPLITS)
+def test_lint_join_with_split(join, split):
+    model = join_split_model(join, split)
+    assert validate(model) == []
+    flagged = [d for d in lint(model) if d.code == "JoinWithSplit"]
+    assert [(d.location, d.severity) for d in flagged] == [("t1", "warning")]
+
+
+def _reference_corpus(generated_models):
+    yield from ((name, parse_dsl(text)) for name, text in FIXTURE_DSL.items())
+    yield from ((f"generated {i}", model) for i, model in enumerate(generated_models))
+    for join, split in JOIN_SPLITS:
+        yield f"join {join} split {split}", join_split_model(join, split)
+
+
+def test_pattern_decision_matches_reference(generated_models):
+    """classify, canonical_form and lint read the model index and agree
+    with the earlier per-module decisions; the one new finding is
+    JoinWithSplit, on exactly the transitions that join and split."""
+    for name, model in _reference_corpus(generated_models):
+        instances, _ = classify(model)
+        assert instances == patterns_reference.classify(model), name
+        assert canonical_form(model) == patterns_reference.canonical_form(model), name
+        found = lint(model)
+        assert [d for d in found if d.code != "JoinWithSplit"] == patterns_reference.lint(model), name
+        both = [t.id for t in model.transitions if t.join_kind != "none" and t.split_kind != "none"]
+        assert [d.location for d in found if d.code == "JoinWithSplit"] == both, name
 
 
 # ---------------------------------------------------------------------------

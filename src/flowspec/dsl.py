@@ -21,14 +21,16 @@ ends on its own line unless the newline is escaped):
 
 Comments run from ``#`` to end of line.  The parser reads the tokens as
 plain strings: a string token keeps its quotes, so it never equals a
-keyword, and end of input is ``""``.  A diagnostic names its token by 1-based
-line and column, counted in characters; only a diagnostic computes one, by
-scanning the text again up to the failing token.  Inside a composite block a
-child may be declared by its local segment or by its full dotted path; a
-dotted name whose prefix does not match the enclosing state is rejected.  A
-comma inside ``do`` lists also separates branches; since action names and
-state names live in disjoint namespaces, the parser ends an identlist as soon
-as the next identifier is a declared state or pseudostate.
+keyword, and end of input is ``""``.  Each distinct token is tested as an
+identifier once, so ``validate_parsed`` checks only that a name that must be
+plain has no dot.  A diagnostic names its token by 1-based line and column,
+counted in characters; only a diagnostic computes one, by scanning the text
+again up to the failing token.  Inside a composite block a child may be
+declared by its local segment or by its full dotted path; a dotted name
+whose prefix does not match the enclosing state is rejected.  A comma inside
+``do`` lists also separates branches; since action names and state names
+live in disjoint namespaces, the parser ends an identlist as soon as the
+next identifier is a declared state or pseudostate.
 """
 
 from __future__ import annotations
@@ -79,6 +81,7 @@ class _Parser:
         self.filename = filename
         self.closing: dict[int, int] = {}  # index of each matched "{" -> its "}"
         self.toks = self.scan()
+        self.idents = set(filter(m.is_ident, set(self.toks)))  # tested once each
         self.pos = 0
 
     # -- token plumbing ----------------------------------------------------
@@ -134,7 +137,7 @@ class _Parser:
 
     def expect_ident(self, what: str) -> str:
         tok = self.toks[self.pos]
-        if not m.is_ident(tok):
+        if tok not in self.idents:
             if not _is_word(tok):
                 self.fail("UnexpectedToken", f"expected {what}, found {_shown(tok)!r}")
             self.fail("UnexpectedToken", f"malformed identifier {tok!r}")
@@ -205,7 +208,7 @@ class _Parser:
             states=tuple(states),
             transitions=tuple(self.parse_trans(*piece, known) for piece in trans_slices),
         )
-        report = m.validate(model)
+        report = m.validate_parsed(model)
         if report:
             raise SemanticError(report)
         return model

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .values import value_type
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class SourceSpan:
     """Position of a token inside an input text."""
 
@@ -17,7 +17,7 @@ class SourceSpan:
         return f"{self.file}:{self.line}:{self.column}"
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class Diagnostic:
     """A single validation or lint finding.
 

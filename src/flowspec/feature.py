@@ -24,12 +24,13 @@ the parser reads each line once and the formatter writes the same shapes.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import field
 from functools import cached_property
 from typing import NoReturn
 
 from .errors import FeatureSyntaxError, SourceSpan
 from .model import IDENT_RE
+from .values import value_type
 
 _AND_SPLIT = re.compile(r"\s+AND\s+")
 _SEQ_SPLIT = re.compile(r"\s*;\s*")
@@ -47,7 +48,7 @@ _HINT_KEYS = ("states", "events", "guards", "actions", "initial", "final")
 _NAME_HINTS = _HINT_KEYS[:4]
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class Term:
     """One conjunct of a GIVEN or WHEN clause.
 
@@ -64,7 +65,7 @@ class Term:
         return ("NOT " if self.negated else "") + self.atom
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class ActionSeq:
     """Ordered actions, rendered joined by '; '."""
 
@@ -74,7 +75,7 @@ class ActionSeq:
         return "; ".join(self.actions)
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class StateTerm:
     """A resulting-state term in a THEN clause."""
 
@@ -87,7 +88,7 @@ class StateTerm:
 ThenItem = ActionSeq | StateTerm
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class Step:
     keyword: str  # "Given" | "When" | "Then"
     text: str
@@ -131,7 +132,7 @@ def _structure(steps: tuple[Step, ...]) -> tuple:
 
 
 # Keeps its dict: the cached_property below stores its value there.
-@dataclass(frozen=True)
+@value_type(slots=False)
 class Scenario:
     name: str
     steps: tuple[Step, ...]
@@ -157,7 +158,7 @@ class Scenario:
         return None not in self._views
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class DocHints:
     states: tuple[str, ...] = ()
     events: tuple[str, ...] = ()
@@ -167,7 +168,7 @@ class DocHints:
     final: str | None = None
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class FeatureDoc:
     title: str = ""
     role: str = ""

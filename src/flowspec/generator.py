@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import random
 import sys
-from dataclasses import dataclass
 
 from . import model as m
 from .model import GuardExpr, InBranch, OutBranch, ProcessModel, StateNode, TransitionDecl
+from .values import value_type
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class GeneratorLimits:
     max_states: int = 12
     max_transitions: int = 10

@@ -50,6 +50,7 @@ from . import model as m
 from .errors import Diagnostic, FeatureSyntaxError, SourceSpan
 from .feature import FeatureDoc, Scenario
 from .model import COMPLETION_EVENT, PatternKind, ProcessModel
+from .values import value_type
 
 # Scenario names carry a transition's pattern kind, never a state special case.
 _STATE_CASES = {PatternKind.ENTRY_EXIT_CASE, PatternKind.EMBEDDED_STATES}
@@ -67,7 +68,7 @@ _COMBINED_JOINS = set(m.MERGES.values()) - m.PER_INPUT_MERGES
 _JOIN_KIND_OF = {kind: join for join, kind in m.MERGES.items()}
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class InferenceHints:
     declared_states: frozenset[str] = frozenset()
     declared_events: frozenset[str] = frozenset()

@@ -20,22 +20,25 @@ for, compared by identity: replay, emission and canonicalization work
 through one model after another, so one entry serves them all, and a run
 over many models holds no index beside each one.
 
-The value types are slotted, so a state, branch, transition, guard or
-configuration carries no per-instance ``__dict__``.  ``ProcessModel`` keeps
-its dict: a model must take weak references, and ``weakref_slot`` needs
-Python 3.11.
+The value types are declared with ``values.value_type``: frozen, slotted
+dataclasses, so a state, branch, transition, guard or configuration carries
+no per-instance ``__dict__``, built by an ``__init__`` that stores each
+field through its slot instead of through ``object.__setattr__``.  They
+stay immutable: assigning a field raises ``FrozenInstanceError``.
+``ProcessModel`` keeps its dict: a model must take weak references, and
+``weakref_slot`` needs Python 3.11.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from typing import NamedTuple
 
 from .errors import Diagnostic, UnknownState
+from .values import value_type
 
 IDENT_RE = re.compile(r"[A-Za-z0-9_]+(?:\.[A-Za-z0-9_]+)*\Z")
 
@@ -56,7 +59,7 @@ def _is_plain(text: str) -> bool:
     return "." not in text and is_ident(text)
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class GuardExpr:
     """Conjunction of possibly negated boolean atoms."""
 
@@ -86,7 +89,7 @@ def guard(*literals) -> GuardExpr:
     return GuardExpr(tuple(out))
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class StateNode:
     """A state; composite when ``children`` is nonempty.
 
@@ -106,7 +109,7 @@ class StateNode:
         return bool(self.children)
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class Pseudostate:
     """Initial or final marker; resolvable like a state but carries nothing."""
 
@@ -118,14 +121,14 @@ class Pseudostate:
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class InBranch:
     source: str
     event: str | None = None
     actions: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class OutBranch:
     target: str
     guard: GuardExpr | None = None
@@ -133,7 +136,7 @@ class OutBranch:
     mandatory: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class TransitionDecl:
     id: str
     inputs: tuple[InBranch, ...]
@@ -146,7 +149,7 @@ class TransitionDecl:
 
 
 # Keeps its dict: a model must take weak references, and weakref_slot needs 3.11.
-@dataclass(frozen=True)
+@value_type(slots=False)
 class ProcessModel:
     title: str = ""
     role: str = ""
@@ -446,7 +449,7 @@ def model_index(model: ProcessModel) -> ModelIndex:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class Configuration:
     """Multiset of active state paths, plus bookkeeping for or-splits.
 
@@ -649,6 +652,20 @@ def _diag(code: str, location: str, message: str) -> Diagnostic:
 def validate(model: ProcessModel) -> list[Diagnostic]:
     """Check every structural invariant; returns all violations, never just
     the first.  An empty report means the model is well formed."""
+    return _validate(model, _is_plain)
+
+
+def validate_parsed(model: ProcessModel) -> list[Diagnostic]:
+    """``validate`` for a model ``parse_dsl`` has just built, whose names all
+    matched ``is_ident`` as tokens: of the plain-name rule only the dot test
+    is left.  The pseudostate names arrive as strings and keep the full
+    rule."""
+    return _validate(model, lambda name: "." not in name)
+
+
+def _validate(model: ProcessModel, plain) -> list[Diagnostic]:
+    """``validate``, with ``plain`` as the plain-name rule of every name but
+    the pseudostate names."""
     report: list[Diagnostic] = []
 
     for name, what in ((model.initial_name, "initial"), (model.final_name, "final")):
@@ -661,7 +678,7 @@ def validate(model: ProcessModel) -> list[Diagnostic]:
 
     paths: set[str] = set()
     for node in iter_states(model):
-        if not _is_plain(node.name):
+        if not plain(node.name):
             report.append(_diag("BadIdent", node.path, "state name is not a plain token"))
         if node.path in (model.initial_name, model.final_name):
             report.append(_diag("ReservedName", node.path, "state shadows a pseudostate"))
@@ -695,7 +712,7 @@ def validate(model: ProcessModel) -> list[Diagnostic]:
             )
 
     def check_plain(name: str, what: str, location: str):
-        if not _is_plain(name):
+        if not plain(name):
             report.append(_diag("BadIdent", location, f"bad {what} name {name!r}"))
 
     def check_guard(g: GuardExpr, location: str):
@@ -713,7 +730,7 @@ def validate(model: ProcessModel) -> list[Diagnostic]:
     tids: set[str] = set()
     for t in model.transitions:
         loc = t.id
-        if not _is_plain(t.id):
+        if not plain(t.id):
             report.append(_diag("BadIdent", loc, "bad transition id"))
         if t.id in tids:
             report.append(_diag("DuplicateTransitionId", loc, "duplicate transition id"))

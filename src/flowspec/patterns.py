@@ -9,21 +9,21 @@ as special cases.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from . import model as m
 from .errors import Diagnostic
 from .model import PatternKind, ProcessModel
+from .values import value_type
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class PatternInstance:
     kind: PatternKind
     transition_id: str
     notes: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class StateSpecialCase:
     kind: PatternKind  # ENTRY_EXIT_CASE or EMBEDDED_STATES
     state_path: str

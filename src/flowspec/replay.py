@@ -11,7 +11,6 @@ first).  Unmentioned guard atoms are false during replay.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import model as m
@@ -26,11 +25,12 @@ from .model import (
     nonempty_subsets,
     normalize_mode,
 )
+from .values import value_type
 
 MAX_EXPLORE_DEPTH = 32
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class Firing:
     transition: TransitionDecl
     consumed: tuple[int, ...]  # input indices
@@ -38,14 +38,14 @@ class Firing:
     clear_mark: str | None = None  # or-split id whose activation is consumed
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class StepResult:
     fired: tuple[str, ...]
     trace: tuple[str, ...]
     after: Configuration
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class Verdict:
     passed: bool
     mismatches: tuple[tuple[str, str, str], ...] = ()  # (expected, observed, position)
@@ -299,7 +299,7 @@ def replay_scenario(model: ProcessModel, scenario: Scenario, mode: str = "strict
             expected_chunks.append(tuple(run))
 
     try:
-        result = step(model, config, events, valuation)
+        fired, trace, after = _step(model, config, _view(model, config), events, valuation, {})
     except NondeterminismConflict as exc:
         return Verdict(
             False,
@@ -307,13 +307,12 @@ def replay_scenario(model: ProcessModel, scenario: Scenario, mode: str = "strict
         )
 
     mismatches: list[tuple[str, str, str]] = []
-    trace = list(result.trace)
     for pos, chunk in enumerate(expected_chunks):
         if not _is_subsequence(chunk, trace):
             mismatches.append(
                 ("; ".join(chunk), "; ".join(trace), f"then actions[{pos}]")
             )
-    after_paths = result.after.paths()
+    after_paths = after.paths()
     if mode == "strict":
         if sorted(a for c in expected_chunks for a in c) != sorted(trace):
             mismatches.append(
@@ -340,7 +339,7 @@ def replay_scenario(model: ProcessModel, scenario: Scenario, mode: str = "strict
                 mismatches.append(
                     (path, " AND ".join(after_paths), f"then states[{pos}]")
                 )
-    return Verdict(not mismatches, tuple(mismatches), result.fired)
+    return Verdict(not mismatches, tuple(mismatches), fired)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +347,7 @@ def replay_scenario(model: ProcessModel, scenario: Scenario, mode: str = "strict
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class CheckReport:
     verdicts: tuple[tuple[str, Verdict], ...]
     coverage: float
@@ -442,7 +441,7 @@ def check_suite(model: ProcessModel, doc: FeatureDoc, mode: str = "strict") -> C
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class ExploreStep:
     events: tuple[str, ...]
     valuation: tuple[tuple[str, bool], ...]

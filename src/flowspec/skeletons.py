@@ -9,16 +9,16 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 
 from .errors import UnbalancedQuotes
 from .feature import KEYWORDS, FeatureDoc
+from .values import value_type
 
 _QUOTED = re.compile(r'"[^"]*"')
 _SLUG_JUNK = re.compile(r"[^a-z0-9]+")
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class StepSkeleton:
     keyword: str
     pattern: str

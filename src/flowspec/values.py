@@ -1,0 +1,54 @@
+"""The one decorator every value type is declared with.
+
+``value_type`` is ``dataclass(frozen=True, slots=True)`` with a cheaper
+``__init__``.  The ``__init__`` that ``dataclasses`` generates for a frozen
+class stores each field by looking ``__setattr__`` up on ``object`` and
+calling it, once per field.  The one installed here stores each field
+through its class's slot descriptor, or for a class declared with
+``slots=False`` through ``object.__setattr__`` bound once, then calls
+``__post_init__`` where the class defines one.  Its name, qualified name,
+parameters, defaults and annotations are those of the generated one, and
+nothing else about the class changes: assigning a field still raises
+``FrozenInstanceError``, and ``__eq__``, ``__hash__``, ``__repr__``,
+``__match_args__``, pickling, copying and ``dataclasses.replace`` are the
+dataclass's own.
+"""
+
+from __future__ import annotations
+
+from dataclasses import MISSING, dataclass, fields
+
+
+def value_type(cls=None, /, *, slots: bool = True):
+    """Declare ``cls`` a frozen dataclass, slotted unless ``slots`` is
+    false.  Every field must be a positional ``__init__`` parameter with at
+    most a plain default."""
+    if cls is None:
+        return lambda cls: value_type(cls, slots=slots)
+    cls = dataclass(frozen=True, slots=slots)(cls)
+    generated = cls.__init__
+    names = []
+    for f in fields(cls):
+        if not f.init or f.kw_only or f.default_factory is not MISSING:
+            raise TypeError(f"{cls.__qualname__}.{f.name}: not a plain positional field")
+        names.append(f.name)
+    if slots:
+        namespace = {f"_set_{n}": getattr(cls, n).__set__ for n in names}
+        body = [f"_set_{n}(self, {n})" for n in names]
+    else:
+        # object.__setattr__, bound once: from Python 3.11 it keeps the
+        # fields in the object's inline values, where reading __dict__ to
+        # write them would make a dict per instance
+        namespace = {"_setattr": object.__setattr__}
+        body = [f"_setattr(self, {n!r}, {n})" for n in names]
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    source = f"def __init__(self, {', '.join(names)}):\n    " + "\n    ".join(body)
+    exec(source, namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__module__ = cls.__module__
+    init.__defaults__ = generated.__defaults__
+    init.__annotations__ = generated.__annotations__
+    cls.__init__ = init
+    return cls

@@ -1,6 +1,7 @@
 """DSL parser and serializer: grammar coverage and the round-trip law."""
 
 import random
+import re
 import time
 
 import pytest
@@ -291,6 +292,12 @@ def _mutants(text, rng):
     out.append(text.rstrip("\n") + "\n# comment on the last line")
     out.append(text.rstrip("\n") + "  # comment after the block")
     out.append(text.replace('" {', '\\\n" {', 1))  # escaped newline in the title
+    # a dotted name where a plain one is due, and pseudostate names that are
+    # not plain tokens
+    for pattern in [r"(on \w+)", r"(do \w+)", r"(if (?:not )?\w+)", r"(trans \w+)", r"(entry \w+)"]:
+        out.append(re.sub(pattern, r"\1.x", text, count=1))
+    for header in ['initialname "in.x"', 'finalname "f x"', 'initialname ""']:
+        out.append(text.replace(" {\n", f" {{\n  {header}\n", 1))
     return out
 
 
@@ -480,7 +487,18 @@ def test_string_tokens_match_the_tok_parser():
         outcomes.add(old[0] if isinstance(old, tuple) else type(old).__name__)
         if isinstance(old, tuple):
             outcomes.add(old[1].partition(" '")[0])
+        elif isinstance(old, list):
+            outcomes.update(d.message.partition(" '")[0] for d in old if d.code == "BadIdent")
     for text in GUARD_TEXTS:
         assert _guard(parse_guard, text) == _guard(dsl_reference.parse_guard, text), repr(text)
     # valid and invalid models, and each error the scanner raises
     assert {"ProcessModel", "list", "BadString", "stray character", "unterminated trans block"} <= outcomes
+    # the name rules `validate_parsed` leaves to the dot test, and those it keeps
+    assert {
+        "bad event name",
+        "bad action name",
+        "bad guard atom name",
+        "bad transition id",
+        "bad initial pseudostate name",
+        "bad final pseudostate name",
+    } <= outcomes

@@ -1,5 +1,6 @@
 """Memory layout of the value types: slotted frozen dataclasses that still
-pickle, copy and replace to equal values."""
+pickle, copy and replace to equal values, built by the ``__init__`` that
+``flowspec.values.value_type`` installs."""
 
 import copy
 import dataclasses
@@ -12,7 +13,9 @@ import pytest
 
 import flowspec
 from flowspec.emit import emit_feature
+from flowspec.generator import GeneratorLimits
 from flowspec.replay import check_suite, explore
+from flowspec.values import value_type
 
 # Frozen dataclasses that keep a per-instance __dict__: a model must take
 # weak references (weakref_slot needs Python 3.11), and a scenario keeps its
@@ -34,14 +37,61 @@ def _frozen_dataclasses():
                 yield f"{cls.__module__}.{cls.__qualname__}", cls
 
 
+VALUE_TYPES = dict(sorted(_frozen_dataclasses()))
+
+
 def test_frozen_dataclasses_have_no_instance_dict():
-    found = dict(_frozen_dataclasses())
+    found = VALUE_TYPES
     assert KEEP_DICT <= found.keys()
     assert len(found) > 20
     for name, cls in found.items():
         has_dict = any("__dict__" in vars(c) for c in cls.__mro__)
         assert has_dict == (name in KEEP_DICT), name
         assert ("__slots__" in vars(cls)) == (name not in KEEP_DICT), name
+
+
+def _twin(cls):
+    """A class made by plain ``dataclasses.dataclass`` from the fields of
+    ``cls``, with the generated ``__init__``."""
+    spec = [
+        (f.name, f.type, dataclasses.field(default=f.default, compare=f.compare))
+        if f.default is not dataclasses.MISSING
+        else (f.name, f.type)
+        for f in dataclasses.fields(cls)
+    ]
+    return dataclasses.make_dataclass(cls.__name__, spec, frozen=True)
+
+
+@pytest.mark.parametrize("cls", VALUE_TYPES.values(), ids=lambda cls: cls.__name__)
+def test_value_types_build_like_their_plain_dataclass_twin(cls):
+    twin = _twin(cls)
+    assert inspect.signature(cls) == inspect.signature(twin)
+    assert cls.__init__.__name__ == "__init__"
+    assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
+    # the fields are stored without object.__setattr__, which the generated
+    # __init__ reads as __dataclass_builtins_object__
+    code = cls.__init__.__code__
+    assert "__dataclass_builtins_object__" not in code.co_names + code.co_freevars
+    names = [f.name for f in dataclasses.fields(cls)]
+    required = [None for p in inspect.signature(cls).parameters.values() if p.default is p.empty]
+    value = cls(*required)
+    assert [getattr(value, n) for n in names] == [getattr(twin(*required), n) for n in names]
+    assert value == cls(*required) and hash(value) == hash(cls(*required))
+    for n in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, n, 1)
+
+
+def test_value_types_keep_post_init_and_reject_other_fields():
+    with pytest.raises(ValueError, match="max_states must be at least 1"):
+        GeneratorLimits(0, 5)
+    with pytest.raises(ValueError, match="max_or_arity"):
+        dataclasses.replace(GeneratorLimits(), max_or_arity=1)
+    with pytest.raises(TypeError, match="not a plain positional field"):
+
+        @value_type
+        class Bag:
+            items: list = dataclasses.field(default_factory=list)
 
 
 def _values(model):

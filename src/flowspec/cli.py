@@ -218,10 +218,8 @@ def _cmd_lint(args, stdout, stderr) -> int:
     try:
         model = _load_model(args.model, args.format)
     except _InputError as exc:
-        cause = exc.__cause__
-        if isinstance(cause, SemanticError):
-            for diag in cause.diagnostics:
-                stdout.write(f"{diag}\n")
+        if isinstance(exc.__cause__, SemanticError):  # no local: the cause's traceback reaches this frame
+            stdout.writelines(f"{diag}\n" for diag in exc.__cause__.diagnostics)
             return CHECK_FAILED
         raise
     for diag in lint_model(model):

@@ -247,24 +247,22 @@ class _Builder:
                 [InBranch(src, self.fresh("ev"), self.acts(0, 1))],
                 [OutBranch(m.DEFAULT_FINAL)],
             )
-
-        def node(path: str) -> StateNode:
-            children = tuple(node(c) for c in self.composites.get(path, ()))
-            return StateNode(
-                name=sys.intern(path.rsplit(".", 1)[-1]),
-                path=path,
-                entry_actions=self.entry_actions.get(path, ()),
-                exit_actions=self.exit_actions.get(path, ()),
-                children=children,
-                initial_child=self.composites[path][0] if path in self.composites else None,
-            )
-
         return ProcessModel(
             title=f"generated {seed}",
             role="generator",
             feature="random process",
             benefit="property coverage",
-            states=tuple(node(s) for s in self.states),
+            states=m.state_tree(
+                {None: self.states, **self.composites},
+                lambda path, kids: StateNode(
+                    name=sys.intern(path.rsplit(".", 1)[-1]),
+                    path=path,
+                    entry_actions=self.entry_actions.get(path, ()),
+                    exit_actions=self.exit_actions.get(path, ()),
+                    children=kids,
+                    initial_child=kids[0].path if kids else None,
+                ),
+            ),
             transitions=tuple(self.transitions),
         )
 

@@ -695,15 +695,6 @@ class _Inferrer:
                     parent,
                     f"never entered from outside; defaulting to {children[parent][0]}",
                 )
-
-        def build_node(path: str) -> m.StateNode:
-            return m.StateNode(
-                name=path.rsplit(".", 1)[-1],
-                path=path,
-                children=tuple(build_node(c) for c in children.get(path, ())),
-                initial_child=self.initial_children.get(path),
-            )
-
         return ProcessModel(
             title=self.doc.title,
             role=self.doc.role,
@@ -711,7 +702,12 @@ class _Inferrer:
             benefit=self.doc.benefit,
             initial_name=self.initial,
             final_name=self.final,
-            states=tuple(build_node(p) for p in children.get(None, ())),
+            states=m.state_tree(
+                children,
+                lambda path, kids: m.StateNode(
+                    path.rsplit(".", 1)[-1], path, children=kids, initial_child=self.initial_children.get(path)
+                ),
+            ),
             transitions=tuple(d.build() for d in drafts),
         )
 

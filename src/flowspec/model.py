@@ -231,6 +231,15 @@ def parent_path(path: str) -> str | None:
     return path.rsplit(".", 1)[0]
 
 
+def state_tree(children: dict[str | None, list[str]], make) -> tuple[StateNode, ...]:
+    """The top nodes of the tree ``children`` maps parent paths (``None``: the top) to, each
+    made by ``make(path, child nodes)``; deepest paths first, so no depth exhausts the stack."""
+    built: dict[str, StateNode] = {}
+    for path in sorted((p for kids in children.values() for p in kids), key=lambda p: -p.count(".")):
+        built[path] = make(path, tuple(built[c] for c in children.get(path, ())))
+    return tuple(built[p] for p in children.get(None, ()))
+
+
 def resolve(model: ProcessModel, path: str):
     """Return the node at ``path`` (a state or a pseudostate).
 

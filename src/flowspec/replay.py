@@ -517,25 +517,24 @@ def explore(
     # firing plans met again at another configuration; this call holds the
     # model, and with it every transition the plans are keyed by
     plans: dict[tuple, m.FiringPlan] = {}
-
-    def walk(config: Configuration, prefix: tuple[ExploreStep, ...]):
-        extended = False
+    # depth first on a stack: a recursive closure would hold every run in a cycle
+    stack = [(start or m.initial_configuration(model), ())]
+    while stack:
+        config, prefix = stack.pop()
+        children = []
         if len(prefix) < depth_bound:
             # one view of the configuration serves every stimulus
             view = _view(model, config)
-            offers = _offers(view[1])
-            for (sorted_events, sorted_valuation), (events, valuation) in offers.items():
+            for (sorted_events, sorted_valuation), (events, valuation) in _offers(view[1]).items():
                 try:
                     fired, trace, after = _step(model, config, view, events, valuation, plans)
                 except NondeterminismConflict:
                     continue
-                if not fired:
-                    continue
-                record = ExploreStep(sorted_events, sorted_valuation, fired, trace, after)
-                extended = True
-                walk(after, prefix + (record,))
-        if not extended and prefix:
+                if fired:
+                    record = ExploreStep(sorted_events, sorted_valuation, fired, trace, after)
+                    children.append((after, prefix + (record,)))
+        if children:
+            stack += reversed(children)
+        elif prefix:
             traces.append(prefix)
-
-    walk(start or m.initial_configuration(model), ())
     return traces

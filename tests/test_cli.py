@@ -6,8 +6,9 @@ import random
 import subprocess
 import sys
 
+from flowspec.canon import isomorphic
 from flowspec.cli import _parser, run
-from flowspec.dsl import serialize_dsl
+from flowspec.dsl import parse_dsl, serialize_dsl
 from flowspec.emit import emit_feature
 from flowspec.feature import format_feature
 from flowspec.generator import random_model
@@ -322,6 +323,33 @@ def test_reverse_of_unrunnable_join_exits_one(tmp_path):
     assert code == 1
     assert "error[UnsatisfiableJoin] at t1" in err
     assert "error[ReservedName] at _done" in err
+
+
+def nested_states(depth):
+    """A model whose states nest ``depth`` levels deep: A0 holds A1, which
+    holds A2..."""
+    inner = f"state A{depth - 1}"
+    for level in range(depth - 2, -1, -1):
+        inner = f"state A{level} {{ initial A{level + 1} {inner} }}"
+    leaf = ".".join(f"A{level}" for level in range(depth))
+    return (
+        f'process "deep" {{\n  {inner}\n'
+        f"  trans t1 {{ from alpha on e1 to A0 }}\n"
+        f"  trans t2 {{ from {leaf} on e2 to Beta }}\n}}\n"
+    )
+
+
+def test_reverse_of_deeply_nested_states(tmp_path):
+    # infer_model assembles the state tree without recursion; two frames
+    # a level would pass the default recursion limit of 1,000 here
+    source = tmp_path / "deep.pml"
+    source.write_text(nested_states(600))
+    feature = tmp_path / "deep.feature"
+    code, _, err = invoke("compile", str(source), "--mode", "strict", "-o", str(feature))
+    assert (code, err) == (0, "")
+    code, out, err = invoke("reverse", str(feature))
+    assert (code, err) == (0, "")
+    assert isomorphic(parse_dsl(out), parse_dsl(source.read_text()))
 
 
 def test_check_unknown_mode_hint_is_input_error(tmp_path):

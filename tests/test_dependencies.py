@@ -9,9 +9,8 @@ import pytest
 SOURCES = sorted((Path(__file__).parent.parent / "src" / "flowspec").glob("*.py"))
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
-def test_imports_are_stdlib_or_flowspec(path):
-    outside = []
+def absolute_imports(path):
+    """(line, module) for each module ``path`` imports by absolute name."""
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
@@ -20,10 +19,29 @@ def test_imports_are_stdlib_or_flowspec(path):
         else:
             continue
         for name in names:
-            top = name.split(".")[0]
-            if top != "flowspec" and top not in sys.stdlib_module_names:
-                outside.append(f"line {node.lineno}: {name}")
+            yield node.lineno, name
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_are_stdlib_or_flowspec(path):
+    outside = []
+    for line, name in absolute_imports(path):
+        top = name.split(".")[0]
+        if top != "flowspec" and top not in sys.stdlib_module_names:
+            outside.append(f"line {line}: {name}")
     assert outside == []
+
+
+def test_no_module_imports_gc():
+    """Results are freed by reference counting, and flowspec never changes
+    the collector's settings (tests/test_garbage.py checks the first)."""
+    found = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        for line, name in absolute_imports(path)
+        if name.split(".")[0] == "gc"
+    ]
+    assert found == []
 
 
 # Module -> flowspec modules it must not import.  Each transition's pattern

@@ -8,7 +8,8 @@ compute the same results the earlier way, with chain depths
 the stimuli from candidates and token counts (``reference_offers``), and
 every result is compared with them.  ``model.iter_states`` and
 ``patterns._reachable_paths`` are compared the same way with the recursive
-walk and the leaf-chain worklist they replaced.
+walk and the leaf-chain worklist they replaced, and ``explore``'s explicit
+stack with the recursive walk it replaced.
 """
 
 import dataclasses
@@ -19,7 +20,7 @@ from types import SimpleNamespace
 import pytest
 
 from flowspec.dsl import parse_dsl
-from flowspec.errors import UnknownState
+from flowspec.errors import NondeterminismConflict, UnknownState
 from flowspec.generator import random_model
 from flowspec.model import (
     Configuration,
@@ -43,6 +44,7 @@ from flowspec.replay import (
     StepResult,
     _match_or_split,
     _offers,
+    _step,
     _view,
     explore,
     firings_for,
@@ -588,3 +590,69 @@ def test_offers_match_reference(fixtures, three_levels):
     assert assert_offers_match(cases) >= 10
     models = [*fixtures.values(), three_levels, *(random_model(seed) for seed in range(60))]
     assert sum(assert_offers_match(model) for model in models) > 1000
+
+
+# ---------------------------------------------------------------------------
+# explore: the explicit stack and the recursive walk
+# ---------------------------------------------------------------------------
+
+
+def reference_explore(model, depth_bound, start=None, conflicts=None):
+    """The earlier recursive walk of ``explore``; appends each stimulus it
+    skips for a NondeterminismConflict to ``conflicts``."""
+    traces = []
+    plans = {}
+
+    def walk(config, prefix):
+        extended = False
+        if len(prefix) < depth_bound:
+            view = _view(model, config)
+            for (sorted_events, sorted_valuation), (events, valuation) in _offers(view[1]).items():
+                try:
+                    fired, trace, after = _step(model, config, view, events, valuation, plans)
+                except NondeterminismConflict:
+                    if conflicts is not None:
+                        conflicts.append((config, sorted_events, sorted_valuation))
+                    continue
+                if not fired:
+                    continue
+                record = ExploreStep(sorted_events, sorted_valuation, fired, trace, after)
+                extended = True
+                walk(after, prefix + (record,))
+        if not extended and prefix:
+            traces.append(prefix)
+
+    walk(start or initial_configuration(model), ())
+    return traces
+
+
+# Two transitions leave S1 on one event, so ``explore`` skips a
+# NondeterminismConflict at S1, and the walk goes on past it through e2.
+CONFLICT_CASE = """\
+process "Conflict case" {
+  state S1
+  state S2
+  state S3
+  trans t1 { from alpha on go to S1 }
+  trans t2 { from S1 on e1 to S2 }
+  trans t3 { from S1 on e1 to S3 }
+  trans t4 { from S1 on e2 to S2 }
+  trans t5 { from S2 on e3 to S1 }
+}
+"""
+
+
+def test_explore_matches_the_recursive_walk(fixtures, generated_models):
+    conflict_case = parse_dsl(CONFLICT_CASE)
+    conflicts = []
+    for model in [*fixtures.values(), *generated_models, parse_dsl(OFFER_CASES), conflict_case]:
+        seen = conflicts if model is conflict_case else None
+        for bound in range(6):
+            want = reference_explore(model, bound, None, seen)
+            assert explore(model, bound) == want, (model.title, bound)
+        starts = dict.fromkeys(s.after for run in explore(model, 2) for s in run)
+        assert starts, model.title
+        for start in starts:
+            want = reference_explore(model, 3, start, seen)
+            assert explore(model, 3, start) == want, (model.title, start)
+    assert conflicts

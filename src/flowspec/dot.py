@@ -13,15 +13,22 @@ from .dsl import quote
 from .model import ProcessModel, TransitionDecl
 
 
-def _node_lines(node: m.StateNode, indent: str) -> list[str]:
-    if not node.composite:
-        return [f"{indent}{quote(node.path)} [shape=box];"]
-    lines = [f"{indent}subgraph cluster_{node.path.replace('.', '_')} {{"]
-    lines.append(f"{indent}  label={quote(node.name)};")
-    lines.append(f"{indent}  {quote(node.path)} [shape=tab];")
-    for child in node.children:
-        lines.extend(_node_lines(child, indent + "  "))
-    lines.append(f"{indent}}}")
+def _node_lines(nodes, indent: str) -> list[str]:
+    """The nodes and clusters of `nodes` and their states, no frame a level."""
+    lines: list[str] = []
+    todo = [(indent, node) for node in reversed(nodes)]  # and (pad, None) to close
+    while todo:
+        pad, node = todo.pop()
+        if node is None:
+            lines.append(f"{pad}}}")
+        elif not node.composite:
+            lines.append(f"{pad}{quote(node.path)} [shape=box];")
+        else:
+            lines.append(f"{pad}subgraph cluster_{node.path.replace('.', '_')} {{")
+            lines.append(f"{pad}  label={quote(node.name)};")
+            lines.append(f"{pad}  {quote(node.path)} [shape=tab];")
+            todo.append((pad, None))
+            todo += [(pad + "  ", child) for child in reversed(node.children)]
     return lines
 
 
@@ -47,8 +54,7 @@ def render_dot(model: ProcessModel) -> str:
     lines.append(f"  {quote(model.initial_name)} [shape=point];")
     if any(b.target == model.final_name for t in model.transitions for b in t.outputs):
         lines.append(f"  {quote(model.final_name)} [shape=doublecircle];")
-    for node in model.states:
-        lines.extend(_node_lines(node, "  "))
+    lines += _node_lines(model.states, "  ")
     for t in model.transitions:
         for inp in t.inputs:
             for out in t.outputs:

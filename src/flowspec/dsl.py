@@ -36,11 +36,12 @@ next identifier is a declared state or pseudostate.
 from __future__ import annotations
 
 import re
-from itertools import islice
+from itertools import compress, count, islice
 
 from . import model as m
 from .errors import ModelSyntaxError, SemanticError, SourceSpan
 
+# in the order of the ProcessModel fields they set
 _HEADER_KEYS = ("role", "feature", "benefit", "initialname", "finalname")
 
 # One match per token: the blanks and comments before it, then the token as
@@ -59,6 +60,7 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 _ESCAPE_RE = re.compile(r"\\([\s\S])")
+_BRACES = frozenset("{}")
 
 
 def _is_word(tok: str) -> bool:
@@ -80,31 +82,34 @@ class _Parser:
         self.text = text
         self.filename = filename
         self.closing: dict[int, int] = {}  # index of each matched "{" -> its "}"
-        self.toks = self.scan()
-        self.idents = set(filter(m.is_ident, set(self.toks)))  # tested once each
+        self.toks, self.idents = self.scan()
         self.pos = 0
 
     # -- token plumbing ----------------------------------------------------
 
-    def scan(self) -> list[str]:
+    def scan(self) -> tuple[list[str], set[str]]:
+        """The tokens, and the set of those that are identifiers."""
         toks = _TOKEN_RE.findall(self.text)
         if len(toks) > 1 and toks[-2] == "":
             # after blanks at the end, `findall` also matches "" at the very
             # end; the first "" is end of input
             toks.pop()
-        for i, tok in enumerate(toks):
-            # every token of two or more characters is a string or a word
-            if len(tok) == 1 and not (tok.isalnum() or tok in "_.{},"):
-                if tok == '"':
-                    self.fail("BadString", "unterminated string", i)
-                self.fail("UnexpectedToken", f"stray character {tok!r}", i)
+        # each distinct token is tested once; every token of two or more
+        # characters is a string or a word
+        distinct = set(toks)
+        stray = [t for t in distinct if len(t) == 1 and not (t.isalnum() or t in "_.{},")]
+        if stray:
+            i = min(map(toks.index, stray))
+            if toks[i] == '"':
+                self.fail("BadString", "unterminated string", i)
+            self.fail("UnexpectedToken", f"stray character {toks[i]!r}", i)
         opens: list[int] = []
-        for i, tok in enumerate(toks):
-            if tok == "{":
+        for i in compress(count(), map(_BRACES.__contains__, toks)):
+            if toks[i] == "{":
                 opens.append(i)
-            elif tok == "}" and opens:
+            elif opens:
                 self.closing[opens.pop()] = i
-        return toks
+        return toks, set(filter(m.is_ident, distinct))
 
     def span(self, index: int) -> SourceSpan:
         """Where token `index` starts, from a second scan of the text up to
@@ -168,21 +173,12 @@ class _Parser:
         title = self.expect_string("title")
         self.expect("{")
 
-        headers = {"role": "", "feature": "", "benefit": ""}
-        initial_name = m.DEFAULT_INITIAL
-        final_name = m.DEFAULT_FINAL
-        while toks[self.pos] in _HEADER_KEYS:
-            key = toks[self.pos]
+        headers = dict(zip(_HEADER_KEYS, ("", "", "", m.DEFAULT_INITIAL, m.DEFAULT_FINAL)))
+        while (key := toks[self.pos]) in _HEADER_KEYS:
             self.pos += 1
-            value = self.expect_string(key)
-            if key == "initialname":
-                initial_name = value
-            elif key == "finalname":
-                final_name = value
-            else:
-                headers[key] = value
+            headers[key] = self.expect_string(key)
 
-        known = {initial_name, final_name}
+        known = {headers["initialname"], headers["finalname"]}
         states: list[m.StateNode] = []
         trans_slices: list[tuple[str, int, int]] = []
         while (tok := toks[self.pos]) != "}":
@@ -199,12 +195,8 @@ class _Parser:
             self.fail("UnexpectedToken", f"trailing input {_shown(toks[self.pos])!r}")
 
         model = m.ProcessModel(
-            title=title,
-            role=headers["role"],
-            feature=headers["feature"],
-            benefit=headers["benefit"],
-            initial_name=initial_name,
-            final_name=final_name,
+            title,
+            *headers.values(),
             states=tuple(states),
             transitions=tuple(self.parse_trans(*piece, known) for piece in trans_slices),
         )
@@ -214,57 +206,63 @@ class _Parser:
         return model
 
     def parse_state(self, parent: str | None, known: set[str]) -> m.StateNode:
-        """Parse one state block; `parent` is the enclosing state's path and
-        every path parsed is added to `known`."""
+        """Parse the state block at the next token, a "state", and the blocks
+        nested in it, with no stack frame per level; `parent` is the enclosing
+        state's path and every path parsed is added to `known`."""
         toks = self.toks
-        self.expect("state")
-        name = self.expect_ident("state name")
-        if "." in name:
-            prefix, _, local = name.rpartition(".")
-            if parent is None or prefix != parent:
-                self.fail(
-                    "BadNesting",
-                    f"dotted state name {name!r} does not match the enclosing state",
-                    self.pos - 1,
-                )
-            name = local
-        path = name if parent is None else f"{parent}.{name}"
-        known.add(path)
-        if not self.accept("{"):
-            return m.StateNode(name=name, path=path)
-        entry: list[str] = []
-        exit_: list[str] = []
-        initial: str | None = None
-        children: list[m.StateNode] = []
-        while (tok := toks[self.pos]) != "}":
-            if self.accept("entry"):
-                entry.extend(self.parse_identlist())
-            elif self.accept("exit"):
-                exit_.extend(self.parse_identlist())
-            elif self.accept("initial"):
-                child = self.expect_ident("initial child")
-                if "." not in child:
-                    child = f"{path}.{child}"
-                elif not child.startswith(path + "."):
-                    self.fail("BadNesting", f"initial child {child!r} is outside {path!r}", self.pos - 1)
-                if initial is not None:
-                    self.fail("UnexpectedToken", "initial child declared twice", self.pos - 1)
-                initial = child
-            elif tok == "state":
-                children.append(self.parse_state(path, known))
-            elif tok == "":
-                self.fail("UnexpectedEnd", f"unterminated state block {path!r}")
+        blocks: list[list] = []  # open: name, path, entry, exit, children, initial
+        outer = parent
+        while True:
+            self.pos += 1  # the "state"
+            name = self.expect_ident("state name")
+            if "." in name:
+                prefix, _, local = name.rpartition(".")
+                if outer is None or prefix != outer:
+                    self.fail(
+                        "BadNesting",
+                        f"dotted state name {name!r} does not match the enclosing state",
+                        self.pos - 1,
+                    )
+                name = local
+            path = name if outer is None else f"{outer}.{name}"
+            known.add(path)
+            if self.accept("{"):
+                block = [name, path, [], [], [], None]
+                blocks.append(block)
             else:
-                self.fail("UnexpectedToken", f"unexpected {_shown(tok)!r} in state block")
-        self.pos += 1
-        return m.StateNode(
-            name=name,
-            path=path,
-            entry_actions=tuple(entry),
-            exit_actions=tuple(exit_),
-            children=tuple(children),
-            initial_child=initial,
-        )
+                node = m.StateNode(name=name, path=path)
+                if not blocks:
+                    return node
+                block[4].append(node)
+            # the rest of the innermost open block, up to its next child
+            while (tok := toks[self.pos]) != "state":
+                if tok == "}":
+                    self.pos += 1
+                    name, path, entry, exit_, children, initial = blocks.pop()
+                    node = m.StateNode(name, path, tuple(entry), tuple(exit_), tuple(children), initial)
+                    if not blocks:
+                        return node
+                    block = blocks[-1]
+                    block[4].append(node)
+                elif self.accept("entry"):
+                    block[2].extend(self.parse_identlist())
+                elif self.accept("exit"):
+                    block[3].extend(self.parse_identlist())
+                elif self.accept("initial"):
+                    path = block[1]
+                    child = self.expect_ident("initial child")
+                    if "." not in child:
+                        child = f"{path}.{child}"
+                    elif not child.startswith(path + "."):
+                        self.fail("BadNesting", f"initial child {child!r} is outside {path!r}", self.pos - 1)
+                    if block[5] is not None:
+                        self.fail("UnexpectedToken", "initial child declared twice", self.pos - 1)
+                    block[5] = child
+                elif tok == "":
+                    self.fail("UnexpectedEnd", f"unterminated state block {block[1]!r}")
+                else:
+                    self.fail("UnexpectedToken", f"unexpected {_shown(tok)!r} in state block")
+            outer = block[1]
 
     def capture_trans(self) -> tuple[str, int, int]:
         """Record the token range of a trans block for the second pass and
@@ -313,14 +311,7 @@ class _Parser:
         if self.pos != end:
             self.fail("UnexpectedToken", f"unexpected {_shown(self.toks[self.pos])!r} in trans block")
         return m.TransitionDecl(
-            id=name,
-            inputs=tuple(inputs),
-            outputs=tuple(outputs),
-            join_kind=join_kind,
-            split_kind=split_kind,
-            shared_event=shared_event,
-            shared_guard=shared_guard,
-            shared_actions=shared_actions,
+            name, tuple(inputs), tuple(outputs), join_kind, split_kind, shared_event, shared_guard, shared_actions
         )
 
     def parse_inbr(self, known: set[str]) -> m.InBranch:
@@ -397,19 +388,29 @@ def _identlist(names) -> str:
     return ", ".join(names)
 
 
-def _state_lines(node: m.StateNode, indent: str) -> list[str]:
-    body: list[str] = []
-    if node.entry_actions:
-        body.append(f"{indent}  entry {_identlist(node.entry_actions)}")
-    if node.exit_actions:
-        body.append(f"{indent}  exit {_identlist(node.exit_actions)}")
-    if node.initial_child:
-        body.append(f"{indent}  initial {node.initial_child}")
-    for child in node.children:
-        body.extend(_state_lines(child, indent + "  "))
-    if body:
-        return [f"{indent}state {node.path} {{", *body, f"{indent}}}"]
-    return [f"{indent}state {node.path}"]
+def _state_lines(nodes, indent: str) -> list[str]:
+    """The blocks of `nodes` and the states nested in them, no frame a level."""
+    lines: list[str] = []
+    todo = [(indent, node) for node in reversed(nodes)]  # and (pad, None) to close
+    while todo:
+        pad, node = todo.pop()
+        if node is None:
+            lines.append(f"{pad}}}")
+            continue
+        body = []
+        if node.entry_actions:
+            body.append(f"{pad}  entry {_identlist(node.entry_actions)}")
+        if node.exit_actions:
+            body.append(f"{pad}  exit {_identlist(node.exit_actions)}")
+        if node.initial_child:
+            body.append(f"{pad}  initial {node.initial_child}")
+        if body or node.children:
+            lines += [f"{pad}state {node.path} {{", *body]
+            todo.append((pad, None))
+            todo += [(pad + "  ", child) for child in reversed(node.children)]
+        else:
+            lines.append(f"{pad}state {node.path}")
+    return lines
 
 
 def _inbr_text(branch: m.InBranch) -> str:
@@ -454,8 +455,7 @@ def serialize_dsl(model: m.ProcessModel) -> str:
         lines.append(f"  initialname {quote(model.initial_name)}")
     if model.final_name != m.DEFAULT_FINAL:
         lines.append(f"  finalname {quote(model.final_name)}")
-    for node in model.states:
-        lines.extend(_state_lines(node, "  "))
+    lines += _state_lines(model.states, "  ")
     for t in model.transitions:
         lines.append(f"  trans {t.id} {{")
         lines.append("    from " + ", ".join(_inbr_text(b) for b in t.inputs))

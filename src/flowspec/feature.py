@@ -3,10 +3,13 @@
 A scenario's source of truth is its raw step lines.  Structured views
 (terms, action sequences) are derived from the text, so a document produced
 by the emitter and the same document re-read from disk compare equal.  The
-three views of a scenario are built together, in one pass over its steps,
-on first use, and then kept.  Steps whose text is free prose (quoted
-sentences rather than bare tokens) simply have no structured view; they
-still feed the skeleton generator.
+three views of a scenario are read together, in one pass over its steps,
+into a derived slot on first use.  Parsing builds none (a round trip through
+the text reads none); ``check_suite`` reads every scenario's in a first pass
+and replays in a second, which measured faster than reading each scenario's
+just before its replay.  Steps whose text is free prose (quoted sentences
+rather than bare tokens) have no structured view; they still feed the
+skeleton generator.
 
 Conventions understood by the parser:
   - ``GIVEN/WHEN/THEN`` or ``Given/When/Then`` keywords, one clause per line;
@@ -25,12 +28,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import field
-from functools import cached_property
 from typing import NoReturn
 
 from .errors import FeatureSyntaxError, SourceSpan
 from .model import IDENT_RE
-from .values import value_type
+from .values import derived, value_type
 
 _AND_SPLIT = re.compile(r"\s+AND\s+")
 _SEQ_SPLIT = re.compile(r"\s*;\s*")
@@ -97,6 +99,12 @@ class Step:
 _ident = IDENT_RE.match
 _ROLES = {"Given": "state", "When": "event"}  # a negated term is a guard
 
+# A clause as the emitter spells it, names joined by exactly " AND " (or "; " in
+# a THEN), none a bare AND or NOT, reads the same through `str.split`.
+_NAME = r"(?!(?:AND|NOT)(?:[ ;]|\Z))[A-Za-z0-9_]+(?:\.[A-Za-z0-9_]+)*"
+_TERMS = re.compile(rf"{_NAME}(?: AND {_NAME})*").fullmatch
+_PLAIN = {"Given": _TERMS, "When": _TERMS, "Then": re.compile(rf"{_NAME}(?:(?: AND |; ){_NAME})*").fullmatch}
+
 
 def _structure(steps: tuple[Step, ...]) -> tuple:
     """The (given, when, then) views of `steps`, read in one pass.  A view
@@ -107,7 +115,15 @@ def _structure(steps: tuple[Step, ...]) -> tuple:
         items = views.get(keyword)
         if items is None:  # not a clause keyword, or its view is already prose
             continue
-        chunks = _AND_SPLIT.split(step.text.strip())
+        text = step.text
+        if _PLAIN[keyword](text):
+            chunks = text.split(" AND ")
+            if keyword == "Then":
+                items += [ActionSeq(tuple(chunk.split("; "))) for chunk in chunks]
+            else:
+                items += [Term(chunk, False, _ROLES[keyword]) for chunk in chunks]
+            continue
+        chunks = _AND_SPLIT.split(text.strip())
         if keyword == "Then":
             for chunk in chunks:
                 parts = [p for p in _SEQ_SPLIT.split(chunk) if p]
@@ -131,31 +147,28 @@ def _structure(steps: tuple[Step, ...]) -> tuple:
     return tuple(tuple(items) if items else None for items in views.values())
 
 
-# Keeps its dict: the cached_property below stores its value there.
-@value_type(slots=False)
+@value_type
 class Scenario:
     name: str
     steps: tuple[Step, ...]
-
-    @cached_property
-    def _views(self) -> tuple:
-        return _structure(self.steps)
+    # (given, when, then), read from the steps when first needed
+    views: tuple = derived(lambda scenario: _structure(scenario.steps))
 
     @property
     def given(self) -> tuple[Term, ...] | None:
-        return self._views[0]
+        return self.views[0]
 
     @property
     def when(self) -> tuple[Term, ...] | None:
-        return self._views[1]
+        return self.views[1]
 
     @property
     def then(self) -> tuple[ThenItem, ...] | None:
-        return self._views[2]
+        return self.views[2]
 
     @property
     def structured(self) -> bool:
-        return None not in self._views
+        return None not in self.views
 
 
 @value_type
@@ -226,8 +239,8 @@ def _fail(code: str, reason: str, filename: str, line: int) -> NoReturn:
 
 def _closed(name: str, steps: list[Step], filename: str, line: int) -> Scenario:
     """The scenario opened at `line`, once it has a clause of each kind."""
-    missing = sorted(set(KEYWORDS).difference(s.keyword for s in steps))
-    if missing:
+    if len({s.keyword for s in steps}) < len(KEYWORDS):
+        missing = sorted(set(KEYWORDS).difference(s.keyword for s in steps))
         reason = f"scenario {name!r} lacks {', '.join(missing)} clauses"
         _fail("MalformedClause", reason, filename, line)
     return Scenario(name, tuple(steps))
@@ -248,6 +261,7 @@ def parse_feature(text: str, filename: str = "<string>") -> FeatureDoc:
     name: str | None = None  # the open scenario, from its first line on
     steps: list[Step] = []
     start = 1  # the line that opened it
+    then_seen = False  # the open scenario has a Then step
     auto = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -280,10 +294,9 @@ def parse_feature(text: str, filename: str = "<string>") -> FeatureDoc:
                 _fail("MalformedClause", "clause has no content", filename, lineno)
             step = Step(keyword, rest)
             # a Given after a Then opens the next unnamed scenario
-            if name is not None and not (
-                keyword == "Given" and any(s.keyword == "Then" for s in steps)
-            ):
+            if name is not None and not (keyword == "Given" and then_seen):
                 steps.append(step)
+                then_seen = then_seen or keyword == "Then"
                 continue
             opened = None
         else:
@@ -301,7 +314,7 @@ def parse_feature(text: str, filename: str = "<string>") -> FeatureDoc:
             opened = f"scenario {auto}"
         if opened in scenarios:
             _fail("MalformedClause", f"duplicate scenario name {opened!r}", filename, lineno)
-        name, steps, start = opened, [step] if step else [], lineno
+        name, steps, start, then_seen = opened, [step] if step else [], lineno, keyword == "Then"
     if name is not None:
         scenarios[name] = _closed(name, steps, filename, start)
     if not scenarios and not header:

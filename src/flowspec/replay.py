@@ -424,8 +424,12 @@ def report_for(model: ProcessModel, verdicts) -> CheckReport:
 
 def check_suite(model: ProcessModel, doc: FeatureDoc, mode: str = "strict") -> CheckReport:
     """Replay every scenario and aggregate the verdicts with ``report_for``.
-    Raises ValueError for a mode not in ``model.MODES``."""
+    Raises ValueError for a mode not in ``model.MODES``.  A first pass reads
+    every scenario's clause views and a second replays them: that measured
+    faster than reading each scenario's clauses just before its replay."""
     mode = normalize_mode(mode)
+    for scenario in doc.scenarios:
+        scenario.views
     verdicts: list[tuple[str, Verdict]] = []
     for scenario in doc.scenarios:
         try:

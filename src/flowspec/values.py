@@ -12,23 +12,36 @@ nothing else about the class changes: assigning a field still raises
 ``FrozenInstanceError``, and ``__eq__``, ``__hash__``, ``__repr__``,
 ``__match_args__``, pickling, copying and ``dataclasses.replace`` are the
 dataclass's own.
+
+A slotted class may also declare ``derived`` fields, computed on first read
+and kept in their slot.  They are no ``__init__`` parameter and take no part
+in ``__eq__``, ``__hash__`` or ``__repr__``, so a ``replace`` recomputes them.
 """
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
+
+
+def derived(compute):
+    """A field holding ``compute(self)``, computed when it is first read."""
+    return field(init=False, repr=False, compare=False, metadata={"derive": compute})
 
 
 def value_type(cls=None, /, *, slots: bool = True):
     """Declare ``cls`` a frozen dataclass, slotted unless ``slots`` is
     false.  Every field must be a positional ``__init__`` parameter with at
-    most a plain default."""
+    most a plain default, or a ``derived`` field of a slotted class."""
     if cls is None:
         return lambda cls: value_type(cls, slots=slots)
     cls = dataclass(frozen=True, slots=slots)(cls)
     generated = cls.__init__
     names = []
+    derive = {}
     for f in fields(cls):
+        if slots and "derive" in f.metadata:
+            derive[f.name] = f.metadata["derive"]
+            continue
         if not f.init or f.kw_only or f.default_factory is not MISSING:
             raise TypeError(f"{cls.__qualname__}.{f.name}: not a plain positional field")
         names.append(f.name)
@@ -51,4 +64,11 @@ def value_type(cls=None, /, *, slots: bool = True):
     init.__defaults__ = generated.__defaults__
     init.__annotations__ = generated.__annotations__
     cls.__init__ = init
+    if derive:
+        def __getattr__(self, name):  # called only when reading a slot fails
+            if name not in derive:
+                raise AttributeError(f"{cls.__name__!r} object has no attribute {name!r}")
+            object.__setattr__(self, name, value := derive[name](self))
+            return value
+        cls.__getattr__ = __getattr__
     return cls

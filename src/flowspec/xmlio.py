@@ -58,41 +58,44 @@ def _require(elem: ET.Element, attr: str) -> str:
 
 
 def _parse_state(elem: ET.Element, parent_path: str | None) -> m.StateNode:
-    name = _require(elem, "id")
-    if "." in name:
-        prefix, _, local = name.rpartition(".")
-        if parent_path is None or prefix != parent_path:
-            raise XmlError(f"dotted state id {name!r} does not match its nesting")
-        name = local
-    path = name if parent_path is None else f"{parent_path}.{name}"
-    entry: tuple[str, ...] = ()
-    exit_: tuple[str, ...] = ()
-    initial: str | None = None
-    children: list[m.StateNode] = []
-    for child in elem:
-        if child.tag == "onentry":
-            entry += _split_names(child.text)
-        elif child.tag == "onexit":
-            exit_ += _split_names(child.text)
-        elif child.tag == "initial":
-            if initial is not None:
-                raise XmlError(f"initial child of {path!r} declared twice")
-            target = _require(child, "id")
-            if "." not in target:
-                target = f"{path}.{target}"
-            initial = target
-        elif child.tag == "state":
-            children.append(_parse_state(child, path))
-        else:
-            raise XmlError(f"unexpected <{child.tag}> inside <state>")
-    return m.StateNode(
-        name=name,
-        path=path,
-        entry_actions=entry,
-        exit_actions=exit_,
-        children=tuple(children),
-        initial_child=initial,
-    )
+    """The state `elem` and the states nested in it, no stack frame a level."""
+    # the open states: name, path, entry, exit, children, initial, unread elements
+    blocks: list[list] = []
+    outer = parent_path
+    while True:
+        name = _require(elem, "id")
+        if "." in name:
+            prefix, _, local = name.rpartition(".")
+            if outer is None or prefix != outer:
+                raise XmlError(f"dotted state id {name!r} does not match its nesting")
+            name = local
+        path = name if outer is None else f"{outer}.{name}"
+        blocks.append([name, path, [], [], [], None, iter(elem)])
+        elem = None
+        while elem is None:
+            block = blocks[-1]
+            for child in block[6]:
+                if child.tag == "state":
+                    elem = child
+                    break
+                if child.tag == "onentry":
+                    block[2] += _split_names(child.text)
+                elif child.tag == "onexit":
+                    block[3] += _split_names(child.text)
+                elif child.tag == "initial":
+                    if block[5] is not None:
+                        raise XmlError(f"initial child of {block[1]!r} declared twice")
+                    target = _require(child, "id")
+                    block[5] = target if "." in target else f"{block[1]}.{target}"
+                else:
+                    raise XmlError(f"unexpected <{child.tag}> inside <state>")
+            else:
+                name, path, entry, exit_, children, initial, _ = blocks.pop()
+                node = m.StateNode(name, path, tuple(entry), tuple(exit_), tuple(children), initial)
+                if not blocks:
+                    return node
+                blocks[-1][4].append(node)
+        outer = block[1]
 
 
 def _parse_trans(elem: ET.Element) -> m.TransitionDecl:

@@ -339,17 +339,26 @@ def nested_states(depth):
     )
 
 
-def test_reverse_of_deeply_nested_states(tmp_path):
-    # infer_model assembles the state tree without recursion; two frames
-    # a level would pass the default recursion limit of 1,000 here
+def test_deeply_nested_states_run_end_to_end(tmp_path):
+    # every walk over the state tree keeps its own stack: one frame a level
+    # would exhaust the default recursion limit of 1,000 here
     source = tmp_path / "deep.pml"
-    source.write_text(nested_states(600))
+    source.write_text(nested_states(1500))
+    code, _, err = invoke("lint", str(source))
+    assert (code, err) == (0, "")
     feature = tmp_path / "deep.feature"
+    code, _, err = invoke("compile", str(source), "--mode", "paper-exact")
+    assert (code, err) == (0, "")
     code, _, err = invoke("compile", str(source), "--mode", "strict", "-o", str(feature))
+    assert (code, err) == (0, "")
+    code, _, err = invoke("check", str(source), str(feature))
     assert (code, err) == (0, "")
     code, out, err = invoke("reverse", str(feature))
     assert (code, err) == (0, "")
     assert isomorphic(parse_dsl(out), parse_dsl(source.read_text()))
+    code, out, err = invoke("render", str(source))
+    assert (code, err) == (0, "")
+    assert out.count("subgraph cluster_") == 1499
 
 
 def test_check_unknown_mode_hint_is_input_error(tmp_path):

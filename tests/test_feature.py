@@ -1,10 +1,12 @@
 """Feature text parsing, formatting and the parse/format adjunction."""
 
+import dataclasses
 import random
 import re
 
 import pytest
 
+from flowspec import feature
 from flowspec.dsl import parse_dsl
 from flowspec.emit import emit_feature
 from flowspec.errors import FeatureSyntaxError, ModelSyntaxError, SourceSpan
@@ -525,11 +527,19 @@ def _clause_text(rng, keyword):
     return rng.choice(["", "", " ", "\t"]) + text + rng.choice(["", "", " ", "\xa0"])
 
 
+def _assert_views_match_reference(scenario):
+    want = _old_views(scenario.steps)
+    got = (scenario.given, scenario.when, scenario.then)
+    assert [_with_roles(v) for v in got] == [_with_roles(v) for v in want], scenario.steps
+    assert scenario.structured == (None not in want)
+    return want
+
+
 def test_one_pass_clause_reading_matches_per_keyword_reading():
     rng = random.Random(14)
     keywords = ["Given", "When", "Then"]
     prose = 'there is a resource at "http://localhost:8081/r"'
-    views = scenarios = 0
+    views = scenarios = read_back = plain = 0
     for n in range(6000):
         # a step of each keyword, then up to three more of any
         picked = keywords + rng.choices(keywords, k=rng.randint(0, 3))
@@ -540,12 +550,67 @@ def test_one_pass_clause_reading_matches_per_keyword_reading():
         if n % 25 == 0:  # a step under no clause keyword is in no view
             steps.insert(rng.randrange(len(steps) + 1), Step("And", "S1"))
         scenario = Scenario(f"s{n}", tuple(steps))
-        want = _old_views(scenario.steps)
-        got = (scenario.given, scenario.when, scenario.then)
-        assert [_with_roles(v) for v in got] == [_with_roles(v) for v in want], steps
-        assert scenario.structured == (None not in want)
+        want = _assert_views_match_reference(scenario)
         views += sum(v is not None for v in want)
         scenarios += scenario.structured
-    # both outcomes occur often enough to be compared
+        # the same steps as written to a file and read back
+        try:
+            doc = parse_feature(format_feature(FeatureDoc(scenarios=(scenario,))))
+        except FeatureSyntaxError:
+            continue
+        for back in doc.scenarios:
+            _assert_views_match_reference(back)
+            read_back += 1
+            plain += sum(bool(feature._PLAIN[s.keyword](s.text)) for s in back.steps)
+    # both outcomes, and both ways of reading a clause, occur often enough
+    # to be compared
     assert 3600 < views < 14400
     assert 600 < scenarios < 5400
+    assert read_back > 1000
+    assert plain > 1000
+
+
+# Clauses the whole-clause pattern must leave to the general reading: a
+# bare AND or NOT as a name, a negation, and blanks other than one space
+# around AND.
+CLAUSE_TRAPS = [
+    "x; AND AND y",
+    "AND",
+    "NOT",
+    "ANDy AND x",
+    "a AND NOT b",
+    "NOTx; AND AND NOT",
+    "a; AND",
+    "AND; a",
+    "a AND AND.b",
+    "a\tAND b",
+    "a AND\tb",
+    "a\xa0AND b",
+    "a AND\xa0b",
+    "a\xa0AND\xa0b; c",
+    "a  AND b",
+    "a;b AND c",
+    "a ;b",
+]
+
+
+@pytest.mark.parametrize("text", CLAUSE_TRAPS)
+@pytest.mark.parametrize("keyword", ["Given", "When", "Then"])
+def test_clause_traps_read_as_the_per_keyword_reading(keyword, text):
+    steps = {"Given": Step("Given", "S1"), "When": Step("When", "e1"), "Then": Step("Then", "a1")}
+    steps[keyword] = Step(keyword, text)
+    _assert_views_match_reference(Scenario("trap", tuple(steps.values())))
+    # and after a trip through the text
+    doc = parse_feature(format_feature(FeatureDoc(scenarios=(Scenario("trap", tuple(steps.values())),))))
+    _assert_views_match_reference(doc.scenarios[0])
+
+
+def test_replace_reads_the_new_steps():
+    scenario = parse_feature(CHOICE_TEXT).scenarios[0]
+    other = parse_feature(SEQUENCE_TEXT).scenarios[0]
+    assert scenario.given  # the views are built before the copy
+    copied = dataclasses.replace(scenario, steps=other.steps)
+    assert copied.views == other.views
+    assert [_with_roles(v) for v in copied.views] == [_with_roles(v) for v in other.views]
+    assert copied == Scenario(scenario.name, other.steps)
+    assert "views" not in repr(copied)

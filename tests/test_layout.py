@@ -13,14 +13,14 @@ import pytest
 
 import flowspec
 from flowspec.emit import emit_feature
+from flowspec.feature import format_feature, parse_feature
 from flowspec.generator import GeneratorLimits
 from flowspec.replay import check_suite, explore
-from flowspec.values import value_type
+from flowspec.values import derived, value_type
 
 # Frozen dataclasses that keep a per-instance __dict__: a model must take
-# weak references (weakref_slot needs Python 3.11), and a scenario keeps its
-# cached_property value in its dict.
-KEEP_DICT = {"flowspec.model.ProcessModel", "flowspec.feature.Scenario"}
+# weak references (weakref_slot needs Python 3.11).
+KEEP_DICT = {"flowspec.model.ProcessModel"}
 
 
 def _frozen_dataclasses():
@@ -54,9 +54,9 @@ def _twin(cls):
     """A class made by plain ``dataclasses.dataclass`` from the fields of
     ``cls``, with the generated ``__init__``."""
     spec = [
-        (f.name, f.type, dataclasses.field(default=f.default, compare=f.compare))
+        (f.name, f.type, dataclasses.field(default=f.default, init=f.init, compare=f.compare))
         if f.default is not dataclasses.MISSING
-        else (f.name, f.type)
+        else (f.name, f.type, dataclasses.field(init=f.init, compare=f.compare))
         for f in dataclasses.fields(cls)
     ]
     return dataclasses.make_dataclass(cls.__name__, spec, frozen=True)
@@ -72,12 +72,12 @@ def test_value_types_build_like_their_plain_dataclass_twin(cls):
     # __init__ reads as __dataclass_builtins_object__
     code = cls.__init__.__code__
     assert "__dataclass_builtins_object__" not in code.co_names + code.co_freevars
-    names = [f.name for f in dataclasses.fields(cls)]
+    names = [f.name for f in dataclasses.fields(cls) if f.init]
     required = [None for p in inspect.signature(cls).parameters.values() if p.default is p.empty]
     value = cls(*required)
     assert [getattr(value, n) for n in names] == [getattr(twin(*required), n) for n in names]
     assert value == cls(*required) and hash(value) == hash(cls(*required))
-    for n in names:
+    for n in (f.name for f in dataclasses.fields(cls)):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(value, n, 1)
 
@@ -92,6 +92,12 @@ def test_value_types_keep_post_init_and_reject_other_fields():
         @value_type
         class Bag:
             items: list = dataclasses.field(default_factory=list)
+    with pytest.raises(TypeError, match="not a plain positional field"):
+
+        @value_type(slots=False)  # a derived field needs a slot to live in
+        class Sized:
+            items: tuple
+            size: int = derived(lambda sized: len(sized.items))
 
 
 def _values(model):
@@ -101,6 +107,10 @@ def _values(model):
     yield explore(model, 3)
     yield check_suite(model, strict, "strict")
     yield check_suite(model, paper, "paper_exact")
+    doc = parse_feature(format_feature(strict))
+    for scenario in doc.scenarios:
+        assert scenario.structured  # its views are built
+    yield doc
 
 
 @pytest.mark.parametrize("name", [f"m{i}" for i in range(1, 10)])

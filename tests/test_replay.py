@@ -6,7 +6,7 @@ import pytest
 
 from flowspec.dsl import parse_dsl
 from flowspec.emit import emit_feature
-from flowspec.errors import IllegalGiven, NondeterminismConflict, UnknownState
+from flowspec.errors import FlowspecError, IllegalGiven, NondeterminismConflict, UnknownState
 from flowspec.feature import FeatureDoc, Scenario, Step, parse_feature
 from flowspec.generator import GeneratorLimits, random_model
 from flowspec.model import (
@@ -34,6 +34,7 @@ from flowspec.replay import (
     explore,
     firings_for,
     replay_scenario,
+    report_for,
     step,
 )
 
@@ -276,6 +277,75 @@ def test_check_report_json_shape(m1):
     assert list(payload) == ["verdicts", "coverage", "uncovered"]
     assert payload["coverage"] == 1.0
     assert payload["verdicts"][0]["scenario"] == "Sequence t1"
+
+
+MIXED_SUITE = """\
+Scenario: passes first
+GIVEN alpha
+WHEN start
+THEN S1
+
+Scenario: prose
+Given the analyst has opened "the form"
+When start
+Then S1
+
+Scenario: illegal given
+GIVEN S9 AND g1
+WHEN _done
+THEN a1 AND S2
+
+Scenario: conflict
+GIVEN S1 AND g1 AND g2
+WHEN _done
+THEN a1 AND S2
+
+Scenario: prose then
+GIVEN S1 AND g2
+WHEN _done
+THEN a2 and then S3
+
+Scenario: passes last
+GIVEN S1 AND NOT g2 AND g1
+WHEN _done
+THEN a1 AND S2
+
+Scenario: fails
+GIVEN S1 AND g2
+WHEN _done
+THEN a1 AND S3
+"""
+
+
+def per_scenario_check(model, doc, mode):
+    """``check_suite`` as one pass: each scenario read and replayed in turn."""
+    verdicts = []
+    for scenario in doc.scenarios:
+        try:
+            verdict = replay_scenario(model, scenario, mode)
+        except FlowspecError as exc:
+            verdict = Verdict(False, (("replayable scenario", str(exc), scenario.name),))
+        verdicts.append((scenario.name, verdict))
+    return report_for(model, verdicts)
+
+
+@pytest.mark.parametrize("mode", ["strict", "paper_exact"])
+def test_two_pass_check_matches_per_scenario_replay(m4, mode):
+    doc = parse_feature(MIXED_SUITE)
+    report = check_suite(m4, doc, mode)
+    # the reference reads each scenario's clauses just before its replay
+    assert report == per_scenario_check(m4, parse_feature(MIXED_SUITE), mode)
+    assert [name for name, _ in report.verdicts] == [s.name for s in doc.scenarios]
+    assert [v.passed for _, v in report.verdicts] == [True, False, False, False, False, True, False]
+    firsts = [v.mismatches[0] for _, v in report.verdicts if v.mismatches]
+    assert firsts == [
+        ("structured clauses", "free-text steps", "prose"),
+        ("replayable scenario", "GIVEN term 'S9' is not a state or guard of the model", "illegal given"),
+        ("deterministic step", "conflict: t2, t3", "conflict"),
+        ("structured clauses", "free-text steps", "prose then"),
+        ("a1", "a2", "then actions[0]"),
+    ]
+    assert (report.coverage, report.uncovered) == (2 / 3, ("t3",))
 
 
 def _mutated(doc):

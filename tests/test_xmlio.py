@@ -2,7 +2,7 @@
 
 import pytest
 
-from flowspec.dsl import parse_dsl
+from flowspec.dsl import parse_dsl, serialize_dsl
 from flowspec.errors import ModelSyntaxError, SemanticError, XmlError
 from flowspec.model import validate
 from flowspec.xmlio import parse_xml
@@ -162,3 +162,27 @@ def test_empty_condition_means_no_guard():
     t2 = parse_xml(_cond_model("")).transitions[1]
     assert t2.shared_guard is None
     assert t2.outputs[0].guard is None
+
+
+def test_deeply_nested_states_parse_like_the_dsl():
+    # nesting costs the parser no stack frames: one a level would exhaust
+    # the default recursion limit of 1,000 here
+    depth = 1500
+    xml = dsl = f"A{depth - 1}"
+    xml = f'<state id="{xml}"/>'
+    dsl = f"state {dsl}"
+    for level in range(depth - 2, -1, -1):
+        xml = f'<state id="A{level}"><initial id="A{level + 1}"/>{xml}</state>'
+        dsl = f"state A{level} {{ initial A{level + 1} {dsl} }}"
+    leaf = ".".join(f"A{level}" for level in range(depth))
+    model = parse_xml(
+        f'<process title="deep">{xml}'
+        '<trans id="t1"><in src="alpha" event="e1"/><out target="A0"/></trans>'
+        f'<trans id="t2"><in src="{leaf}" event="e2"/><out target="Beta"/></trans></process>'
+    )
+    expected = parse_dsl(
+        f'process "deep" {{ {dsl} trans t1 {{ from alpha on e1 to A0 }} '
+        f"trans t2 {{ from {leaf} on e2 to Beta }} }}"
+    )
+    assert serialize_dsl(model) == serialize_dsl(expected)
+    assert serialize_dsl(model).count("initial A") == depth - 1

@@ -28,25 +28,16 @@ def _branch_guards(t: TransitionDecl) -> tuple:
 
 
 def _characteristic_traces(model: ProcessModel, t: TransitionDecl, kind: PatternKind):
-    """Traces of the firings the emitted text can distinguish.
-
-    Per-branch merges expose one trace per input; synchronizing joins emit a
-    single combined scenario, so only the full firing is observable there.
+    """Traces of the firings the emitted text can distinguish: each consumed
+    set of the strict rows (``model.consumed_sets``) crossed with, for an
+    or-split, each guarded branch alone (with the mandatory ones), then
+    every output together.
     """
-    traces = []
+    fired = [None]
     if t.split_kind == "or":
-        guarded = [i for i, b in enumerate(t.outputs) if b.guard]
         always = tuple(i for i, b in enumerate(t.outputs) if not b.guard)
-        for g in guarded:
-            fired = tuple(sorted(always + (g,)))
-            traces.append(m.firing_plan(model, t, None, fired).trace)
-        traces.append(m.firing_plan(model, t).trace)
-        return tuple(traces)
-    if kind in m.PER_INPUT_MERGES:
-        for b in t.inputs:
-            traces.append(m.firing_plan(model, t, (b,), None).trace)
-        return tuple(traces)
-    return (m.firing_plan(model, t).trace,)
+        fired = [tuple(sorted(always + (i,))) for i, b in enumerate(t.outputs) if b.guard] + fired
+    return tuple(m.firing_plan(model, t, c, f).trace for c in m.consumed_sets(t, kind) for f in fired)
 
 
 def transition_signature(model: ProcessModel, t: TransitionDecl, kind: PatternKind):

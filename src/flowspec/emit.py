@@ -87,19 +87,18 @@ class _Emitter:
         return self.row(name, t, consumed, _trace_items(plan), lits)
 
     def strict_scenarios(self, t: TransitionDecl, kind: PatternKind) -> list[Scenario]:
+        """One row per consumed set (``model.consumed_sets``) and fired case:
+        an or-split's guard subsets, else every output under the folded
+        guard.  Rows are numbered for a per-input merge or an or-split."""
         base = f"{kind.value} {t.id}"
-        if kind == PatternKind.MULTIPLE_CHOICE:
-            return [
-                self.strict_firing(f"{base} {i + 1}", t, t.inputs, fired, lits)
-                for i, (fired, lits) in enumerate(self.choice_cases(t))
-            ]
-        lits = m.effective_guard_literals(t)
-        if kind in m.PER_INPUT_MERGES:
-            return [
-                self.strict_firing(f"{base} {i + 1}", t, (inp,), None, lits)
-                for i, inp in enumerate(t.inputs)
-            ]
-        return [self.strict_firing(base, t, t.inputs, None, lits)]
+        choice = t.split_kind == "or"
+        cases = self.choice_cases(t) if choice else [(None, m.effective_guard_literals(t))]
+        rows = [(c, fired, lits) for c in m.consumed_sets(t, kind) for fired, lits in cases]
+        numbered = choice or kind in m.PER_INPUT_MERGES
+        return [
+            self.strict_firing(f"{base} {i}" if numbered else base, t, *row)
+            for i, row in enumerate(rows, 1)
+        ]
 
     # -- choice enumeration ------------------------------------------------
 

@@ -19,8 +19,9 @@ Two routes differ only in how they group rows into transitions:
   scenarios per transition, and the row shape of each kind adds seeds: WHEN
   terms are events, a strict row ends in its result states, a paper-exact
   merge row ends in its target, and a combined join row lists its sources
-  first.  For strict documents reconstruction is lossless up to canonical
-  form;
+  first.  Each group is read as emission's row table (each consumed set
+  crossed with each fired case) in reverse.  For strict documents reconstruction is
+  lossless up to canonical form;
 
 * other documents are grouped by structure: complemented guard-subset
   families form or-splits, rows sharing GIVEN and WHEN form and-splits, and
@@ -31,7 +32,7 @@ state terms are sources, the rest guard literals) and one THEN peel
 (``_peel``: trailing state terms are targets, the rest actions), and both
 build transitions with the same folds: ``one_row`` for a transition read
 from a single row, ``fold_split`` for an and-split over rows with one GIVEN
-and WHEN, ``fold_join`` for a join over rows with one target and a shared
+and WHEN, ``fold_join`` for a join over one-input transitions with a shared
 action suffix, ``fold_choice`` for an or-split over a guard-subset family,
 and ``build`` for the model.
 
@@ -245,6 +246,11 @@ class _Inferrer:
     def target_of(self, row: _Row) -> str:
         return row.targets[0] if row.targets else self.sink_for(row.scenario.name)
 
+    def with_sink(self, draft: _Draft, name: str) -> _Draft:
+        """``draft``, given a sink after scenario ``name`` if it has no output."""
+        draft.outputs = draft.outputs or [(self.sink_for(name), None, (), False)]
+        return draft
+
     def note_entry(self, source: str, leaf: str):
         """Record default children of composites entered from outside."""
         if "." not in leaf:
@@ -368,18 +374,20 @@ class _Inferrer:
 
     # -- folds shared by both routes ------------------------------------------
 
-    def one_row(self, order, tid, row: _Row, sources, targets, join_kind="none") -> _Draft:
-        """A transition read from one row; callers note its entries.
+    def one_row(self, order, tid, row: _Row, targets) -> _Draft:
+        """A transition read from one row, every source into every target.
 
         A lone input carries the row's actions, as the DSL reads them back.
         """
-        lone = len(sources) == 1
+        lone = len(row.sources) == 1
+        for src in row.sources:
+            for t in targets:
+                self.note_entry(src, t)
         draft = _Draft(
             order,
             tid,
-            inputs=[(src, None, tuple(row.actions) if lone else ()) for src in sources],
+            inputs=[(src, None, tuple(row.actions) if lone else ()) for src in row.sources],
             outputs=[(t, None, (), False) for t in targets],
-            join_kind=join_kind,
             split_kind="and" if len(targets) > 1 else "none",
             shared_guard=tuple(row.lits) or None,
             shared_actions=() if lone else tuple(row.actions),
@@ -407,38 +415,41 @@ class _Inferrer:
         self.attach_events(draft, rows[0].events, rows[0].scenario.name)
         return draft
 
-    def fold_join(self, order, tid, rows: list[_Row], join_kind: str) -> _Draft:
-        """A join: one input per row, the common action suffix shared.
+    def fold_join(self, order, tid, parts: list[_Draft], join_kind: str) -> _Draft:
+        """A join over transitions read from one input each: their first
+        inputs, the common action suffix shared, and the outputs of the
+        first part that has any.
 
-        Where rows disagree, the first row's guard, target and shared event
-        win and each disagreement is a warning.
+        Where parts disagree, the first part's guard, outputs and shared
+        event win and each disagreement is a warning.
         """
-        if len({tuple(r.lits) for r in rows}) > 1:
+        if len({d.shared_guard for d in parts}) > 1:
             self.warn("AmbiguousTerm", tid, "merge branches disagree on guard literals")
-        named = [r.targets[0] for r in rows if r.targets]
-        for t in named[1:]:
-            if t != named[0]:
+        named = [d for d in parts if d.outputs]
+        for d in named[1:]:
+            if [o[0] for o in d.outputs] != [o[0] for o in named[0].outputs]:
                 self.warn("AmbiguousTerm", tid, "merge branches disagree on target")
-        target = named[0] if named else self.sink_for(rows[0].scenario.name)
-        suffix = _common_suffix([tuple(r.actions) for r in rows])
+        shape = (named or parts)[0]
+        actions = [sum((acts for _, _, acts in d.inputs), ()) + d.shared_actions for d in parts]
+        suffix = _common_suffix(actions)
         draft = _Draft(
             order,
             tid,
             inputs=[],
-            outputs=[(target, None, (), False)],
+            outputs=shape.outputs,
             join_kind=join_kind,
-            shared_guard=tuple(rows[0].lits) or None,
+            split_kind=shape.split_kind,
+            shared_guard=parts[0].shared_guard,
             shared_actions=suffix,
         )
-        for r in rows:
-            if len(r.events) > 1:
+        for d, acts in zip(parts, actions):
+            if d.shared_event:
                 if draft.shared_event is None:
-                    draft.shared_event = r.events[1]
-                elif draft.shared_event != r.events[1]:
+                    draft.shared_event = d.shared_event
+                elif draft.shared_event != d.shared_event:
                     self.warn("AmbiguousTerm", tid, "merge branches disagree on shared event")
-            branch_actions = tuple(r.actions[: len(r.actions) - len(suffix)])
-            draft.inputs.append((r.source, r.events[0] if r.events else None, branch_actions))
-            self.note_entry(r.source, target)
+            src, event, _ = d.inputs[0] if d.inputs else (None, None, ())
+            draft.inputs.append((src, event, acts[: len(acts) - len(suffix)]))
         return draft
 
     def fold_choice(self, order, tid, rows: list[_Row]) -> _Draft:
@@ -447,6 +458,7 @@ class _Inferrer:
 
         Outputs follow the last row's targets, mandatory ones unguarded;
         a branch whose target that row does not name comes after them.
+        Every source of the last row is an input.
         """
         count = len(rows)
         n = (count + 1).bit_length() - 1
@@ -505,11 +517,12 @@ class _Inferrer:
             if i not in placed:
                 outputs.append((branch_targets[i], tuple(own[i]), branch_actions[i], False))
         for t, _g, _a, _mand in outputs:
-            self.note_entry(full.source, t)
+            for src in full.sources:
+                self.note_entry(src, t)
         draft = _Draft(
             order,
             tid,
-            inputs=[(full.source, None, ())],
+            inputs=[(src, None, ()) for src in full.sources or [None]],
             outputs=outputs,
             split_kind="or",
             shared_guard=tuple(shared_lits) or None,
@@ -547,47 +560,32 @@ class _Inferrer:
         return shapes
 
     def infer_named(self, groups) -> list[_Draft]:
-        strict = self.mode == "strict"
+        """Each group read as the strict row table in reverse: rows with one
+        GIVEN source list and WHEN event list share one consumed set, whose
+        fired cases fold into a choice (several rows, or a multiple choice's
+        one) or are one row with every target; several consumed sets, or a
+        per-input merge's one, fold into a join.  Paper-exact parallel
+        splits list one row per output instead."""
         drafts: list[_Draft] = []
         for order, (kind, tid, scens) in enumerate(groups):
-            if kind in _JOIN_KIND_OF:
-                # per-input rows (one scenario per branch) fold like a merge;
-                # a single combined row carries all sources in its GIVEN
-                if len(scens) == 1 and kind in _COMBINED_JOINS:
-                    row = self.read(scens[0])
-                    target = self.target_of(row)
-                    drafts.append(
-                        self.one_row(order, tid, row, row.sources, [target], _JOIN_KIND_OF[kind])
-                    )
-                    for src in row.sources:
-                        self.note_entry(src, target)
-                else:
-                    rows = [self.read(s) for s in scens]
-                    drafts.append(self.fold_join(order, tid, rows, _JOIN_KIND_OF[kind]))
-            elif kind == PatternKind.PARALLEL_SPLIT and not strict and len(scens) > 1:
-                # per-output rows: shared prefix, then one branch per row
-                drafts.append(self.fold_split(order, tid, [self.read(s) for s in scens]))
-            elif kind == PatternKind.PARALLEL_SPLIT:
-                row = self.read(scens[0])
-                if len(scens) > 1:
-                    self.warn("AmbiguousTerm", tid, "unexpected extra rows for a parallel split")
-                targets = row.targets or [self.sink_for(row.scenario.name)]
-                for t in targets:
-                    self.note_entry(row.source, t)
-                drafts.append(self.one_row(order, tid, row, row.sources[:1], targets))
-            elif kind == PatternKind.MULTIPLE_CHOICE:
-                drafts.append(self.fold_choice(order, tid, [self.read(s) for s in scens]))
-            else:
-                if len(scens) != 1:
-                    self.warn(
-                        "AmbiguousTerm", tid, f"{kind.value} expects one scenario, got {len(scens)}"
-                    )
-                row = self.read(scens[0])
-                target = self.target_of(row)
-                self.note_entry(row.source, target)
-                if len(row.targets) > 1:
-                    self.warn("AmbiguousTerm", tid, "single-target row names several states")
-                drafts.append(self.one_row(order, tid, row, row.sources[:1], [target]))
+            rows = [self.read(s) for s in scens]
+            if kind == PatternKind.PARALLEL_SPLIT and self.mode != "strict" and len(rows) > 1:
+                drafts.append(self.fold_split(order, tid, rows))
+                continue
+            sets: dict[tuple, list[_Row]] = {}
+            for r in rows:
+                sets.setdefault((tuple(r.sources), tuple(r.events)), []).append(r)
+            joined = len(sets) > 1 or kind in m.PER_INPUT_MERGES
+            parts = [
+                self.fold_choice(order, tid, part)
+                if len(part) > 1 or kind == PatternKind.MULTIPLE_CHOICE
+                else self.one_row(order, tid, part[0], part[0].targets)
+                for part in sets.values()
+            ]
+            join_kind = _JOIN_KIND_OF.get(kind, "none")
+            draft = self.fold_join(order, tid, parts, join_kind) if joined else parts[0]
+            draft.join_kind = join_kind
+            drafts.append(self.with_sink(draft, scens[0].name))
         return drafts
 
     # -- structural reconstruction ----------------------------------------------
@@ -642,7 +640,9 @@ class _Inferrer:
         # the same targets and last action across distinct sources fold into joins
         for members in groups(lambda r: (tuple(r.targets), r.actions[-1]) if r.actions else None):
             if len(members) > 1 and len({r.source for r in members}) == len(members):
-                fold(members, self.fold_join(members[0].index, next(ids), members, "and"))
+                parts = [self.one_row(0, "", r, r.targets) for r in members]
+                draft = self.fold_join(members[0].index, next(ids), parts, "and")
+                fold(members, self.with_sink(draft, members[0].scenario.name))
                 self.warn(
                     "AmbiguousJoin",
                     members[0].scenario.name,

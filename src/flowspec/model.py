@@ -274,6 +274,12 @@ def effective_guard_literals(t: TransitionDecl) -> tuple[tuple[str, bool], ...]:
     return tuple(lits)
 
 
+def consumed_sets(t: TransitionDecl, kind: PatternKind) -> list[tuple[InBranch, ...]]:
+    """The inputs each strict row of ``t`` consumes: each input alone for a
+    per-input merge, every input together otherwise."""
+    return [(b,) for b in t.inputs] if kind in PER_INPUT_MERGES else [t.inputs]
+
+
 def namespaces(model: ProcessModel) -> dict[str, frozenset[str]]:
     """The four name spaces, in the order bare feature terms are classified:
     state (pseudostates included), event, guard, action."""

@@ -154,7 +154,7 @@ def lint(model: ProcessModel) -> list[Diagnostic]:
             )
         if t.join_kind in m.MERGES and t.split_kind in m.SPLITS:
             report.append(
-                _warn("JoinWithSplit", t.id, "transition both joins and splits; emission and reverse read only the join")
+                _warn("JoinWithSplit", t.id, "transition both joins and splits; paper-exact emission reads only the join")
             )
 
     final_targeted = any(

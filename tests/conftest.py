@@ -53,3 +53,40 @@ def generated_models():
         *(random_model(seed) for seed in range(40)),
         *(random_model(seed, large) for seed in range(8)),
     ]
+
+
+JOIN_SPLITS = [(join, split) for join in ("and", "or", "xor", "multi") for split in ("and", "or")]
+
+JOIN_SPLIT_VARIANTS = ["flat", "nested sources", "nested target", "guarded"]
+# The guarded variant's two combinations whose strict reverse reads the
+# guard g0 as a third source (ROADMAP item 3): not yet isomorphic.
+GUARD_READ_AS_SOURCE = {("and", "and"), ("or", "and")}
+
+
+def join_split_model(join, split, variant="flat"):
+    """An and-split, then one transition t1 that joins its two branches and
+    splits to two states, each branch guarded when it is an or-split.
+
+    ``variant`` is ``flat``; ``nested sources`` (t1 consumes P.a and Q.b,
+    each in its own composite); ``nested target`` (t1 enters composite C at
+    its default child x); or ``guarded`` (flat, with the shared guard g0).
+    """
+    s1, s2, s3, more = "S1", "S2", "S3", ""
+    states = ["state S1", "state S2", "state S3"]
+    if variant == "nested sources":
+        s1, s2 = "P.a", "Q.b"
+        states[:2] = ["state P { initial a state a }", "state Q { initial b state b }"]
+    if variant == "nested target":
+        s3, more = "C", "trans t2 { from C.x on e3 to C.y }"
+        states[2] = "state C { initial x state x state y }"
+    g0 = "if g0 " if variant == "guarded" else ""
+    g1, g2 = ("if g1 ", "if g2 ") if split == "or" else ("", "")
+    return parse_dsl(f"""\
+process "join {join} split {split}" {{
+  {" ".join(states)}
+  state S4
+  trans t0 {{ from alpha on start split and to {s1.split(".")[0]}, {s2.split(".")[0]} }}
+  trans t1 {{ from {s1} on e1, {s2} on e2 join {join} split {split} {g0}to {s3} {g1}do a1, S4 {g2}do a2 }}
+  {more}
+}}
+""")

@@ -22,7 +22,7 @@ from flowspec.patterns import lint
 from flowspec.replay import check_suite, replay_scenario
 from flowspec.skeletons import emit_skeletons
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, GUARD_READ_AS_SOURCE, JOIN_SPLIT_VARIANTS, JOIN_SPLITS, join_split_model
 from gwt_texts import PATTERN_GOLDENS, SPECIAL_CASES_GWT, gwt_lines, normalize_block, pattern_lines
 from test_dot import assert_well_formed, counts, expected_counts
 
@@ -33,6 +33,12 @@ CORPUS_SIZE = 200
 def corpus(fixtures):
     models = list(fixtures.values())
     models.extend(random_model(seed) for seed in range(CORPUS_SIZE))
+    models.extend(
+        join_split_model(join, split, variant)
+        for variant in JOIN_SPLIT_VARIANTS
+        for join, split in JOIN_SPLITS
+        if variant != "guarded" or (join, split) not in GUARD_READ_AS_SOURCE
+    )
     return models
 
 
@@ -83,7 +89,7 @@ def test_criterion_2_skeleton_fidelity():
     ]
 
 
-@criterion(3, "strict emit/parse/infer/emit is a fixpoint with isomorphic models on the fixtures plus 200 generated models")
+@criterion(3, "strict emit/parse/infer/emit is a fixpoint with isomorphic models on the fixtures, 200 generated models and 30 join-and-split models")
 def test_criterion_3_round_trip(corpus):
     for i, model in enumerate(corpus):
         doc = emit_feature(model, "strict")

@@ -325,6 +325,23 @@ def test_reverse_of_unrunnable_join_exits_one(tmp_path):
     assert "error[ReservedName] at _done" in err
 
 
+def test_reverse_keeps_every_target_of_a_row(tmp_path):
+    # a strict row names every resulting state; one of them being the
+    # initial pseudostate makes the reversed model invalid
+    feature = tmp_path / "alpha.feature"
+    feature.write_text(
+        "# flowspec: mode=strict\n"
+        "Feature: alpha\n\n"
+        "Scenario: SynchronizeMerge t2 2\n"
+        "GIVEN S3\n"
+        "WHEN e3\n"
+        "THEN a4 AND S3 AND alpha\n"
+    )
+    code, _, err = invoke("reverse", str(feature))
+    assert code == 1
+    assert "error[TransitionToInitial] at t2" in err
+
+
 def nested_states(depth):
     """A model whose states nest ``depth`` levels deep: A0 holds A1, which
     holds A2..."""

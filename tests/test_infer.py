@@ -17,6 +17,8 @@ from flowspec.model import PatternKind, iter_states
 from flowspec.patterns import classify
 from flowspec.replay import check_suite, replay_scenario
 
+from conftest import GUARD_READ_AS_SOURCE, JOIN_SPLIT_VARIANTS, JOIN_SPLITS, join_split_model
+
 EMBEDDED_ROWS = """\
 GIVEN S5
 WHEN ev7
@@ -384,6 +386,37 @@ def test_generated_roundtrip(seed, limits):
     assert canonical_form(inferred) == canonical_form(model), seed
     assert format_feature(emit_feature(inferred, "strict"), "gherkin") == text, seed
     assert parse_dsl(serialize_dsl(inferred)) == inferred, seed
+
+
+@pytest.mark.parametrize(
+    "join, split, variant",
+    [
+        pytest.param(
+            join,
+            split,
+            variant,
+            id=f"{variant.replace(' ', '-')}-{join}-{split}",
+            marks=[pytest.mark.xfail(strict=True)]
+            if variant == "guarded" and (join, split) in GUARD_READ_AS_SOURCE
+            else [],
+        )
+        for variant in JOIN_SPLIT_VARIANTS
+        for join, split in JOIN_SPLITS
+    ],
+)
+def test_join_split_reverse_is_exact_and_no_t1_row_can_go_unseen(join, split, variant):
+    """The strict reverse of a transition that joins and splits is exact,
+    and a suite without any one of its rows never reverses silently into
+    an isomorphic model."""
+    model = join_split_model(join, split, variant)
+    doc = emit_feature(model, "strict")
+    inferred, diags = infer_model(parse_feature(format_feature(doc, "gherkin")))
+    assert diags == [] and isomorphic(inferred, model)
+    for k, scenario in enumerate(doc.scenarios):
+        if scenario.name.split()[1] == "t1":
+            cut = dataclasses.replace(doc, scenarios=doc.scenarios[:k] + doc.scenarios[k + 1 :])
+            inferred, diags = infer_model(parse_feature(format_feature(cut, "gherkin")))
+            assert diags or not isomorphic(inferred, model), scenario.name
 
 
 def _stripped(doc):

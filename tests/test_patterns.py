@@ -24,7 +24,7 @@ from flowspec.model import (
 from flowspec.patterns import _reachable_paths, classify, guards_overlap, lint
 
 import patterns_reference
-from conftest import FIXTURE_DSL
+from conftest import FIXTURE_DSL, JOIN_SPLITS, join_split_model
 
 
 def kinds_by_tid(model):
@@ -233,25 +233,6 @@ process "p" {
     assert "DanglingFinal" in [d.code for d in lint(model)]
 
 
-JOIN_SPLITS = [(join, split) for join in ("and", "or", "xor", "multi") for split in ("and", "or")]
-
-
-def join_split_model(join, split):
-    """An and-split into S1 and S2, then one transition that joins them and
-    splits to S3 and S4, guarded when it is an or-split."""
-    g1, g2 = ("if g1 ", "if g2 ") if split == "or" else ("", "")
-    return parse_dsl(f"""\
-process "join {join} split {split}" {{
-  state S1
-  state S2
-  state S3
-  state S4
-  trans t0 {{ from alpha on start split and to S1, S2 }}
-  trans t1 {{ from S1 on e1, S2 on e2 join {join} split {split} to S3 {g1}do a1, S4 {g2}do a2 }}
-}}
-""")
-
-
 @pytest.mark.parametrize("join,split", JOIN_SPLITS)
 def test_lint_join_with_split(join, split):
     model = join_split_model(join, split)
@@ -267,14 +248,29 @@ def _reference_corpus(generated_models):
         yield f"join {join} split {split}", join_split_model(join, split)
 
 
+# A per-input merge that or-splits has one strict row per input and fired
+# case, so canonical_form carries one trace per such pair; the earlier
+# decision kept only the fired cases.
+PER_INPUT_CHOICE_TRACES = {
+    f"join {join} split or": (("a1",), ("a2",), ("a1", "a2"), ("a1",), ("a2",), ("a1", "a2"))
+    for join in ("xor", "multi")
+}
+
+
 def test_pattern_decision_matches_reference(generated_models):
     """classify, canonical_form and lint read the model index and agree
-    with the earlier per-module decisions; the one new finding is
-    JoinWithSplit, on exactly the transitions that join and split."""
+    with the earlier per-module decisions, but for the traces of the two
+    per-input merges that or-split; the one new finding is JoinWithSplit,
+    on exactly the transitions that join and split."""
     for name, model in _reference_corpus(generated_models):
         instances, _ = classify(model)
         assert instances == patterns_reference.classify(model), name
-        assert canonical_form(model) == patterns_reference.canonical_form(model), name
+        want = patterns_reference.canonical_form(model)
+        if name in PER_INPUT_CHOICE_TRACES:
+            t1 = want["transitions"]["t1"]
+            assert t1[-1] == (("a1",), ("a2",), ("a1", "a2")), name
+            want["transitions"]["t1"] = (*t1[:-1], PER_INPUT_CHOICE_TRACES[name])
+        assert canonical_form(model) == want, name
         found = lint(model)
         assert [d for d in found if d.code != "JoinWithSplit"] == patterns_reference.lint(model), name
         both = [t.id for t in model.transitions if t.join_kind != "none" and t.split_kind != "none"]

@@ -7,26 +7,24 @@ immutable after construction; every other module consumes this one.
 
 Facts derived from a model live in a ``ModelIndex``: its path->node map,
 the name space table, the kind a feature term is read as, the leaf targets
-of multi-joins, its transitions keyed by input source, its or-splits, the
-first or-split into each or-split target, its exclusive-choice families,
-and each transition's workflow pattern with the or-splits feeding it.
+of multi-joins, its transitions keyed by input source, the or-split outputs
+feeding each transition's inputs, its exclusive-choice families, and each
+transition's workflow pattern with the or-splits feeding it.
 Classification, lint, emission and canonicalization all read that one
-pattern table, built from ``MERGES`` and ``SPLITS``.  Each fact is computed
-on first use and then kept, so ``validate`` pays only for the name spaces it
-reads while replay builds the rest once per model instead of once per
-scenario or step.
+pattern table, built from ``MERGES`` and ``SPLITS``, and replay synchronizes
+an or-join by the same feeds.  Each fact is computed on first use and then
+kept, so ``validate`` pays only for the name spaces it reads while replay
+builds the rest once per model instead of once per scenario or step.
 ``model_index`` keeps the index of one model at a time, the last one asked
 for, compared by identity: replay, emission and canonicalization work
 through one model after another, so one entry serves them all, and a run
 over many models holds no index beside each one.
 
 The value types are declared with ``values.value_type``: frozen, slotted
-dataclasses, so a state, branch, transition, guard or configuration carries
-no per-instance ``__dict__``, built by an ``__init__`` that stores each
-field through its slot instead of through ``object.__setattr__``.  They
-stay immutable: assigning a field raises ``FrozenInstanceError``.
-``ProcessModel`` keeps its dict: a model must take weak references, and
-``weakref_slot`` needs Python 3.11.
+dataclasses, so a model, state, branch, transition, guard or configuration
+carries no per-instance ``__dict__``, built by an ``__init__`` that stores
+each field through its slot instead of through ``object.__setattr__``.
+They stay immutable: assigning a field raises ``FrozenInstanceError``.
 """
 
 from __future__ import annotations
@@ -148,8 +146,7 @@ class TransitionDecl:
     shared_actions: tuple[str, ...] = ()
 
 
-# Keeps its dict: a model must take weak references, and weakref_slot needs 3.11.
-@value_type(slots=False)
+@value_type
 class ProcessModel:
     title: str = ""
     role: str = ""
@@ -358,16 +355,35 @@ class ModelIndex:
         )
 
     @cached_property
-    def or_splits(self) -> tuple[TransitionDecl, ...]:
-        return tuple(t for t in self.model.transitions if t.split_kind == "or")
-
-    @cached_property
-    def or_split_of(self) -> dict[str, str]:
-        """Or-split output target -> id of the first or-split reaching it."""
-        out: dict[str, str] = {}
-        for t in self.or_splits:
-            for b in t.outputs:
-                out.setdefault(b.target, t.id)
+    def or_feeds(self) -> dict[str, list[tuple[str, dict[int, tuple[int, ...]]]]]:
+        """Transition id -> the or-splits that feed its inputs, in
+        declaration order, each as (or-split id, output index -> positions
+        of the inputs that output feeds).  An or-split output feeds an input
+        whose source is the output's target or that target's default leaf.
+        The walk to the leaf stops at an undeclared state or at an initial
+        child that is no child of its state, so a model ``validate`` rejects
+        reads without error."""
+        nodes = self.nodes
+        reaches: dict[str, list[tuple[int, int]]] = {}  # path -> (or-split, output)
+        for n, s in enumerate(self.model.transitions):
+            if s.split_kind == "or":
+                for i, b in enumerate(s.outputs):
+                    path = b.target
+                    reaches.setdefault(path, []).append((n, i))
+                    while (node := nodes.get(path)) and parent_path(node.initial_child or "") == path:
+                        path = node.initial_child
+                    if path != b.target:
+                        reaches.setdefault(path, []).append((n, i))
+        out: dict[str, list[tuple[str, dict[int, tuple[int, ...]]]]] = {}
+        transitions = self.model.transitions
+        for t in transitions:
+            fed: dict[int, dict[int, tuple[int, ...]]] = {}
+            for j, b in enumerate(t.inputs):
+                for n, i in reaches.get(b.source, ()):
+                    outputs = fed.setdefault(n, {})
+                    outputs[i] = outputs.get(i, ()) + (j,)
+            if fed:
+                out[t.id] = [(transitions[n].id, fed[n]) for n in sorted(fed)]
         return out
 
     @cached_property
@@ -389,14 +405,15 @@ class ModelIndex:
     @cached_property
     def patterns(self) -> dict[str, tuple[PatternKind, tuple[str, ...]]]:
         """Transition id -> its workflow pattern and the sorted ids of the
-        or-splits that feed its inputs.  A join reads as in ``MERGES``, a
-        split that does not join as in ``SPLITS``, a choice family member as
-        an exclusive choice and any other transition as a sequence."""
-        or_split_of = self.or_split_of
+        or-splits that feed its inputs (``or_feeds``).  A join reads as in
+        ``MERGES``, a split that does not join as in ``SPLITS``, a choice
+        family member as an exclusive choice and any other transition as a
+        sequence."""
+        or_feeds = self.or_feeds
         family = {t.id for ts in self.choice_families.values() for t in ts}
         out: dict[str, tuple[PatternKind, tuple[str, ...]]] = {}
         for t in self.model.transitions:
-            fed = tuple(sorted({or_split_of[b.source] for b in t.inputs if b.source in or_split_of}))
+            fed = tuple(sorted({split_id for split_id, _ in or_feeds.get(t.id, ())}))
             kind = (
                 MERGES.get(t.join_kind)
                 or SPLITS.get(t.split_kind)

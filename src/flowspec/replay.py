@@ -78,22 +78,13 @@ def _fired_outputs(t: TransitionDecl, valuation) -> tuple[int, ...] | None:
 
 
 def _match_or_split(model: ProcessModel, t: TransitionDecl, config: Configuration):
-    """Locate the or-split whose recorded activation feeds this or-join."""
-    index = m.model_index(model)
-    for s in index.or_splits:
-        mark = config.mark(s.id)
-        if mark is None:
-            continue
-        fired_targets = set()
-        for i in mark:
-            target = s.outputs[i].target
-            fired_targets.add(target)
-            fired_targets.add(index.leaf(target))
-        required = tuple(
-            i for i, b in enumerate(t.inputs) if b.source in fired_targets
-        )
+    """(id, input positions) of the first or-split feeding this or-join
+    (``ModelIndex.or_feeds``) whose recorded activation reaches an input:
+    the inputs its marked outputs feed.  None when there is none."""
+    for split_id, feeds in m.model_index(model).or_feeds.get(t.id, ()):
+        required = {j for i in config.mark(split_id) or () for j in feeds.get(i, ())}
         if required:
-            return s.id, required
+            return split_id, tuple(sorted(required))
     return None
 
 

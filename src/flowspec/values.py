@@ -4,16 +4,14 @@
 ``__init__``.  The ``__init__`` that ``dataclasses`` generates for a frozen
 class stores each field by looking ``__setattr__`` up on ``object`` and
 calling it, once per field.  The one installed here stores each field
-through its class's slot descriptor, or for a class declared with
-``slots=False`` through ``object.__setattr__`` bound once, then calls
-``__post_init__`` where the class defines one.  Its name, qualified name,
-parameters, defaults and annotations are those of the generated one, and
-nothing else about the class changes: assigning a field still raises
-``FrozenInstanceError``, and ``__eq__``, ``__hash__``, ``__repr__``,
-``__match_args__``, pickling, copying and ``dataclasses.replace`` are the
-dataclass's own.
+through its class's slot descriptor, then calls ``__post_init__`` where the
+class defines one.  Its name, qualified name, parameters, defaults and
+annotations are those of the generated one, and nothing else about the
+class changes: assigning a field still raises ``FrozenInstanceError``, and
+``__eq__``, ``__hash__``, ``__repr__``, ``__match_args__``, pickling,
+copying and ``dataclasses.replace`` are the dataclass's own.
 
-A slotted class may also declare ``derived`` fields, computed on first read
+A value type may also declare ``derived`` fields, computed on first read
 and kept in their slot.  They are no ``__init__`` parameter and take no part
 in ``__eq__``, ``__hash__`` or ``__repr__``, so a ``replace`` recomputes them.
 """
@@ -28,32 +26,23 @@ def derived(compute):
     return field(init=False, repr=False, compare=False, metadata={"derive": compute})
 
 
-def value_type(cls=None, /, *, slots: bool = True):
-    """Declare ``cls`` a frozen dataclass, slotted unless ``slots`` is
-    false.  Every field must be a positional ``__init__`` parameter with at
-    most a plain default, or a ``derived`` field of a slotted class."""
-    if cls is None:
-        return lambda cls: value_type(cls, slots=slots)
-    cls = dataclass(frozen=True, slots=slots)(cls)
+def value_type(cls):
+    """Declare ``cls`` a frozen, slotted dataclass.  Every field must be a
+    positional ``__init__`` parameter with at most a plain default, or a
+    ``derived`` field."""
+    cls = dataclass(frozen=True, slots=True)(cls)
     generated = cls.__init__
     names = []
     derive = {}
     for f in fields(cls):
-        if slots and "derive" in f.metadata:
+        if "derive" in f.metadata:
             derive[f.name] = f.metadata["derive"]
             continue
         if not f.init or f.kw_only or f.default_factory is not MISSING:
             raise TypeError(f"{cls.__qualname__}.{f.name}: not a plain positional field")
         names.append(f.name)
-    if slots:
-        namespace = {f"_set_{n}": getattr(cls, n).__set__ for n in names}
-        body = [f"_set_{n}(self, {n})" for n in names]
-    else:
-        # object.__setattr__, bound once: from Python 3.11 it keeps the
-        # fields in the object's inline values, where reading __dict__ to
-        # write them would make a dict per instance
-        namespace = {"_setattr": object.__setattr__}
-        body = [f"_setattr(self, {n!r}, {n})" for n in names]
+    namespace = {f"_set_{n}": getattr(cls, n).__set__ for n in names}
+    body = [f"_set_{n}(self, {n})" for n in names]
     if hasattr(cls, "__post_init__"):
         body.append("self.__post_init__()")
     source = f"def __init__(self, {', '.join(names)}):\n    " + "\n    ".join(body)

@@ -90,3 +90,23 @@ process "join {join} split {split}" {{
   {more}
 }}
 """)
+
+
+OR_FED_JOINS = [(join, target) for join in ("and", "or", "xor", "multi") for target in ("composite", "leaf")]
+
+
+def or_fed_join_model(join, target="composite"):
+    """An or-split t1 into composites C and D, then a join t2 of their
+    default children C.a and D.a.  ``target`` is ``composite`` (t1 targets
+    C and D, so it feeds t2 through their default leaves) or ``leaf`` (t1
+    targets C.a and D.a)."""
+    c, d = ("C", "D") if target == "composite" else ("C.a", "D.a")
+    return parse_dsl(f"""\
+process "or-fed join {join} to {target}" {{
+  state C {{ initial a state a }}
+  state D {{ initial a state a }}
+  state S3
+  trans t1 {{ from alpha on go split or to {c} if g1, {d} if g2 }}
+  trans t2 {{ from C.a on e1, D.a on e2 join {join} to S3 }}
+}}
+""")

@@ -22,7 +22,15 @@ from flowspec.patterns import lint
 from flowspec.replay import check_suite, replay_scenario
 from flowspec.skeletons import emit_skeletons
 
-from conftest import DATA_DIR, GUARD_READ_AS_SOURCE, JOIN_SPLIT_VARIANTS, JOIN_SPLITS, join_split_model
+from conftest import (
+    DATA_DIR,
+    GUARD_READ_AS_SOURCE,
+    JOIN_SPLIT_VARIANTS,
+    JOIN_SPLITS,
+    OR_FED_JOINS,
+    join_split_model,
+    or_fed_join_model,
+)
 from gwt_texts import PATTERN_GOLDENS, SPECIAL_CASES_GWT, gwt_lines, normalize_block, pattern_lines
 from test_dot import assert_well_formed, counts, expected_counts
 
@@ -39,6 +47,7 @@ def corpus(fixtures):
         for join, split in JOIN_SPLITS
         if variant != "guarded" or (join, split) not in GUARD_READ_AS_SOURCE
     )
+    models.extend(or_fed_join_model(join, target) for join, target in OR_FED_JOINS)
     return models
 
 
@@ -89,7 +98,7 @@ def test_criterion_2_skeleton_fidelity():
     ]
 
 
-@criterion(3, "strict emit/parse/infer/emit is a fixpoint with isomorphic models on the fixtures, 200 generated models and 30 join-and-split models")
+@criterion(3, "strict emit/parse/infer/emit is a fixpoint with isomorphic models on the fixtures, 200 generated models, 30 join-and-split models and 8 or-fed joins")
 def test_criterion_3_round_trip(corpus):
     for i, model in enumerate(corpus):
         doc = emit_feature(model, "strict")

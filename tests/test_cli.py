@@ -6,6 +6,8 @@ import random
 import subprocess
 import sys
 
+import pytest
+
 from flowspec.canon import isomorphic
 from flowspec.cli import _parser, run
 from flowspec.dsl import parse_dsl, serialize_dsl
@@ -14,6 +16,8 @@ from flowspec.feature import format_feature
 from flowspec.generator import random_model
 
 from conftest import DATA_DIR
+from test_dsl import BAD_KINDS, bad_kind_model
+from test_xmlio import BAD_XML
 
 
 def invoke(*argv):
@@ -156,6 +160,32 @@ def test_syntax_error_is_input_error(tmp_path):
     bad.write_text("process {")
     code, _out, err = invoke("compile", str(bad))
     assert code == 2
+
+
+BAD_MODELS = {
+    **{f"dsl {clause}": ("pml", bad_kind_model(clause), message) for clause, message in BAD_KINDS.items()},
+    **{f"xml {case}": ("xml", text, message) for case, (text, message) in BAD_XML.items()},
+}
+
+
+@pytest.mark.parametrize("case", BAD_MODELS)
+def test_malformed_model_is_input_error(tmp_path, case):
+    suffix, text, message = BAD_MODELS[case]
+    model = tmp_path / f"model.{suffix}"
+    model.write_text(text)
+    for command in ("compile", "lint"):
+        code, out, err = invoke(command, str(model))
+        assert (code, out) == (2, ""), command
+        assert err.startswith("error: ") and err.rstrip().endswith(message), command
+        assert "Traceback" not in err
+
+
+def test_given_without_a_state_fails_its_scenario(tmp_path):
+    suite = tmp_path / "no_state.feature"
+    suite.write_text("Scenario: no states\nGIVEN g1\nWHEN _done\nTHEN a1 AND S2\n")
+    code, out, err = invoke("check", str(DATA_DIR / "m4.pml"), str(suite))
+    assert (code, err) == (1, "")
+    assert out.startswith("FAIL no states\n  at no states: expected 'replayable scenario', observed 'GIVEN names no states'\n")
 
 
 def test_byte_order_mark_at_the_start_is_skipped(tmp_path, monkeypatch):

@@ -41,6 +41,29 @@ def test_empty_input_is_missing_header():
     assert exc.value.code == "MissingProcessHeader"
 
 
+# A join or split kind the grammar does not name, with the message it gets.
+# "none" is the default kind, never written out.
+BAD_KINDS = {
+    "join none": "bad join kind 'none'",
+    "join foo": "bad join kind 'foo'",
+    "split foo": "bad split kind 'foo'",
+}
+
+
+def bad_kind_model(clause):
+    return f'process "p" {{ state S1 state S2 trans t1 {{ from S1 on e1, S2 on e2 {clause} to S1 }} }}'
+
+
+@pytest.mark.parametrize("clause", BAD_KINDS)
+def test_bad_join_or_split_kind_is_unexpected_token(clause):
+    with pytest.raises(ModelSyntaxError) as exc:
+        parse_dsl(bad_kind_model(clause), "kinds.pml")
+    assert exc.value.code == "UnexpectedToken"
+    assert str(exc.value).endswith(BAD_KINDS[clause])
+    # the span points at the kind word
+    assert exc.value.span.column == bad_kind_model(clause).index(clause.split()[1]) + 1
+
+
 def test_syntax_error_carries_position():
     text = 'process "x" {\n  state S1\n  junk\n}'
     with pytest.raises(ModelSyntaxError) as exc:

@@ -6,7 +6,9 @@
 compute the same results the earlier way, with chain depths
 (``_common_depth``), one input scan per join kind (``_input_satisfied``) and
 the stimuli from candidates and token counts (``reference_offers``), and
-every result is compared with them.  ``model.iter_states`` and
+every result is compared with them.  ``reference_match_or_split`` is the
+or-join match as replay found it before ``ModelIndex.or_feeds``, by a scan
+of every or-split at each call.  ``model.iter_states`` and
 ``patterns._reachable_paths`` are compared the same way with the recursive
 walk and the leaf-chain worklist they replaced, and ``explore``'s explicit
 stack with the recursive walk it replaced.
@@ -32,6 +34,7 @@ from flowspec.model import (
     firing_plan,
     initial_configuration,
     is_pseudostate,
+    leaf_path,
     iter_states,
     model_index,
     nonempty_subsets,
@@ -42,13 +45,15 @@ from flowspec.replay import (
     ExploreStep,
     Firing,
     StepResult,
-    _match_or_split,
     _offers,
     _step,
     _view,
     explore,
     firings_for,
 )
+
+from conftest import OR_FED_JOINS, or_fed_join_model
+
 
 def _stimuli(model, config):
     """The (events, valuation) pairs ``explore`` offers at ``config``."""
@@ -147,6 +152,7 @@ def _models(fixtures, three_levels, re_entry):
         *(random_model(seed) for seed in range(40)),
         three_levels,
         re_entry,
+        *(or_fed_join_model(join, target) for join, target in OR_FED_JOINS),
     ]
 
 
@@ -423,6 +429,24 @@ def _input_satisfied(b, counts, events):
     return True
 
 
+def reference_match_or_split(model, t, config):
+    for s in model.transitions:
+        if s.split_kind != "or":
+            continue
+        mark = config.mark(s.id)
+        if mark is None:
+            continue
+        fired_targets = set()
+        for i in mark:
+            target = s.outputs[i].target
+            fired_targets.add(target)
+            fired_targets.add(leaf_path(model, target))
+        required = tuple(i for i, b in enumerate(t.inputs) if b.source in fired_targets)
+        if required:
+            return s.id, required
+    return None
+
+
 def reference_firings_for(model, t, config, events, valuation):
     counts = config.counts()
     if t.shared_event is not None and t.shared_event not in events:
@@ -444,7 +468,7 @@ def reference_firings_for(model, t, config, events, valuation):
                 return [Firing(t, (i,), outs)]
         return []
     if t.join_kind == "or":
-        match = _match_or_split(model, t, config)
+        match = reference_match_or_split(model, t, config)
         if match is not None:
             split_id, required = match
             if all(_input_satisfied(t.inputs[i], counts, events) for i in required):

@@ -16,11 +16,10 @@ from flowspec.emit import emit_feature
 from flowspec.feature import format_feature, parse_feature
 from flowspec.generator import GeneratorLimits
 from flowspec.replay import check_suite, explore
-from flowspec.values import derived, value_type
+from flowspec.values import value_type
 
-# Frozen dataclasses that keep a per-instance __dict__: a model must take
-# weak references (weakref_slot needs Python 3.11).
-KEEP_DICT = {"flowspec.model.ProcessModel"}
+# Frozen dataclasses that keep a per-instance __dict__: none.
+KEEP_DICT: set[str] = set()
 
 
 def _frozen_dataclasses():
@@ -92,12 +91,6 @@ def test_value_types_keep_post_init_and_reject_other_fields():
         @value_type
         class Bag:
             items: list = dataclasses.field(default_factory=list)
-    with pytest.raises(TypeError, match="not a plain positional field"):
-
-        @value_type(slots=False)  # a derived field needs a slot to live in
-        class Sized:
-            items: tuple
-            size: int = derived(lambda sized: len(sized.items))
 
 
 def _values(model):

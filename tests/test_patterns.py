@@ -1,5 +1,6 @@
 """Pattern classification and lint behavior."""
 
+import dataclasses
 import itertools
 import random
 
@@ -24,7 +25,7 @@ from flowspec.model import (
 from flowspec.patterns import _reachable_paths, classify, guards_overlap, lint
 
 import patterns_reference
-from conftest import FIXTURE_DSL, JOIN_SPLITS, join_split_model
+from conftest import FIXTURE_DSL, JOIN_SPLITS, join_split_model, or_fed_join_model
 
 
 def kinds_by_tid(model):
@@ -219,6 +220,61 @@ process "p" {
 """
     model = parse_dsl(text)
     assert "OrJoinWithoutOrSplit" in [d.code for d in lint(model)]
+
+
+@pytest.mark.parametrize("join", ["and", "or", "xor", "multi"])
+def test_or_split_into_composites_feeds_a_join_of_their_leaves(join):
+    """An or-split output feeds a join input whose source is the output's
+    target or that target's default leaf, so targeting C and D reads as
+    targeting C.a and D.a."""
+    model = or_fed_join_model(join, "composite")
+    twin = or_fed_join_model(join, "leaf")
+    assert model_index(model).or_feeds == {"t2": [("t1", {0: (0,), 1: (1,)})]}
+    assert classify(model) == classify(twin)
+    assert lint(model) == lint(twin)
+    assert "OrJoinWithoutOrSplit" not in [d.code for d in lint(model)]
+
+
+def test_every_or_split_reaching_a_join_input_is_noted():
+    model = parse_dsl("""\
+process "p" {
+  state S1
+  state S2
+  state S3
+  trans t1 { from alpha on start split or to S1 if g1, S2 if g2 }
+  trans t2 { from S3 on again split or to S2 if h1, S3 if h2 }
+  trans t3 { from S1 on e1, S2 on e2 join and to S3 }
+}
+""")
+    assert model_index(model).or_feeds["t3"] == [("t1", {0: (0,), 1: (1,)}), ("t2", {0: (1,)})]
+    t3 = classify(model)[0][2]
+    assert t3.kind == PatternKind.SYNCHRONIZE_MERGE
+    assert t3.notes == ("inputs fed by or-split t1", "inputs fed by or-split t2")
+
+
+def test_an_output_to_an_undeclared_state_feeds_by_its_own_path():
+    """``classify`` and ``lint`` take models ``validate`` rejects: an or-split
+    output to an undeclared X feeds an input from X, and the leaf descent
+    stops at an initial child that is no child of its state."""
+    g1, g2 = GuardExpr((("g1", False),)), GuardExpr((("g2", False),))
+    model = ProcessModel(
+        states=(StateNode("C", "C", children=(StateNode("a", "C.a"),), initial_child="C.b"),),
+        transitions=(
+            TransitionDecl("t1", (InBranch("alpha", "go"),), (OutBranch("X", g1), OutBranch("C", g2)), split_kind="or"),
+            TransitionDecl("t2", (InBranch("X", "e1"), InBranch("C.a", "e2")), (OutBranch("Beta"),), join_kind="and"),
+        ),
+    )
+    assert {d.code for d in validate(model)} == {"BadInitialChild", "UnresolvedEndpoint"}
+    assert model_index(model).or_feeds == {"t2": [("t1", {0: (0,)})]}
+    assert classify(model)[0][1].notes == ("inputs fed by or-split t1",)
+    assert [(d.code, d.location) for d in lint(model)] == [("UnreachableState", "C.a")]
+    # an initial child naming its own state ends the descent too
+    looped = ProcessModel(
+        states=(dataclasses.replace(model.states[0], initial_child="C"),),
+        transitions=model.transitions,
+    )
+    assert model_index(looped).or_feeds == model_index(model).or_feeds
+    assert classify(looped)[0] == classify(model)[0]
 
 
 def test_lint_dangling_final():

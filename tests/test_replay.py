@@ -295,6 +295,11 @@ GIVEN S9 AND g1
 WHEN _done
 THEN a1 AND S2
 
+Scenario: no states
+GIVEN g1
+WHEN _done
+THEN a1 AND S2
+
 Scenario: conflict
 GIVEN S1 AND g1 AND g2
 WHEN _done
@@ -336,11 +341,12 @@ def test_two_pass_check_matches_per_scenario_replay(m4, mode):
     # the reference reads each scenario's clauses just before its replay
     assert report == per_scenario_check(m4, parse_feature(MIXED_SUITE), mode)
     assert [name for name, _ in report.verdicts] == [s.name for s in doc.scenarios]
-    assert [v.passed for _, v in report.verdicts] == [True, False, False, False, False, True, False]
+    assert [v.passed for _, v in report.verdicts] == [True, False, False, False, False, False, True, False]
     firsts = [v.mismatches[0] for _, v in report.verdicts if v.mismatches]
     assert firsts == [
         ("structured clauses", "free-text steps", "prose"),
         ("replayable scenario", "GIVEN term 'S9' is not a state or guard of the model", "illegal given"),
+        ("replayable scenario", "GIVEN names no states", "no states"),
         ("deterministic step", "conflict: t2, t3", "conflict"),
         ("structured clauses", "free-text steps", "prose then"),
         ("a1", "a2", "then actions[0]"),

@@ -158,6 +158,39 @@ def test_condition_outside_the_guard_grammar_is_xml_error(cond):
     assert repr(cond) in str(exc.value)
 
 
+# Elements the format does not allow where they stand, with the message each gets.
+BAD_XML = {
+    "process child": (
+        '<process><state id="S1"/><bogus/></process>',
+        "unexpected <bogus> inside <process>",
+    ),
+    "state child": (
+        '<process><state id="S1"><bogus/></state></process>',
+        "unexpected <bogus> inside <state>",
+    ),
+    "trans child": (
+        '<process><state id="S1"/><trans id="t1"><in src="alpha"/><out target="S1"/><bogus/></trans></process>',
+        "unexpected <bogus> inside <trans>",
+    ),
+    "dotted id outside its nesting": (
+        '<process><state id="P"><initial id="a"/><state id="Q.a"/></state></process>',
+        "dotted state id 'Q.a' does not match its nesting",
+    ),
+    "dotted id at the top": (
+        '<process><state id="P.a"/></process>',
+        "dotted state id 'P.a' does not match its nesting",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BAD_XML)
+def test_misplaced_element_is_xml_error(case):
+    text, message = BAD_XML[case]
+    with pytest.raises(XmlError) as exc:
+        parse_xml(text)
+    assert str(exc.value) == message
+
+
 def test_empty_condition_means_no_guard():
     t2 = parse_xml(_cond_model("")).transitions[1]
     assert t2.shared_guard is None

@@ -109,7 +109,7 @@ class _Parser:
                 opens.append(i)
             elif opens:
                 self.closing[opens.pop()] = i
-        return toks, set(filter(m.is_ident, distinct))
+        return toks, set(filter(m.IDENT_RE.match, distinct))
 
     def span(self, index: int) -> SourceSpan:
         """Where token `index` starts, from a second scan of the text up to

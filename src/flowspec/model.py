@@ -6,6 +6,7 @@ and transitions that may fan in (joins) and fan out (splits).  All values are
 immutable after construction; every other module consumes this one.
 
 Facts derived from a model live in a ``ModelIndex``: its path->node map,
+each state's default child, which every default-child descent reads,
 the name space table, the kind a feature term is read as, the leaf targets
 of multi-joins, its transitions keyed by input source, the or-split outputs
 feeding each transition's inputs, its exclusive-choice families, and each
@@ -355,23 +356,34 @@ class ModelIndex:
         )
 
     @cached_property
+    def defaults(self) -> dict[str, StateNode]:
+        """Path -> its default child node, only where the state's initial
+        child is one of its children.  Every default-child descent reads
+        this table, so each step moves past its state in ``iter_states``
+        order and every descent ends, on a model ``validate`` rejects too."""
+        return {
+            path: child
+            for path, node in self.nodes.items()
+            for child in node.children
+            if child.path == node.initial_child
+        }
+
+    @cached_property
     def or_feeds(self) -> dict[str, list[tuple[str, dict[int, tuple[int, ...]]]]]:
         """Transition id -> the or-splits that feed its inputs, in
         declaration order, each as (or-split id, output index -> positions
         of the inputs that output feeds).  An or-split output feeds an input
-        whose source is the output's target or that target's default leaf.
-        The walk to the leaf stops at an undeclared state or at an initial
-        child that is no child of its state, so a model ``validate`` rejects
-        reads without error."""
-        nodes = self.nodes
+        whose source is the output's target or that target's default leaf
+        (``defaults``)."""
+        defaults = self.defaults
         reaches: dict[str, list[tuple[int, int]]] = {}  # path -> (or-split, output)
         for n, s in enumerate(self.model.transitions):
             if s.split_kind == "or":
                 for i, b in enumerate(s.outputs):
                     path = b.target
                     reaches.setdefault(path, []).append((n, i))
-                    while (node := nodes.get(path)) and parent_path(node.initial_child or "") == path:
-                        path = node.initial_child
+                    while child := defaults.get(path):
+                        path = child.path
                     if path != b.target:
                         reaches.setdefault(path, []).append((n, i))
         out: dict[str, list[tuple[str, dict[int, tuple[int, ...]]]]] = {}
@@ -451,14 +463,11 @@ class ModelIndex:
 
     def leaf(self, path: str) -> str:
         """See ``leaf_path``."""
-        if is_pseudostate(self.model, path):
-            return path
-        node = self.nodes.get(path)
-        if node is None:
+        if path not in self.nodes and not is_pseudostate(self.model, path):
             raise UnknownState(path)
-        while node.composite and node.initial_child:
-            node = self.nodes[node.initial_child]
-        return node.path
+        while child := self.defaults.get(path):
+            path = child.path
+        return path
 
 
 _last_index: ModelIndex | None = None
@@ -572,6 +581,7 @@ def nonempty_subsets(items) -> list[tuple]:
     ]
 
 
+# ``firing_plan`` builds both with ``tuple.__new__``, skipping NamedTuple's Python ``__new__``.
 class OutputPlan(NamedTuple):
     branch: OutBranch
     entry_actions: tuple[str, ...]
@@ -606,7 +616,8 @@ def firing_plan(
     A state contains a path exactly when it is on the path's ancestor chain.
     Raises UnknownState for an undeclared consumed source or fired target.
     """
-    nodes = model_index(model).nodes
+    index = model_index(model)
+    nodes, defaults = index.nodes, index.defaults
     initial, final = model.initial_name, model.final_name
     outs = transition.outputs
     fired = range(len(outs)) if fired_outputs is None else fired_outputs
@@ -648,7 +659,7 @@ def firing_plan(
         target = branch.target
         trace += branch.actions
         if target == initial or target == final:
-            outputs.append(OutputPlan(branch, (), target))
+            outputs.append(tuple.__new__(OutputPlan, (branch, (), target)))
             leaves.append(target)
             continue
         node = nodes.get(target)
@@ -660,16 +671,16 @@ def firing_plan(
                 entered.add(path)
                 entry_actions += nodes[path].entry_actions if path in nodes else ()
         # default descendants: entered even when one is a consumed source
-        while node.children and node.initial_child:
-            node = nodes[node.initial_child]
+        while child := defaults.get(node.path):
+            node = child
             if node.path not in entered:
                 entered.add(node.path)
                 entry_actions += node.entry_actions
         trace += entry_actions
-        outputs.append(OutputPlan(branch, tuple(entry_actions), node.path))
+        outputs.append(tuple.__new__(OutputPlan, (branch, tuple(entry_actions), node.path)))
         leaves.append(node.path)
 
-    return FiringPlan(tuple(exit_actions), tuple(actions), tuple(outputs), tuple(trace), tuple(leaves))
+    return tuple.__new__(FiringPlan, (tuple(exit_actions), tuple(actions), tuple(outputs), tuple(trace), tuple(leaves)))
 
 
 # ---------------------------------------------------------------------------

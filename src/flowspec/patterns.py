@@ -91,9 +91,9 @@ def _reachable_paths(model: ProcessModel) -> set[str]:
     reached.  Reaching a target reaches the chain of its leaf, that is its
     ancestors and its default descendants; a pseudostate reaches only
     itself.  A worklist of newly reached paths visits the transitions that
-    read each of them.  ``model`` must pass ``validate``."""
+    read each of them."""
     index = m.model_index(model)
-    nodes, transitions = index.nodes, model.transitions
+    defaults, transitions = index.defaults, model.transitions
     start = model.initial_name
     reached, marked, todo = {start}, {start}, [start]
     while todo:
@@ -103,8 +103,8 @@ def _reachable_paths(model: ProcessModel) -> set[str]:
                     continue
                 marked.add(b.target)
                 paths = m.chain(b.target)
-                while (node := nodes.get(paths[-1])) and node.initial_child:
-                    paths.append(node.initial_child)
+                while child := defaults.get(paths[-1]):
+                    paths.append(child.path)
                 for p in paths:
                     if p not in reached:
                         reached.add(p)

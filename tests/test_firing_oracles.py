@@ -244,6 +244,9 @@ def assert_plans_match(model):
             for fired in fired_cases:
                 plan = firing_plan(model, t, consumed, fired)
                 want = reference_firing_plan(model, t, consumed, fired)
+                # records built at C speed are still the NamedTuples
+                assert type(plan) is FiringPlan and plan == FiringPlan(*plan)
+                assert all(type(o) is OutputPlan and o == OutputPlan(*o) for o in plan.outputs)
                 got = [(o.branch, o.entry_actions, o.leaf) for o in plan.outputs]
                 case = (t.id, consumed, fired)
                 assert plan.exit_actions == want.exit_actions, case
@@ -289,6 +292,8 @@ def test_firing_plan_passes_over_pseudostate_ends(m1):
     plan = firing_plan(m1, into_final, (InBranch("alpha"),))
     assert plan.outputs == (OutputPlan(into_final.outputs[0], (), "Beta"),)
     assert (plan.trace, plan.leaves) == (("b0",), ("Beta",))
+    assert plan._replace(leaves=()) == FiringPlan(plan.exit_actions, plan.actions, plan.outputs, plan.trace, ())
+    assert plan.outputs[0]._replace(leaf="S1").leaf == "S1"
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,10 @@
 
 import dataclasses
 import gc
+import json
+import os
+import subprocess
+import sys
 import weakref
 
 import pytest
@@ -356,6 +360,79 @@ def test_split_kind_rules():
     assert "AndSplitForbidsGuards" in [d.code for d in validate(and_guarded)]
 
 
+def _one_rule_model(states=(), transitions=()):
+    """S1, then each of ``states``; t0 enters S1 from alpha, then each of
+    ``transitions``."""
+    return ProcessModel(
+        states=(simple("S1"), *states),
+        transitions=(TransitionDecl("t0", (InBranch("alpha", "go"),), (OutBranch("S1"),)), *transitions),
+    )
+
+
+def _t1(inputs=(InBranch("S1", "e1"),), outputs=(OutBranch("Beta"),), **kw):
+    return TransitionDecl("t1", inputs, outputs, **kw)
+
+
+VALIDATE_RULES = [
+    (
+        # no transition: one from X would also leave the final pseudostate
+        ProcessModel(initial_name="X", final_name="X", states=(simple("S1"),)),
+        [("ReservedName", "X", "initial and final names collide")],
+    ),
+    (
+        _one_rule_model(states=(simple("alpha"),)),
+        [("ReservedName", "alpha", "state shadows a pseudostate")],
+    ),
+    (
+        _one_rule_model(
+            states=(StateNode("C", "C", children=(simple("a", "C.a"), simple("a", "C.b")), initial_child="C.a"),)
+        ),
+        [("DuplicateStateName", "C.b", "duplicate sibling name")],
+    ),
+    (
+        _one_rule_model(states=(StateNode("C", "C", children=(simple("a", "C.a"),)),)),
+        [("MissingInitialChild", "C", "composite lacks an initial child")],
+    ),
+    (
+        _one_rule_model(states=(simple("S2", initial_child="S2"),)),
+        [("BadInitialChild", "S2", "simple state declares an initial child")],
+    ),
+    (
+        _one_rule_model(transitions=(_t1(outputs=(OutBranch("Beta", m.GuardExpr(())),)),)),
+        [("EmptyGuard", "t1", "guard has no literals")],
+    ),
+    (
+        _one_rule_model(transitions=(_t1(), _t1())),
+        [("DuplicateTransitionId", "t1", "duplicate transition id")],
+    ),
+    (
+        _one_rule_model(transitions=(_t1(join_kind="all", split_kind="any"),)),
+        [("BadKind", "t1", "unknown join kind 'all'"), ("BadKind", "t1", "unknown split kind 'any'")],
+    ),
+    (
+        _one_rule_model(transitions=(_t1(inputs=()),)),
+        [("EmptyInputs", "t1", "transition has no inputs")],
+    ),
+    (
+        _one_rule_model(transitions=(_t1(outputs=()),)),
+        [("EmptyOutputs", "t1", "transition has no outputs")],
+    ),
+    (
+        _one_rule_model(transitions=(_t1(outputs=(OutBranch("S1"), OutBranch("Beta"))),)),
+        [("SplitKindRequired", "t1", "multiple outputs need a split kind")],
+    ),
+]
+
+
+@pytest.mark.parametrize("model, expected", VALIDATE_RULES, ids=[rows[0][0] for _, rows in VALIDATE_RULES])
+def test_validate_reports_each_rule_alone(model, expected):
+    assert [(d.code, d.location, d.message) for d in validate(model)] == expected
+
+
+def test_rule_models_differ_from_a_clean_one_by_one_rule():
+    assert validate(_one_rule_model(transitions=(_t1(),))) == []
+
+
 def test_resolve_nested_child(m9):
     node = resolve(m9, "S6.1")
     assert isinstance(node, StateNode)
@@ -400,14 +477,98 @@ def test_guard_expr_semantics():
     assert g.render() == "g1 and not g2"
 
 
-def test_legal_configuration_rules(m9, m8):
-    assert m.legal_configuration(m9, Configuration.of("S6.1")) is None
-    assert m.legal_configuration(m9, Configuration.of("S2", "S3")) is None
+LEGAL_CONFIGURATION_RULES = [
+    ("m9", (("S6.1", 1),), None),
+    ("m9", (("S2", 1), ("S3", 1)), None),
+    ("m9", (("S9", 1),), "unknown state S9"),
+    ("m9", (("S2", 0),), "nonpositive count on S2"),
     # two children of the same composite cannot both be active
-    assert m.legal_configuration(m9, Configuration.of("S6.1", "S6.2")) is not None
+    ("m9", (("S6.1", 1), ("S6.2", 1)), "two active children of S6: S6.1 and S6.2"),
     # token counts above one only on multi-join targets
-    assert m.legal_configuration(m8, Configuration.of("S4", "S4")) is None
-    assert m.legal_configuration(m8, Configuration.of("S1", "S1")) is not None
+    ("m8", (("S4", 2),), None),
+    ("m8", (("S1", 2),), "count 2 on S1 which is not a multi-join target"),
+]
+
+
+def test_legal_configuration_rules(fixtures):
+    for name, entries, reason in LEGAL_CONFIGURATION_RULES:
+        assert m.legal_configuration(fixtures[name], Configuration(entries)) == reason, entries
+
+
+@pytest.mark.parametrize(
+    "path, leaf", [("alpha", "alpha"), ("Beta", "Beta"), ("S6", "S6.1"), ("S6.2", "S6.2"), ("S9", None)]
+)
+def test_leaf_path_rules(m9, path, leaf):
+    if leaf is None:
+        with pytest.raises(UnknownState, match="S9"):
+            m.leaf_path(m9, path)
+    else:
+        assert m.leaf_path(m9, path) == leaf
+
+
+# Models whose C.D names as its initial child itself, an ancestor, a state
+# that is no child of it, or an undeclared path; every default-child descent
+# stops at C.D.  Each library call runs in a child process, so a descent that
+# never ends fails the test at the timeout instead of hanging the run.
+ODD_INITIAL_CHILD_RUN = """
+import json, sys
+from flowspec import canon, emit, model as m, patterns, replay
+from flowspec.errors import FlowspecError
+from flowspec.model import InBranch, OutBranch, ProcessModel, StateNode, TransitionDecl
+
+def odd_model(initial):
+    d = StateNode("D", "C.D", ("ed",), children=(StateNode("a", "C.D.a", ("ea",)),), initial_child=initial)
+    return ProcessModel(
+        states=(StateNode("C", "C", ("ec",), children=(d,), initial_child="C.D"), StateNode("S", "S")),
+        transitions=(
+            TransitionDecl("t1", (InBranch("alpha", "go"),), (OutBranch("C"),)),
+            TransitionDecl("t2", (InBranch("C.D.a", "e2"),), (OutBranch("S"),)),
+        ),
+    )
+
+out = {}
+for initial in sys.argv[1:]:
+    model = odd_model(initial)
+    calls = {
+        "leaf_path": lambda: m.leaf_path(model, "C"),
+        "firing_plan": lambda: m.firing_plan(model, model.transitions[0]).leaves,
+        "step": lambda: replay.step(model, m.initial_configuration(model), {"go"}, {}).after.entries,
+        "explore": lambda: len(replay.explore(model, 2)),
+        "lint": lambda: [(d.code, d.location) for d in patterns.lint(model)],
+        "classify": lambda: [p.kind.value for p in patterns.classify(model)[0]],
+        "strict": lambda: len(emit.emit_feature(model, "strict").scenarios),
+        "paper_exact": lambda: len(emit.emit_feature(model, "paper_exact").scenarios),
+        "canonical_form": lambda: bool(canon.canonical_form(model)),
+    }
+    for name, call in calls.items():
+        try:
+            out[f"{initial} {name}"] = call()
+        except FlowspecError as exc:
+            out[f"{initial} {name}"] = type(exc).__name__
+print(json.dumps(out))
+"""
+
+
+def test_every_descent_ends_on_an_odd_initial_child():
+    initials = ["C.D", "C", "S", "C.D.z"]
+    proc = subprocess.run(
+        [sys.executable, "-c", ODD_INITIAL_CHILD_RUN, *initials],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    expected = {
+        "leaf_path": "C.D",
+        "firing_plan": ["C.D"],
+        "step": [["C.D", 1]],
+        "explore": 1,
+        "lint": [["UnreachableState", "C.D.a"], ["UnreachableState", "S"]],
+        "classify": ["Sequence", "Sequence"],
+        "strict": 2,
+        "paper_exact": 2,
+        "canonical_form": True,
+    }
+    assert json.loads(proc.stdout) == {f"{i} {name}": v for i in initials for name, v in expected.items()}
 
 
 def test_firing_plan_orders_exits_then_actions_then_entries(m9):

@@ -1,9 +1,11 @@
 """Replay semantics: enabledness, stepping, verdicts, coverage, exploration."""
 
+import inspect
 import json
 
 import pytest
 
+from flowspec import replay
 from flowspec.dsl import parse_dsl
 from flowspec.emit import emit_feature
 from flowspec.errors import FlowspecError, IllegalGiven, NondeterminismConflict, UnknownState
@@ -176,6 +178,79 @@ def test_illegal_given_raises(m9):
     doc = parse_feature("GIVEN S6.1 AND S6.2\nWHEN ev8\nTHEN a10\n")
     with pytest.raises(IllegalGiven):
         replay_scenario(m9, doc.scenarios[0], "paper_exact")
+
+
+def _reference_replay():
+    """``replay._replay`` with its one-state shortcut taken out: every GIVEN
+    builds ``Configuration.of`` and passes ``legal_configuration``."""
+    source = inspect.getsource(replay._replay)
+    shortcut = "if len(paths) == 1:"
+    assert source.count(shortcut) == 1
+    namespace = dict(vars(replay))
+    exec(source.replace(shortcut, "if False:"), namespace)
+    return namespace["_replay"]
+
+
+ONE_STATE_GIVENS = [
+    ("m9", "GIVEN S6.1\nWHEN ev8\nTHEN a10 AND S6.2\n"),  # a leaf
+    ("m9", "GIVEN S6\nWHEN ev8\nTHEN a10 AND S6.2\n"),  # a composite
+    ("m9", "GIVEN S5\nWHEN ev7\nTHEN a9 AND S6.1\n"),  # into a composite
+    ("m9", "GIVEN alpha\nWHEN ev1\nTHEN a1; a2 AND S1\n"),
+    ("m7", "GIVEN alpha AND h1 AND NOT h2\nWHEN start\nTHEN S1\n"),  # a state and guard literals
+    ("m7", "GIVEN h1 AND S1\nWHEN e1\nTHEN a1 AND S3\n"),
+]
+ILLEGAL_GIVENS = [
+    ("GIVEN S1 AND S1\nWHEN ev2\nTHEN a5\n", "count 2 on S1 which is not a multi-join target"),
+    ("GIVEN S6.1 AND S6.2\nWHEN ev8\nTHEN a10\n", "two active children of S6: S6.1 and S6.2"),
+    ("GIVEN ev1\nWHEN ev1\nTHEN a1\n", "GIVEN term 'ev1' is not a state or guard of the model"),
+    ("GIVEN S9\nWHEN ev1\nTHEN a1\n", "GIVEN term 'S9' is not a state or guard of the model"),
+]
+
+
+@pytest.mark.parametrize("mode", ["strict", "paper_exact"])
+def test_one_state_given_replays_as_the_checked_reference(monkeypatch, fixtures, mode):
+    reference = _reference_replay()
+    checked = []
+    legal = replay.m.legal_configuration
+    monkeypatch.setattr(replay.m, "legal_configuration", lambda *a: checked.append(a[1]) or legal(*a))
+    passed = []
+    for name, text in ONE_STATE_GIVENS:
+        model = fixtures[name]
+        scenario = parse_feature(text).scenarios[0]
+        want = reference(model, model_index(model).kinds, scenario, mode)
+        assert len(checked) == 1, text
+        verdict = replay_scenario(model, scenario, mode)
+        assert verdict == want, text
+        assert len(checked) == 1, text  # the shortcut checks nothing
+        checked.clear()
+        passed.append(verdict.passed)
+    assert passed == [True, False, True, True, True, False]
+
+
+@pytest.mark.parametrize("text, reason", ILLEGAL_GIVENS)
+def test_illegal_givens_keep_their_reasons(m9, text, reason):
+    scenario = parse_feature(text).scenarios[0]
+    with pytest.raises(IllegalGiven) as caught:
+        _reference_replay()(m9, model_index(m9).kinds, scenario, "strict")
+    assert str(caught.value) == reason
+    with pytest.raises(IllegalGiven) as caught:
+        replay_scenario(m9, scenario, "strict")
+    assert str(caught.value) == reason
+
+
+def test_a_given_naming_no_state_is_illegal(m7):
+    scenario = parse_feature("GIVEN h1 AND NOT h2\nWHEN start\nTHEN S1\n").scenarios[0]
+    with pytest.raises(IllegalGiven, match="^GIVEN names no states$"):
+        replay_scenario(m7, scenario, "strict")
+
+
+def test_a_state_inside_a_strict_then_sequence_splits_it(m9):
+    """A THEN sequence ``a1; S1; a2`` reads as the runs ``a1`` and ``a2``,
+    each in trace order, and the state S1."""
+    for then, passed in (("a1; S1; a2", True), ("a2; S1; a1", True), ("a1; S1; a9", False)):
+        scenario = parse_feature(f"GIVEN alpha\nWHEN ev1\nTHEN {then}\n").scenarios[0]
+        verdict = replay_scenario(m9, scenario, "strict")
+        assert verdict.passed is passed, (then, verdict.mismatches)
 
 
 # -- the atom-kind table ---------------------------------------------------

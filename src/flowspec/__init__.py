@@ -26,14 +26,13 @@ from .feature import (
     DocHints,
     FeatureDoc,
     Scenario,
-    StateTerm,
     Step,
     Term,
     format_feature,
     parse_feature,
 )
 from .generator import GeneratorLimits, random_model
-from .infer import InferenceHints, infer_model
+from .infer import infer_model
 from .model import (
     Configuration,
     GuardExpr,
@@ -78,7 +77,6 @@ __all__ = [
     "GuardExpr",
     "IllegalGiven",
     "InBranch",
-    "InferenceHints",
     "ModelSyntaxError",
     "NondeterminismConflict",
     "OutBranch",
@@ -91,7 +89,6 @@ __all__ = [
     "SourceSpan",
     "StateNode",
     "StateSpecialCase",
-    "StateTerm",
     "Step",
     "StepResult",
     "StepSkeleton",

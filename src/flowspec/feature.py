@@ -27,7 +27,6 @@ the parser reads each line once and the formatter writes the same shapes.
 from __future__ import annotations
 
 import re
-from dataclasses import field
 from typing import NoReturn
 
 from .errors import FeatureSyntaxError, SourceSpan
@@ -52,16 +51,12 @@ _NAME_HINTS = _HINT_KEYS[:4]
 
 @value_type
 class Term:
-    """One conjunct of a GIVEN or WHEN clause.
-
-    ``role`` is advisory metadata (the parser can only guess from syntax;
-    replay and inference classify against a model), so it does not take part
-    in equality.
-    """
+    """One conjunct of a GIVEN or WHEN clause.  What the atom names (state,
+    event or guard) is not in the text: replay reads it from a model and
+    ``reverse`` from the document's hints and row shapes."""
 
     atom: str
     negated: bool = False
-    role: str | None = field(default=None, compare=False)
 
     def render(self) -> str:
         return ("NOT " if self.negated else "") + self.atom
@@ -69,25 +64,14 @@ class Term:
 
 @value_type
 class ActionSeq:
-    """Ordered actions, rendered joined by '; '."""
+    """One THEN chunk: ordered names, rendered joined by '; '.  A state
+    name in it is a resulting state, which replay and ``reverse`` tell
+    apart from the actions."""
 
     actions: tuple[str, ...]
 
     def render(self) -> str:
         return "; ".join(self.actions)
-
-
-@value_type
-class StateTerm:
-    """A resulting-state term in a THEN clause."""
-
-    path: str
-
-    def render(self) -> str:
-        return self.path
-
-
-ThenItem = ActionSeq | StateTerm
 
 
 @value_type
@@ -97,7 +81,6 @@ class Step:
 
 
 _ident = IDENT_RE.match
-_ROLES = {"Given": "state", "When": "event"}  # a negated term is a guard
 
 # A clause as the emitter spells it, names joined by exactly " AND " (or "; " in
 # a THEN), none a bare AND or NOT, reads the same through `str.split`.
@@ -121,7 +104,7 @@ def _structure(steps: tuple[Step, ...]) -> tuple:
             if keyword == "Then":
                 items += [ActionSeq(tuple(chunk.split("; "))) for chunk in chunks]
             else:
-                items += [Term(chunk, False, _ROLES[keyword]) for chunk in chunks]
+                items += [Term(chunk) for chunk in chunks]
             continue
         chunks = _AND_SPLIT.split(text.strip())
         if keyword == "Then":
@@ -133,14 +116,13 @@ def _structure(steps: tuple[Step, ...]) -> tuple:
             else:
                 continue
         else:
-            role = _ROLES[keyword]
             for chunk in chunks:
                 negated = chunk.startswith("NOT ")
                 if negated:
                     chunk = chunk[4:].strip()
                 if not _ident(chunk):
                     break
-                items.append(Term(chunk, negated, "guard" if negated else role))
+                items.append(Term(chunk, negated))
             else:
                 continue
         views[keyword] = None
@@ -163,7 +145,7 @@ class Scenario:
         return self.views[1]
 
     @property
-    def then(self) -> tuple[ThenItem, ...] | None:
+    def then(self) -> tuple[ActionSeq, ...] | None:
         return self.views[2]
 
     @property
@@ -171,14 +153,32 @@ class Scenario:
         return None not in self.views
 
 
+def _clash(hints: dict, key: str, names) -> str | None:
+    """Why ``names``, hinted as ``key``, clash with the name hints in
+    ``hints`` (hint key -> names); None when no name takes two roles."""
+    for other in _NAME_HINTS:
+        if other != key and (clash := set(names).intersection(hints.get(other, ()))):
+            return f"{', '.join(sorted(clash))} hinted as both {other} and {key}"
+    return None
+
+
 @value_type
 class DocHints:
+    """The hint comments of a document, the only hints ``reverse`` reads.
+    Raises ValueError when a name is hinted in two roles."""
+
     states: tuple[str, ...] = ()
     events: tuple[str, ...] = ()
     guards: tuple[str, ...] = ()
     actions: tuple[str, ...] = ()
     initial: str | None = None
     final: str | None = None
+
+    def __post_init__(self):
+        for i, key in enumerate(_NAME_HINTS):
+            earlier = {other: getattr(self, other) for other in _NAME_HINTS[:i]}
+            if reason := _clash(earlier, key, getattr(self, key)):
+                raise ValueError(reason)
 
 
 @value_type
@@ -276,11 +276,8 @@ def parse_feature(text: str, filename: str = "<string>") -> FeatureDoc:
                     hints[key] = payload.strip()
                     continue
                 names = tuple(n.strip() for n in payload.split(",") if n.strip())
-                for other in _NAME_HINTS:
-                    clash = set(names).intersection(hints.get(other, ()))
-                    if other != key and clash:
-                        reason = f"{', '.join(sorted(clash))} hinted as both {other} and {key}"
-                        _fail("MalformedClause", reason, filename, lineno)
+                if reason := _clash(hints, key, names):
+                    _fail("MalformedClause", reason, filename, lineno)
                 hints[key] = names
             continue
         first, _, rest = line.partition(" ")

@@ -3,10 +3,11 @@
 Every term gets one role (state, event, guard or action) from one table per
 document, built by ``_Inferrer._roles`` before any row is read:
 
-* seeds, where the first role given to a name stays: hints and the two
-  pseudostates; the named route's shape seeds (below); dotted names are
-  states; negated terms are guards; positive GIVEN heads are states; a final
-  THEN atom that also appears in a GIVEN is a state;
+* seeds, where the first role given to a name stays: the document's hint
+  comments (``FeatureDoc.hints``) and the two pseudostates; the named
+  route's shape seeds (below); dotted names are states; negated terms are
+  guards; positive GIVEN heads are states; a final THEN atom that also
+  appears in a GIVEN is a state;
 * propagation to a fixpoint: a positive GIVEN term before a state term is a
   state, and a single-atom THEN chunk after a state chunk is a state;
 * defaults: what is left is a guard in a GIVEN, an event in a WHEN and an
@@ -48,10 +49,9 @@ import re
 from dataclasses import dataclass
 
 from . import model as m
-from .errors import Diagnostic, FeatureSyntaxError, SourceSpan
+from .errors import Diagnostic
 from .feature import FeatureDoc, Scenario
 from .model import COMPLETION_EVENT, PatternKind, ProcessModel
-from .values import value_type
 
 # Scenario names carry a transition's pattern kind, never a state special case.
 _STATE_CASES = {PatternKind.ENTRY_EXIT_CASE, PatternKind.EMBEDDED_STATES}
@@ -67,45 +67,6 @@ _SHAPE_CARRIES_TARGET = {PatternKind.SYNCHRONIZE_MERGE, PatternKind.MULTIPLE_MER
 _COMBINED_JOINS = set(m.MERGES.values()) - m.PER_INPUT_MERGES
 
 _JOIN_KIND_OF = {kind: join for join, kind in m.MERGES.items()}
-
-
-@value_type
-class InferenceHints:
-    declared_states: frozenset[str] = frozenset()
-    declared_events: frozenset[str] = frozenset()
-    declared_guards: frozenset[str] = frozenset()
-    declared_actions: frozenset[str] = frozenset()
-    initial_name: str | None = None
-    final_name: str | None = None
-
-    def __post_init__(self):
-        roles = {
-            "states": self.declared_states,
-            "events": self.declared_events,
-            "guards": self.declared_guards,
-            "actions": self.declared_actions,
-        }
-        for (ra, a), (rb, b) in itertools.combinations(roles.items(), 2):
-            if clash := a & b:
-                raise ValueError(f"{', '.join(sorted(clash))} hinted as both {ra} and {rb}")
-
-
-def _merge_hints(doc: FeatureDoc, hints: InferenceHints | None) -> InferenceHints:
-    """The caller's hints joined with the document's hint lines.  Raises
-    FeatureSyntaxError (MalformedClause) when the two give one name two
-    roles."""
-    given = hints or InferenceHints()
-    try:
-        return InferenceHints(
-            declared_states=given.declared_states | frozenset(doc.hints.states),
-            declared_events=given.declared_events | frozenset(doc.hints.events),
-            declared_guards=given.declared_guards | frozenset(doc.hints.guards),
-            declared_actions=given.declared_actions | frozenset(doc.hints.actions),
-            initial_name=given.initial_name or doc.hints.initial,
-            final_name=given.final_name or doc.hints.final,
-        )
-    except ValueError as clash:
-        raise FeatureSyntaxError("MalformedClause", str(clash), SourceSpan()) from None
 
 
 def parse_scenario_name(name: str):
@@ -193,20 +154,17 @@ class _Row:
 
 
 class _Inferrer:
-    def __init__(self, doc: FeatureDoc, hints: InferenceHints | None):
+    def __init__(self, doc: FeatureDoc):
         self.doc = doc
         # the mode stamp, spelled as in ``model.MODES`` when it names a mode
         self.mode = (doc.mode_hint or "").replace("-", "_")
-        self.hints = _merge_hints(doc, hints)
-        self.initial = self.hints.initial_name or m.DEFAULT_INITIAL
-        self.final = self.hints.final_name or m.DEFAULT_FINAL
+        self.hints = doc.hints
+        self.initial = self.hints.initial or m.DEFAULT_INITIAL
+        self.final = self.hints.final or m.DEFAULT_FINAL
         self.diags: list[Diagnostic] = []
-        # insertion-ordered: state order is output
+        # insertion-ordered: state order is output, hinted states first
         self.state_order: dict[str, None] = {}
-        # declared states in the order the document lists them, then any
-        # further hinted ones sorted
-        listed = doc.hints.states
-        for name in (*listed, *sorted(self.hints.declared_states.difference(listed))):
+        for name in self.hints.states:
             self.note_state(name)
         self.roles: dict[str, str] = {}
         self.initial_children: dict[str, str] = {}
@@ -290,13 +248,8 @@ class _Inferrer:
         ``shapes`` are the named route's seeds, empty for the structural one.
         """
         roles: dict[str, str] = {}
-        for role, names in (
-            ("state", self.hints.declared_states),
-            ("event", self.hints.declared_events),
-            ("guard", self.hints.declared_guards),
-            ("action", self.hints.declared_actions),
-        ):
-            roles.update(dict.fromkeys(names, role))
+        for key in ("states", "events", "guards", "actions"):  # each a role's plural
+            roles.update(dict.fromkeys(getattr(self.hints, key), key[:-1]))
         roles[self.initial] = roles[self.final] = "state"
 
         for atom, role in shapes.items():
@@ -352,6 +305,7 @@ class _Inferrer:
                         "bare WHEN term defaulted to event (could be a guard)",
                     )
         seed(then_atoms, "action")
+        roles.pop(COMPLETION_EVENT, None)  # no role: see ``read``
         return roles
 
     def read(self, scenario: Scenario, index: int = 0) -> _Row:
@@ -368,6 +322,12 @@ class _Inferrer:
         if not sources:
             self.warn("AmbiguousTerm", scenario.name, "GIVEN names no state; the row has no input")
         actions, targets = _peel(_chunks_of(scenario), self.is_state)
+        if COMPLETION_EVENT in actions:
+            actions = [a for a in actions if a != COMPLETION_EVENT]
+            self.diags.append(Diagnostic(
+                "ReservedName", "error", scenario.name,
+                f"THEN names the completion event {COMPLETION_EVENT}, which is not an action; dropped",
+            ))
         for name in (*sources, *targets):
             self.note_state(name)
         return _Row(scenario, sources, lits, events, actions, targets, index)
@@ -551,7 +511,7 @@ class _Inferrer:
                     ends += chunks[1:]
                 if len(scens) == 1 and kind in _COMBINED_JOINS:
                     for t in s.given:
-                        if t.negated or t.atom in self.hints.declared_guards:
+                        if t.negated or t.atom in self.hints.guards:
                             break
                         shapes.setdefault(t.atom, "state")
                 for c in ends:
@@ -594,7 +554,7 @@ class _Inferrer:
         rows = [self.read(s, i) for i, s in enumerate(self.scenarios)]
         for row in rows:
             chunks = _chunks_of(row.scenario)
-            if len(chunks) > 1 and not row.targets:
+            if len(chunks) > 1 and not row.targets and chunks[-1][-1] != COMPLETION_EVENT:
                 self.warn(
                     "AmbiguousTerm",
                     row.scenario.name,
@@ -749,12 +709,13 @@ class _Inferrer:
         return model, self.diags
 
 
-def infer_model(doc: FeatureDoc, hints: InferenceHints | None = None):
-    """Rebuild a process model from a feature document.
+def infer_model(doc: FeatureDoc):
+    """Rebuild a process model from a feature document, whose ``hints``
+    are the only hints read.
 
     Returns ``(model, diagnostics)``; ambiguity never raises.
     """
-    return _Inferrer(doc, hints).run()
+    return _Inferrer(doc).run()
 
 
 def _common_prefix(seqs: list[tuple]) -> tuple:

@@ -175,7 +175,7 @@ class PatternKind(enum.Enum):
 JOIN_KINDS = ("none", "and", "xor", "or", "multi")
 SPLIT_KINDS = ("none", "and", "or")
 # The pattern a join reads as; an and-join that an or-split feeds is a
-# SynchronizeMerge instead (``ModelIndex.patterns``).
+# SynchronizeMerge instead (``ModelIndex.synchronizing``).
 MERGES = {
     "and": PatternKind.SYNCHRONIZATION,
     "or": PatternKind.SYNCHRONIZE_MERGE,
@@ -417,24 +417,32 @@ class ModelIndex:
     @cached_property
     def patterns(self) -> dict[str, tuple[PatternKind, tuple[str, ...]]]:
         """Transition id -> its workflow pattern and the sorted ids of the
-        or-splits that feed its inputs (``or_feeds``).  A join reads as in
+        or-splits that feed its inputs (``or_feeds``).  A synchronizing merge
+        (``synchronizing``) reads as SynchronizeMerge, any other join as in
         ``MERGES``, a split that does not join as in ``SPLITS``, a choice
         family member as an exclusive choice and any other transition as a
         sequence."""
-        or_feeds = self.or_feeds
+        or_feeds, synchronizing = self.or_feeds, self.synchronizing
         family = {t.id for ts in self.choice_families.values() for t in ts}
         out: dict[str, tuple[PatternKind, tuple[str, ...]]] = {}
         for t in self.model.transitions:
             fed = tuple(sorted({split_id for split_id, _ in or_feeds.get(t.id, ())}))
             kind = (
-                MERGES.get(t.join_kind)
+                (PatternKind.SYNCHRONIZE_MERGE if t.id in synchronizing else MERGES.get(t.join_kind))
                 or SPLITS.get(t.split_kind)
                 or (PatternKind.EXCLUSIVE_CHOICE if t.id in family else PatternKind.SEQUENCE)
             )
-            if kind is PatternKind.SYNCHRONIZATION and fed:
-                kind = PatternKind.SYNCHRONIZE_MERGE
             out[t.id] = (kind, fed)
         return out
+
+    @cached_property
+    def synchronizing(self) -> frozenset[str]:
+        """Ids of the synchronizing merges (WCP-7), which replay fires by the
+        or-join rule: or-joins, and the and-joins an or-split feeds."""
+        return frozenset(
+            t.id for t in self.model.transitions
+            if t.join_kind == "or" or (t.join_kind == "and" and t.id in self.or_feeds)
+        )
 
     @cached_property
     def by_source(self) -> dict[str, list[int]]:
@@ -735,6 +743,9 @@ def _validate(model: ProcessModel, plain) -> list[Diagnostic]:
                     _diag("DuplicateStateName", child.path, "duplicate sibling name")
                 )
             seen_children.add(child.name)
+            if child.path != f"{node.path}.{child.name}":
+                reason = f"child {child.name} of {node.path} is not at {node.path}.{child.name}"
+                report.append(_diag("BadChildPath", child.path, reason))
         if node.composite:
             child_paths = {c.path for c in node.children}
             if node.initial_child is None:

@@ -78,7 +78,7 @@ def _fired_outputs(t: TransitionDecl, valuation) -> tuple[int, ...] | None:
 
 
 def _match_or_split(model: ProcessModel, t: TransitionDecl, config: Configuration):
-    """(id, input positions) of the first or-split feeding this or-join
+    """(id, input positions) of the first or-split feeding this merge
     (``ModelIndex.or_feeds``) whose recorded activation reaches an input:
     the inputs its marked outputs feed.  None when there is none."""
     for split_id, feeds in m.model_index(model).or_feeds.get(t.id, ()):
@@ -100,20 +100,23 @@ def firings_for(
 
     An input is active when its source holds a token, and ready when it is
     also active and its event is None or offered.  A multi-join fires once
-    per ready input and an xor-join its first ready input.  An or-join fires
-    the inputs its matching or-split activated, or else every active input,
-    when all of them are ready.  An and-join or a plain transition fires
-    when every input is ready.
+    per ready input and an xor-join its first ready input.  A synchronizing
+    merge (``ModelIndex.synchronizing``: an or-join, or an and-join that an
+    or-split feeds) fires the inputs its matching or-split activated, or
+    else every active input, when all of them are ready.  Any other
+    and-join, or a plain transition, fires when every input is ready.
     """
-    entry = _entry(model, t, config, config.counts())
+    entry = _entry(model, t, config, config.counts(), m.model_index(model).synchronizing)
     return [Firing(*firing) for firing in _firings(entry, events, valuation)]
 
 
-def _entry(model, t, config, counts):
-    """(``t``, its active input positions, its or-join match) at ``config``,
-    whose token counts are ``counts``."""
+def _entry(model, t, config, counts, synchronizing):
+    """(``t``, its active input positions, its merge match) at ``config``,
+    whose token counts are ``counts``.  The match is None unless ``t`` is
+    in ``synchronizing``, and then (the matching or-split's id, or None
+    when there is none, and the input positions it needs)."""
     active = tuple([i for i, b in enumerate(t.inputs) if counts.get(b.source, 0) >= 1])
-    match = _match_or_split(model, t, config) if t.join_kind == "or" else None
+    match = (_match_or_split(model, t, config) or (None, active)) if t.id in synchronizing else None
     return t, active, match
 
 
@@ -122,8 +125,9 @@ def _view(model: ProcessModel, config: Configuration):
     counts, and the ``_entry`` of each transition that could fire there
     (``ModelIndex.candidates``), in declaration order."""
     counts = config.counts()
-    candidates = m.model_index(model).candidates(counts)
-    return counts, [_entry(model, t, config, counts) for t in candidates]
+    index = m.model_index(model)
+    synchronizing = index.synchronizing
+    return counts, [_entry(model, t, config, counts, synchronizing) for t in index.candidates(counts)]
 
 
 def _firings(entry, events, valuation) -> list[tuple]:
@@ -145,8 +149,8 @@ def _firings(entry, events, valuation) -> list[tuple]:
         return [(t, (i,), outs, None) for i in ready]
     if t.join_kind == "xor":
         return [(t, ready[:1], outs, None)] if ready else []
-    if t.join_kind == "or":
-        split_id, wanted = match or (None, active)
+    if match is not None:
+        split_id, wanted = match
         if wanted and set(wanted) <= set(ready):
             return [(t, wanted, outs, split_id)]
         return []

@@ -349,10 +349,18 @@ def test_reverse_of_unrunnable_join_exits_one(tmp_path):
         "When _done\n"
         "Then S3; _done; g1\n"
     )
-    code, _, err = invoke("reverse", str(feature))
+    code, out, err = invoke("reverse", str(feature))
     assert code == 1
-    assert "error[UnsatisfiableJoin] at t1" in err
-    assert "error[ReservedName] at _done" in err
+    # _done is dropped from the THEN, not read as an action
+    assert err.splitlines() == [
+        "error[ReservedName] at Synchronization t1: THEN names the completion event _done, "
+        "which is not an action; dropped",
+        "warning[SyntheticTarget] at Synchronization t1: no resulting state; synthesized _after_Synchronization_t1",
+        "warning[AmbiguousInitialChild] at S1: never entered from outside; defaulting to S1.y",
+        "error[UnsatisfiableJoin] at t1: and-join inputs S1.y and S1.x are different children of S1, "
+        "never active together",
+    ]
+    assert "    do S3, g1\n" in out
 
 
 def test_reverse_keeps_every_target_of_a_row(tmp_path):

@@ -10,7 +10,6 @@ from flowspec.feature import (
     STYLES,
     ActionSeq,
     Scenario,
-    StateTerm,
     Step,
     Term,
     format_feature,
@@ -117,19 +116,20 @@ def test_unknown_mode_rejected(m1):
 # Emission pinned to the term renderer
 # ---------------------------------------------------------------------------
 # The emitter writes step text directly.  The copies below build each clause
-# from Term, ActionSeq and StateTerm items and render them, as it once did;
+# from Term and ActionSeq items and render them, as it once did (a resulting
+# state is a one-name ActionSeq, as the parser reads it back);
 # both must give the same scenarios and the same feature text.
 
 
 def _term_trace_items(plan):
     trace = plan.trace
     items = [ActionSeq(trace)] if trace else []
-    return items + [StateTerm(leaf) for leaf in plan.leaves]
+    return items + [ActionSeq((leaf,)) for leaf in plan.leaves]
 
 
 def _term_action_items(plan):
     return [ActionSeq((a,)) for a in plan.trace] or [
-        StateTerm(leaf) for leaf in plan.leaves
+        ActionSeq((leaf,)) for leaf in plan.leaves
     ]
 
 
@@ -138,19 +138,19 @@ def _term_special_items(plan, outputs):
     for out in outputs:
         items.extend(ActionSeq((a,)) for a in out.branch.actions + out.entry_actions)
         if not out.entry_actions:
-            items.append(StateTerm(out.leaf))
+            items.append(ActionSeq((out.leaf,)))
     return items
 
 
 class _TermEmitter(emit._Emitter):
     def row(self, name, t, consumed, items, given_lits=(), when_lits=()):
-        given = [Term(b.source, False, "state") for b in consumed]
-        given.extend(Term(a, n, "guard") for a, n in given_lits)
-        when = [Term(b.event, False, "event") for b in consumed if b.event]
+        given = [Term(b.source) for b in consumed]
+        given.extend(Term(a, n) for a, n in given_lits)
+        when = [Term(b.event) for b in consumed if b.event]
         if t.shared_event:
-            when.append(Term(t.shared_event, False, "event"))
-        when.extend(Term(a, n, "guard") for a, n in when_lits)
-        clauses = (given, when or [Term(COMPLETION_EVENT, False, "event")], items)
+            when.append(Term(t.shared_event))
+        when.extend(Term(a, n) for a, n in when_lits)
+        clauses = (given, when or [Term(COMPLETION_EVENT)], items)
         steps = tuple(
             Step(keyword, " AND ".join(item.render() for item in clause))
             for keyword, clause in zip(KEYWORDS, clauses)

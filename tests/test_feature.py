@@ -1,6 +1,7 @@
 """Feature text parsing, formatting and the parse/format adjunction."""
 
 import dataclasses
+import itertools
 import random
 import re
 
@@ -66,7 +67,6 @@ def test_parse_negated_guards():
     doc = parse_feature(CHOICE_TEXT)
     first = doc.scenarios[0]
     assert first.given == (Term("S1"), Term("g1"), Term("g2", True))
-    assert first.given[2].role == "guard"
 
 
 def test_scenarios_split_on_given_after_then():
@@ -161,6 +161,19 @@ def test_name_hinted_in_two_roles_rejected_at_later_hint():
     assert exc.value.code == "MalformedClause"
     assert exc.value.span.line == 3
     assert "x hinted as both states and guards" in str(exc.value)
+
+
+@pytest.mark.parametrize("first, second", list(itertools.combinations(("states", "events", "guards", "actions"), 2)))
+def test_a_name_in_two_hinted_roles_is_rejected(first, second):
+    # in a document at the later hint line, whichever comes first
+    for one, other in ((first, second), (second, first)):
+        with pytest.raises(FeatureSyntaxError) as exc:
+            parse_feature(f"# {one}: x, y\n# {other}: z, x\nGIVEN S1\nWHEN ev1\nTHEN a1\n")
+        assert (exc.value.code, exc.value.span.line) == ("MalformedClause", 2)
+        assert exc.value.reason == f"x hinted as both {one} and {other}"
+    # hints built in code are rejected, not resolved
+    with pytest.raises(ValueError, match=f"^x hinted as both {first} and {second}$"):
+        DocHints(**{first: ("x", "y"), second: ("z", "x")})
 
 
 def test_case_insensitive_keywords():
@@ -447,7 +460,7 @@ def test_parser_matches_the_builder_parser():
 # ---------------------------------------------------------------------------
 
 
-def _old_structure_terms(text, default_role):
+def _old_structure_terms(text):
     terms = []
     for chunk in re.split(r"\s+AND\s+", text.strip()):
         negated = False
@@ -456,7 +469,7 @@ def _old_structure_terms(text, default_role):
             chunk = chunk[4:].strip()
         if not is_ident(chunk):
             return None
-        terms.append(Term(chunk, negated, "guard" if negated else default_role))
+        terms.append(Term(chunk, negated))
     return tuple(terms)
 
 
@@ -470,13 +483,13 @@ def _old_structure_then(text):
     return tuple(items)
 
 
-def _old_clause(steps, keyword, structure, *args):
+def _old_clause(steps, keyword, structure):
     """The reference view: every `keyword` step structured on its own, one
     walk over the steps per keyword."""
     items = []
     for step in steps:
         if step.keyword == keyword:
-            part = structure(step.text, *args)
+            part = structure(step.text)
             if part is None:
                 return None
             items.extend(part)
@@ -485,17 +498,10 @@ def _old_clause(steps, keyword, structure, *args):
 
 def _old_views(steps):
     return (
-        _old_clause(steps, "Given", _old_structure_terms, "state"),
-        _old_clause(steps, "When", _old_structure_terms, "event"),
+        _old_clause(steps, "Given", _old_structure_terms),
+        _old_clause(steps, "When", _old_structure_terms),
         _old_clause(steps, "Then", _old_structure_then),
     )
-
-
-def _with_roles(view):
-    """Equality of Terms ignores the role, so compare it explicitly."""
-    if view is None:
-        return None
-    return [(t.atom, t.negated, t.role) if isinstance(t, Term) else t for t in view]
 
 
 _ATOMS = ["S1", "g1", "ev_2", "a.b", "x.y.z"]
@@ -530,7 +536,7 @@ def _clause_text(rng, keyword):
 def _assert_views_match_reference(scenario):
     want = _old_views(scenario.steps)
     got = (scenario.given, scenario.when, scenario.then)
-    assert [_with_roles(v) for v in got] == [_with_roles(v) for v in want], scenario.steps
+    assert got == want, scenario.steps
     assert scenario.structured == (None not in want)
     return want
 
@@ -611,6 +617,5 @@ def test_replace_reads_the_new_steps():
     assert scenario.given  # the views are built before the copy
     copied = dataclasses.replace(scenario, steps=other.steps)
     assert copied.views == other.views
-    assert [_with_roles(v) for v in copied.views] == [_with_roles(v) for v in other.views]
     assert copied == Scenario(scenario.name, other.steps)
     assert "views" not in repr(copied)

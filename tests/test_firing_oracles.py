@@ -8,7 +8,12 @@ compute the same results the earlier way, with chain depths
 the stimuli from candidates and token counts (``reference_offers``), and
 every result is compared with them.  ``reference_match_or_split`` is the
 or-join match as replay found it before ``ModelIndex.or_feeds``, by a scan
-of every or-split at each call.  ``model.iter_states`` and
+of every or-split at each call.  The reference fires an and-join that an
+or-split feeds (``reference_or_fed``) by the or-join rule, as the
+synchronizing merge (WCP-7) that ``ModelIndex.patterns`` calls it; needing
+every input of such a join deadlocked m7 (test_replay.py,
+``test_or_fed_and_join_synchronizes_what_the_or_split_fired``).
+``model.iter_states`` and
 ``patterns._reachable_paths`` are compared the same way with the recursive
 walk and the leaf-chain worklist they replaced, and ``explore``'s explicit
 stack with the recursive walk it replaced.
@@ -452,6 +457,16 @@ def reference_match_or_split(model, t, config):
     return None
 
 
+def reference_or_fed(model, t):
+    """Whether an or-split output targets an input source of ``t``, or a
+    target whose default leaf is one."""
+    targets = set()
+    for s in model.transitions:
+        if s.split_kind == "or":
+            targets.update(p for b in s.outputs for p in (b.target, leaf_path(model, b.target)))
+    return any(b.source in targets for b in t.inputs)
+
+
 def reference_firings_for(model, t, config, events, valuation):
     counts = config.counts()
     if t.shared_event is not None and t.shared_event not in events:
@@ -472,7 +487,7 @@ def reference_firings_for(model, t, config, events, valuation):
             if _input_satisfied(b, counts, events):
                 return [Firing(t, (i,), outs)]
         return []
-    if t.join_kind == "or":
+    if t.join_kind == "or" or (t.join_kind == "and" and reference_or_fed(model, t)):
         match = reference_match_or_split(model, t, config)
         if match is not None:
             split_id, required = match

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from flowspec.canon import canonical_form, isomorphic
 from flowspec.dsl import parse_dsl, serialize_dsl
 from flowspec.emit import emit_feature
-from flowspec.errors import FeatureSyntaxError, FlowspecError, IllegalGiven
-from flowspec.feature import format_feature, parse_feature
+from flowspec.errors import Diagnostic, FlowspecError, IllegalGiven
+from flowspec.feature import DocHints, format_feature, parse_feature
 from flowspec.generator import GeneratorLimits, random_model
-from flowspec.infer import InferenceHints, infer_model
-from flowspec.model import PatternKind, iter_states
+from flowspec.infer import infer_model
+from flowspec.model import COMPLETION_EVENT, PatternKind, iter_states, model_index
 from flowspec.patterns import classify
 from flowspec.replay import check_suite, replay_scenario
 
@@ -161,7 +161,7 @@ def test_distinct_targets_do_not_fold():
     # two rows into the same state but without a shared action suffix stay
     # separate transitions
     text = "GIVEN S1\nWHEN e1\nTHEN a1 AND S3\n\nGIVEN S2\nWHEN e2\nTHEN a2 AND S3\n"
-    model, _diags = infer_model(parse_feature(text), InferenceHints(declared_states=frozenset({"S3"})))
+    model, _diags = infer_model(dataclasses.replace(parse_feature(text), hints=DocHints(states=("S3",))))
     assert len(model.transitions) == 2
 
 
@@ -173,9 +173,9 @@ def test_bare_when_terms_default_to_events_with_diagnostic():
 
 
 def test_hints_override_term_roles():
+    # hints a library caller adds go into the document
     text = "GIVEN S1\nWHEN g1\nTHEN a1\n"
-    hints = InferenceHints(declared_guards=frozenset({"g1"}))
-    model, _ = infer_model(parse_feature(text), hints)
+    model, _ = infer_model(dataclasses.replace(parse_feature(text), hints=DocHints(guards=("g1",))))
     t = model.transitions[0]
     assert t.shared_guard is not None
     assert t.shared_guard.literals == (("g1", False),)
@@ -186,6 +186,27 @@ def test_hint_comments_apply():
     text = "# guards: g1\nGIVEN S1\nWHEN g1\nTHEN a1\n"
     model, _ = infer_model(parse_feature(text))
     assert model.transitions[0].shared_guard.literals == (("g1", False),)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "GIVEN S1\nWHEN e1\nTHEN a1 AND _done\n",
+        "GIVEN S1\nWHEN e1\nTHEN _done\n",
+        "GIVEN S1\nWHEN e1\nTHEN a1; _done; a2 AND S2\n\nGIVEN S2\nWHEN e2\nTHEN a3 AND Beta\n",
+        "# flowspec: mode=strict\nScenario: Sequence t1\nGIVEN S1\nWHEN e1\nTHEN a1 AND _done\n",
+        "# flowspec: mode=strict\nScenario: Sequence t1\nGIVEN S1\nWHEN _done\nTHEN _done; a1 AND S2\n",
+    ],
+    ids=["last-chunk", "alone", "in-a-sequence", "named", "named-first"],
+)
+def test_a_then_completion_event_is_an_error_not_an_action(text):
+    doc = parse_feature(text)
+    model, diags = infer_model(doc)
+    assert COMPLETION_EVENT not in model_index(model).spaces["action"]
+    message = "THEN names the completion event _done, which is not an action; dropped"
+    named = Diagnostic("ReservedName", "error", doc.scenarios[0].name, message)
+    assert [d for d in diags if d.code == "ReservedName"] == [named]
+    assert not any("_done" in d.message for d in diags if d.code != "ReservedName")
 
 
 def test_unstructured_scenarios_skipped_with_diagnostic():
@@ -216,30 +237,30 @@ def test_renamed_pseudostates_via_hints():
 
 
 def test_hinted_states_keep_document_order():
-    # hinted states come first, as the document lists them, then extra
-    # hint states sorted; the order of a set must not leak into the model
+    # hinted states come first, in the order the hints list them
     text = (
         "# states: S6, S5, S4, S3, S2, S1\n"
         "GIVEN S1\nWHEN e1\nTHEN a1 AND S2\n\nGIVEN S2\nWHEN e2\nTHEN a2 AND S3\n"
     )
-    hints = InferenceHints(declared_states=frozenset({"X2", "X1", "S4"}))
-    model, _ = infer_model(parse_feature(text), hints)
-    assert [s.path for s in model.states] == ["S6", "S5", "S4", "S3", "S2", "S1", "X1", "X2"]
+    doc = parse_feature(text)
+    model, _ = infer_model(doc)
+    assert [s.path for s in model.states] == ["S6", "S5", "S4", "S3", "S2", "S1"]
+    # and so do states a caller adds, none sorted
+    hinted = dataclasses.replace(doc, hints=DocHints(states=("X2", *doc.hints.states, "X1")))
+    model, _ = infer_model(hinted)
+    assert [s.path for s in model.states] == ["X2", "S6", "S5", "S4", "S3", "S2", "S1", "X1"]
 
 
 def test_hints_that_give_a_name_two_roles_are_a_feature_error():
-    # the document hints x as a guard, the caller as a state
+    # in the text, a MalformedClause at the later hint line (test_feature)
     doc = parse_feature("# states: S1, S2\n# guards: x\nGIVEN S1 AND x\nWHEN e1\nTHEN a1 AND S2\n")
-    with pytest.raises(FeatureSyntaxError) as exc:
-        infer_model(doc, InferenceHints(declared_states=frozenset({"x"})))
-    assert exc.value.code == "MalformedClause"
-    assert exc.value.reason == "x hinted as both states and guards"
-    # hints that agree with the document still merge
-    model, _ = infer_model(doc, InferenceHints(declared_guards=frozenset({"x"})))
+    # hints a caller adds are rejected, not resolved
+    with pytest.raises(ValueError, match="^x hinted as both states and guards$"):
+        dataclasses.replace(doc.hints, states=("S1", "S2", "x"))
+    # hints that agree with the document apply
+    model, _ = infer_model(dataclasses.replace(doc, hints=dataclasses.replace(doc.hints, guards=("x", "y"))))
     assert [s.path for s in model.states] == ["S1", "S2"]
-    # hints built directly in two roles stay a ValueError
-    with pytest.raises(ValueError, match="x hinted as both states and guards"):
-        InferenceHints(declared_states=frozenset({"x"}), declared_guards=frozenset({"x"}))
+    assert model.transitions[0].shared_guard.literals == (("x", False),)
 
 
 def test_structural_rows_with_one_given_and_when_fold_into_and_split():

@@ -255,9 +255,11 @@ def test_reversed_sibling_join_with_done_action_is_rejected():
         "When _done\n"
         "Then S3; _done; g1\n"
     )
-    _, diags = infer_model(doc)
+    model, diags = infer_model(doc)
     errors = {(d.code, d.location) for d in diags if d.severity == "error"}
-    assert errors == {("UnsatisfiableJoin", "t1"), ("ReservedName", "_done")}
+    # the THEN's _done is reported at its scenario and made no action
+    assert errors == {("UnsatisfiableJoin", "t1"), ("ReservedName", "Synchronization t1")}
+    assert model.transitions[0].shared_actions == ("S3", "g1")
 
 
 def test_namespaces_disjoint_in_valid_models(fixtures):
@@ -384,10 +386,15 @@ VALIDATE_RULES = [
         [("ReservedName", "alpha", "state shadows a pseudostate")],
     ),
     (
+        # two siblings of one name share a path too (a path off its name is BadChildPath)
         _one_rule_model(
-            states=(StateNode("C", "C", children=(simple("a", "C.a"), simple("a", "C.b")), initial_child="C.a"),)
+            states=(StateNode("C", "C", children=(simple("a", "C.a"), simple("a", "C.a")), initial_child="C.a"),)
         ),
-        [("DuplicateStateName", "C.b", "duplicate sibling name")],
+        [("DuplicateStateName", "C.a", "duplicate sibling name"), ("DuplicateStateName", "C.a", "duplicate state path")],
+    ),
+    (
+        _one_rule_model(states=(StateNode("C", "C", children=(simple("a"),), initial_child="a"),)),
+        [("BadChildPath", "a", "child a of C is not at C.a")],
     ),
     (
         _one_rule_model(states=(StateNode("C", "C", children=(simple("a", "C.a"),)),)),

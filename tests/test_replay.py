@@ -15,6 +15,7 @@ from flowspec.model import (
     Configuration,
     InBranch,
     OutBranch,
+    PatternKind,
     ProcessModel,
     StateNode,
     TransitionDecl,
@@ -491,6 +492,22 @@ def test_explore_m6_one_trace_per_guard_subset(m6):
     assert len(traces) == 3
     finals = {tuple(sorted(t[-1].after.paths())) for t in traces}
     assert finals == {("E1", "E2"), ("E1", "E3"), ("E1", "E2", "E3")}
+
+
+@pytest.mark.parametrize("start, trace", [("S1", ("a1", "a3")), ("S2", ("a2", "a3"))])
+def test_or_fed_and_join_synchronizes_what_the_or_split_fired(m7, start, trace):
+    # t2 joins S1 and S2 by "join and", but or-split t1 feeds it, so it is a
+    # synchronizing merge: it waits only for the branches t1 fired
+    assert model_index(m7).patterns["t2"][0] is PatternKind.SYNCHRONIZE_MERGE
+    runs = explore(m7, 3, Configuration.of(start))
+    assert [[(s.fired, s.trace, s.after) for s in run] for run in runs] == [
+        [(("t2",), trace, Configuration.of("S3"))]
+    ]
+    # from alpha: every guard subset of t1 reaches S3, with nothing left
+    runs = explore(m7, 3)
+    assert len(runs) == 3
+    assert all([s.fired for s in run] == [("t1",), ("t2",)] for run in runs)
+    assert {run[-1].after for run in runs} == {Configuration.of("S3")}
 
 
 def test_explore_rejects_an_undeclared_start_state(m1):

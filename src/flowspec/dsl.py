@@ -19,24 +19,30 @@ ends on its own line unless the newline is escaped):
     guard     = ["not"] IDENT ("and" ["not"] IDENT)*
     identlist = IDENT ("," IDENT)*
 
-Comments run from ``#`` to end of line.  The parser reads the tokens as
-plain strings: a string token keeps its quotes, so it never equals a
-keyword, and end of input is ``""``.  Each distinct token is tested as an
-identifier once, so ``validate_parsed`` checks only that a name that must be
-plain has no dot.  A diagnostic names its token by 1-based line and column,
-counted in characters; only a diagnostic computes one, by scanning the text
-again up to the failing token.  Inside a composite block a child may be
-declared by its local segment or by its full dotted path; a dotted name
-whose prefix does not match the enclosing state is rejected.  A comma inside
-``do`` lists also separates branches; since action names and state names
-live in disjoint namespaces, the parser ends an identlist as soon as the
-next identifier is a declared state or pseudostate.
+Comments run from ``#`` to end of line.  Tokens come from ``str.split``:
+``str.find`` locates each string and comment, and the code between them is
+split on blanks once ``{``, ``}`` and ``,`` are spaced out.  ``str.split``
+takes more characters for blanks than the four the grammar allows (space,
+tab, CR, LF), but any character in code that is neither one of those nor
+part of a token is an error, so one test of the code keeps them out.  The
+parser reads the tokens as plain strings: a string token keeps its quotes,
+so it never equals a keyword, and end of input is ``""``.  Each distinct
+token is tested as an identifier once, so ``validate_parsed`` checks only
+that a name that must be plain has no dot.  A diagnostic names its token by
+1-based line and column, counted in characters; only a diagnostic computes
+one, by running the token regex ``_TOKEN_RE`` over the text up to the
+failing token, and only an input in error runs it.  Inside a composite block
+a child may be declared by its local segment or by its full dotted path; a
+dotted name whose prefix does not match the enclosing state is rejected.  A
+comma inside ``do`` lists also separates branches; since action names and
+state names live in disjoint namespaces, the parser ends an identlist as
+soon as the next identifier is a declared state or pseudostate.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import compress, count, islice
+from itertools import islice
 
 from . import model as m
 from .errors import ModelSyntaxError, SemanticError, SourceSpan
@@ -45,11 +51,12 @@ from .errors import ModelSyntaxError, SemanticError, SourceSpan
 _HEADER_KEYS = ("role", "feature", "benefit", "initialname", "finalname")
 
 # One match per token: the blanks and comments before it, then the token as
-# the one group.  A string that does not close on its line, or at all, fails
-# its alternative and falls through to a lone '"'.  The blank prefix never
-# backtracks: after it, `[\s\S]` matches any character and `\Z` the end of
-# the text, so some alternative always matches where the greedy prefix
-# stops, and a long run of blanks costs one pass.
+# the one group.  Only a diagnostic runs it, to find a stray character and to
+# place the failing token.  A string that does not close on its line, or at
+# all, fails its alternative and falls through to a lone '"'.  The blank
+# prefix never backtracks: after it, `[\s\S]` matches any character and `\Z`
+# the end of the text, so some alternative always matches where the greedy
+# prefix stops, and a long run of blanks costs one pass.
 _TOKEN_RE = re.compile(
     r"""(?:[ \t\r\n]+|\#[^\n]*)*
       ( [{},]
@@ -59,8 +66,12 @@ _TOKEN_RE = re.compile(
       | \Z)""",
     re.VERBOSE,
 )
+# A string or a comment, by the rules of `_TOKEN_RE`.
+_STRING_OR_COMMENT_RE = re.compile(r'"(?:[^"\\\n]|\\[\s\S])*"|#[^\n]*')
+# the ASCII characters code may hold: word characters, punctuation, blanks
+_CODE_BYTES = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.{}, \t\r\n"
 _ESCAPE_RE = re.compile(r"\\([\s\S])")
-_BRACES = frozenset("{}")
+_NOT_WORDS = frozenset(("{", "}", ",", ""))
 
 
 def _is_word(tok: str) -> bool:
@@ -77,11 +88,15 @@ def _shown(tok: str) -> str:
     return tok
 
 
+def _words(code: str) -> list[str]:
+    """The tokens of code with no strings or comments in it."""
+    return code.replace("{", " { ").replace("}", " } ").replace(",", " , ").split()
+
+
 class _Parser:
     def __init__(self, text: str, filename: str):
         self.text = text
         self.filename = filename
-        self.closing: dict[int, int] = {}  # index of each matched "{" -> its "}"
         self.toks, self.idents = self.scan()
         self.pos = 0
 
@@ -89,27 +104,54 @@ class _Parser:
 
     def scan(self) -> tuple[list[str], set[str]]:
         """The tokens, and the set of those that are identifiers."""
-        toks = _TOKEN_RE.findall(self.text)
-        if len(toks) > 1 and toks[-2] == "":
-            # after blanks at the end, `findall` also matches "" at the very
-            # end; the first "" is end of input
-            toks.pop()
-        # each distinct token is tested once; every token of two or more
-        # characters is a string or a word
-        distinct = set(toks)
-        stray = [t for t in distinct if len(t) == 1 and not (t.isalnum() or t in "_.{},")]
-        if stray:
-            i = min(map(toks.index, stray))
-            if toks[i] == '"':
-                self.fail("BadString", "unterminated string", i)
-            self.fail("UnexpectedToken", f"stray character {toks[i]!r}", i)
-        opens: list[int] = []
-        for i in compress(count(), map(_BRACES.__contains__, toks)):
-            if toks[i] == "{":
-                opens.append(i)
-            elif opens:
-                self.closing[opens.pop()] = i
-        return toks, set(filter(m.IDENT_RE.match, distinct))
+        text = self.text
+        toks: list[str] = []
+        code: list[str] = []
+        strings: set[str] = set()
+        start = 0
+        # `str.find` looks for the next string or comment, each at its
+        # first '"' or "#"; a quote that opens no string is an error
+        quote, mark = text.find('"'), text.find("#")
+        while quote >= 0 or mark >= 0:
+            at = quote if mark < 0 or 0 <= quote < mark else mark
+            match = _STRING_OR_COMMENT_RE.match(text, at)
+            if match is None:
+                self.fail_stray()
+            code.append(piece := text[start:at])
+            toks += _words(piece)
+            if at == quote:
+                toks.append(tok := match[0])
+                strings.add(tok)
+            start = match.end()
+            if 0 <= quote < start:
+                quote = text.find('"', start)
+            if 0 <= mark < start:
+                mark = text.find("#", start)
+        code.append(piece := text[start:])
+        toks += _words(piece)
+        toks.append("")
+        # `str.split` takes more than the four DSL blanks for blanks, so the
+        # code may hold only those blanks, punctuation and word characters:
+        # once the ASCII ones are deleted, what is left must be alphanumeric.
+        # Any other character is an error that `_TOKEN_RE` places.
+        odd = "".join(code).encode("utf-8", "surrogatepass").translate(None, _CODE_BYTES)
+        if odd and not odd.decode("utf-8", "surrogatepass").isalnum():
+            self.fail_stray()
+        # each distinct word is tested once; joined by dots, the words are
+        # one identifier exactly when each of them is one
+        words = set(toks).difference(_NOT_WORDS, strings)
+        if not m.IDENT_RE.match(".".join(words)):
+            words = set(filter(m.IDENT_RE.match, words))
+        return toks, words
+
+    def fail_stray(self):
+        """Raise at the first character `_TOKEN_RE` reads as a token of its
+        own that no token rule allows."""
+        for i, tok in enumerate(_TOKEN_RE.findall(self.text)):
+            if len(tok) == 1 and not (tok.isalnum() or tok in "_.{},"):
+                if tok == '"':
+                    self.fail("BadString", "unterminated string", i)
+                self.fail("UnexpectedToken", f"stray character {tok!r}", i)
 
     def span(self, index: int) -> SourceSpan:
         """Where token `index` starts, from a second scan of the text up to
@@ -134,20 +176,18 @@ class _Parser:
         """Raise at token `index`, by default the next token."""
         raise ModelSyntaxError(code, message, self.span(self.pos if index is None else index))
 
+    def fail_ident(self, index: int, what: str):
+        """Raise at token `index`, which is not an identifier."""
+        tok = self.toks[index]
+        if not _is_word(tok):
+            self.fail("UnexpectedToken", f"expected {what}, found {_shown(tok)!r}", index)
+        self.fail("UnexpectedToken", f"malformed identifier {tok!r}", index)
+
     def expect(self, text: str) -> None:
         tok = self.toks[self.pos]
         if tok != text:
             self.fail("UnexpectedToken", f"expected {text!r}, found {_shown(tok)!r}")
         self.pos += 1
-
-    def expect_ident(self, what: str) -> str:
-        tok = self.toks[self.pos]
-        if tok not in self.idents:
-            if not _is_word(tok):
-                self.fail("UnexpectedToken", f"expected {what}, found {_shown(tok)!r}")
-            self.fail("UnexpectedToken", f"malformed identifier {tok!r}")
-        self.pos += 1
-        return tok
 
     def expect_string(self, what: str) -> str:
         tok = self.toks[self.pos]
@@ -156,20 +196,17 @@ class _Parser:
         self.pos += 1
         return _shown(tok)
 
-    def accept(self, text: str) -> bool:
-        """Step over the next token if it is the keyword or punctuation
-        `text`; end of input is never one, so this stays on it."""
-        if self.toks[self.pos] == text:
-            self.pos += 1
-            return True
-        return False
-
     # -- grammar -----------------------------------------------------------
+    #
+    # Below `parse_model`, each reader keeps the token index in a local `pos`
+    # and names the failing token's index to `fail`; those called with an
+    # index return the index after what they read.
 
     def parse_model(self) -> m.ProcessModel:
         toks = self.toks
-        if not self.accept("process"):
-            self.fail("MissingProcessHeader", "input does not start with a process block")
+        if toks[0] != "process":
+            self.fail("MissingProcessHeader", "input does not start with a process block", 0)
+        self.pos = 1
         title = self.expect_string("title")
         self.expect("{")
 
@@ -183,7 +220,7 @@ class _Parser:
         trans_slices: list[tuple[str, int, int]] = []
         while (tok := toks[self.pos]) != "}":
             if tok == "state":
-                states.append(self.parse_state(None, known))
+                states += self.parse_states(known)
             elif tok == "trans":
                 trans_slices.append(self.capture_trans())
             elif tok == "":
@@ -205,155 +242,197 @@ class _Parser:
             raise SemanticError(report)
         return model
 
-    def parse_state(self, parent: str | None, known: set[str]) -> m.StateNode:
-        """Parse the state block at the next token, a "state", and the blocks
-        nested in it, with no stack frame per level; `parent` is the enclosing
-        state's path and every path parsed is added to `known`."""
-        toks = self.toks
+    def parse_states(self, known: set[str]) -> list[m.StateNode]:
+        """Parse the run of top-level state blocks at the next token, a
+        "state", and the blocks nested in them, with no stack frame per
+        level; every path parsed is added to `known`."""
+        toks, idents = self.toks, self.idents
+        pos = self.pos
+        top: list[m.StateNode] = []
         blocks: list[list] = []  # open: name, path, entry, exit, children, initial
-        outer = parent
-        while True:
-            self.pos += 1  # the "state"
-            name = self.expect_ident("state name")
+        while toks[pos] == "state":
+            name = toks[pos + 1]
+            if name not in idents:
+                self.fail_ident(pos + 1, "state name")
+            pos += 2
+            outer = blocks[-1][1] if blocks else None
             if "." in name:
                 prefix, _, local = name.rpartition(".")
                 if outer is None or prefix != outer:
-                    self.fail(
-                        "BadNesting",
-                        f"dotted state name {name!r} does not match the enclosing state",
-                        self.pos - 1,
-                    )
+                    message = f"dotted state name {name!r} does not match the enclosing state"
+                    self.fail("BadNesting", message, pos - 1)
                 name = local
             path = name if outer is None else f"{outer}.{name}"
             known.add(path)
-            if self.accept("{"):
-                block = [name, path, [], [], [], None]
-                blocks.append(block)
+            if toks[pos] == "{":
+                pos += 1
+                blocks.append([name, path, [], [], [], None])
             else:
-                node = m.StateNode(name=name, path=path)
-                if not blocks:
-                    return node
-                block[4].append(node)
+                (blocks[-1][4] if blocks else top).append(m.StateNode(name, path))
             # the rest of the innermost open block, up to its next child
-            while (tok := toks[self.pos]) != "state":
+            while blocks and (tok := toks[pos]) != "state":
+                pos += 1
+                block = blocks[-1]
                 if tok == "}":
-                    self.pos += 1
-                    name, path, entry, exit_, children, initial = blocks.pop()
+                    blocks.pop()
+                    name, path, entry, exit_, children, initial = block
                     node = m.StateNode(name, path, tuple(entry), tuple(exit_), tuple(children), initial)
-                    if not blocks:
-                        return node
-                    block = blocks[-1]
-                    block[4].append(node)
-                elif self.accept("entry"):
-                    block[2].extend(self.parse_identlist())
-                elif self.accept("exit"):
-                    block[3].extend(self.parse_identlist())
-                elif self.accept("initial"):
+                    (blocks[-1][4] if blocks else top).append(node)
+                elif tok == "entry":
+                    names, pos = self.identlist(pos)
+                    block[2] += names
+                elif tok == "exit":
+                    names, pos = self.identlist(pos)
+                    block[3] += names
+                elif tok == "initial":
                     path = block[1]
-                    child = self.expect_ident("initial child")
+                    child = toks[pos]
+                    if child not in idents:
+                        self.fail_ident(pos, "initial child")
                     if "." not in child:
                         child = f"{path}.{child}"
                     elif not child.startswith(path + "."):
-                        self.fail("BadNesting", f"initial child {child!r} is outside {path!r}", self.pos - 1)
+                        self.fail("BadNesting", f"initial child {child!r} is outside {path!r}", pos)
                     if block[5] is not None:
-                        self.fail("UnexpectedToken", "initial child declared twice", self.pos - 1)
+                        self.fail("UnexpectedToken", "initial child declared twice", pos)
                     block[5] = child
+                    pos += 1
                 elif tok == "":
-                    self.fail("UnexpectedEnd", f"unterminated state block {block[1]!r}")
+                    self.fail("UnexpectedEnd", f"unterminated state block {block[1]!r}", pos - 1)
                 else:
-                    self.fail("UnexpectedToken", f"unexpected {_shown(tok)!r} in state block")
-            outer = block[1]
+                    self.fail("UnexpectedToken", f"unexpected {_shown(tok)!r} in state block", pos - 1)
+        self.pos = pos
+        return top
 
     def capture_trans(self) -> tuple[str, int, int]:
-        """Record the token range of a trans block for the second pass and
-        step past its closing brace."""
-        self.expect("trans")
-        name = self.expect_ident("transition id")
-        self.expect("{")
-        start = self.pos
-        end = self.closing.get(start - 1)
-        if end is None:
-            self.fail("UnexpectedEnd", "unterminated trans block", len(self.toks) - 1)
-        self.pos = end + 1
-        return name, start, end
+        """Record the token range of the trans block at the next token, a
+        "trans", for the second pass and step past its closing brace."""
+        toks = self.toks
+        pos = self.pos
+        name = toks[pos + 1]
+        if name not in self.idents:
+            self.fail_ident(pos + 1, "transition id")
+        if toks[pos + 2] != "{":
+            self.fail("UnexpectedToken", f"expected '{{', found {_shown(toks[pos + 2])!r}", pos + 2)
+        start = end = pos + 3
+        depth = 1  # a body in error may hold braces; count them to its match
+        while depth:
+            try:
+                close = toks.index("}", end)
+            except ValueError:
+                self.fail("UnexpectedEnd", "unterminated trans block", len(toks) - 1)
+            depth += toks[end:close].count("{") - 1
+            end = close + 1
+        self.pos = end
+        return name, start, end - 1
 
     def parse_trans(self, name: str, start: int, end: int, known: set[str]) -> m.TransitionDecl:
         """Parse the body captured by `capture_trans`, once every state is
         known; `end` is the index of its closing brace."""
-        self.pos = start
-        self.expect("from")
-        inputs = [self.parse_inbr(known)]
-        while self.accept(","):
-            inputs.append(self.parse_inbr(known))
-        join_kind = "none"
-        if self.accept("join"):
-            join_kind = self.expect_ident("join kind")
-            if join_kind == "none" or join_kind not in m.JOIN_KINDS:
-                self.fail("UnexpectedToken", f"bad join kind {join_kind!r}", self.pos - 1)
-        split_kind = "none"
-        if self.accept("split"):
-            split_kind = self.expect_ident("split kind")
-            if split_kind == "none" or split_kind not in m.SPLIT_KINDS:
-                self.fail("UnexpectedToken", f"bad split kind {split_kind!r}", self.pos - 1)
-        shared_event = None
-        if self.accept("on"):
-            shared_event = self.expect_ident("event")
-        shared_guard = None
-        if self.accept("if"):
-            shared_guard = self.parse_guard()
-        shared_actions: tuple[str, ...] = ()
-        if self.accept("do"):
-            shared_actions = tuple(self.parse_identlist(stop_at=known))
-        self.expect("to")
-        outputs = [self.parse_outbr(known)]
-        while self.accept(","):
-            outputs.append(self.parse_outbr(known))
-        if self.pos != end:
-            self.fail("UnexpectedToken", f"unexpected {_shown(self.toks[self.pos])!r} in trans block")
+        toks, idents = self.toks, self.idents
+        pos = start
+        if toks[pos] != "from":
+            self.fail("UnexpectedToken", f"expected 'from', found {_shown(toks[pos])!r}", pos)
+        inputs = []
+        while True:  # at "from" or ","
+            source = toks[pos + 1]
+            if source not in idents:
+                self.fail_ident(pos + 1, "source state")
+            pos += 2
+            event = None
+            if toks[pos] == "on":
+                event = toks[pos + 1]
+                if event not in idents:
+                    self.fail_ident(pos + 1, "event")
+                pos += 2
+            actions = ()
+            if toks[pos] == "do":
+                actions, pos = self.identlist(pos + 1, known)
+            inputs.append(m.InBranch(source, event, actions))
+            if toks[pos] != ",":
+                break
+        join_kind = split_kind = "none"
+        if toks[pos] == "join":
+            join_kind, pos = self.parse_kind(pos, m.JOIN_KINDS)
+        if toks[pos] == "split":
+            split_kind, pos = self.parse_kind(pos, m.SPLIT_KINDS)
+        shared_event = shared_guard = None
+        if toks[pos] == "on":
+            shared_event = toks[pos + 1]
+            if shared_event not in idents:
+                self.fail_ident(pos + 1, "event")
+            pos += 2
+        if toks[pos] == "if":
+            shared_guard, pos = self.parse_guard(pos + 1)
+        shared_actions = ()
+        if toks[pos] == "do":
+            shared_actions, pos = self.identlist(pos + 1, known)
+        if toks[pos] != "to":
+            self.fail("UnexpectedToken", f"expected 'to', found {_shown(toks[pos])!r}", pos)
+        outputs = []
+        while True:  # at "to" or ","
+            target = toks[pos + 1]
+            if target not in idents:
+                self.fail_ident(pos + 1, "target state")
+            pos += 2
+            guard = None
+            if toks[pos] == "if":
+                guard, pos = self.parse_guard(pos + 1)
+            actions = ()
+            if toks[pos] == "do":
+                actions, pos = self.identlist(pos + 1, known)
+            mandatory = toks[pos] == "mandatory"
+            pos += mandatory
+            outputs.append(m.OutBranch(target, guard, actions, mandatory))
+            if toks[pos] != ",":
+                break
+        if pos != end:
+            self.fail("UnexpectedToken", f"unexpected {_shown(toks[pos])!r} in trans block", pos)
         return m.TransitionDecl(
-            name, tuple(inputs), tuple(outputs), join_kind, split_kind, shared_event, shared_guard, shared_actions
+            name, tuple(inputs), tuple(outputs), join_kind, split_kind,
+            shared_event, shared_guard, shared_actions,
         )
 
-    def parse_inbr(self, known: set[str]) -> m.InBranch:
-        source = self.expect_ident("source state")
-        event = None
-        if self.accept("on"):
-            event = self.expect_ident("event")
-        actions: tuple[str, ...] = ()
-        if self.accept("do"):
-            actions = tuple(self.parse_identlist(stop_at=known))
-        return m.InBranch(source=source, event=event, actions=actions)
+    def parse_kind(self, pos: int, kinds: tuple[str, ...]) -> tuple[str, int]:
+        """The join or split kind after the keyword at token `pos`, and the
+        index after it; `kinds` are those the keyword allows."""
+        kind = self.toks[pos + 1]
+        if kind not in self.idents:
+            self.fail_ident(pos + 1, f"{self.toks[pos]} kind")
+        if kind == "none" or kind not in kinds:
+            self.fail("UnexpectedToken", f"bad {self.toks[pos]} kind {kind!r}", pos + 1)
+        return kind, pos + 2
 
-    def parse_outbr(self, known: set[str]) -> m.OutBranch:
-        target = self.expect_ident("target state")
-        guard = None
-        if self.accept("if"):
-            guard = self.parse_guard()
-        actions: tuple[str, ...] = ()
-        if self.accept("do"):
-            actions = tuple(self.parse_identlist(stop_at=known))
-        mandatory = self.accept("mandatory")
-        return m.OutBranch(target=target, guard=guard, actions=actions, mandatory=mandatory)
+    def parse_guard(self, pos: int) -> tuple[m.GuardExpr, int]:
+        """The guard at token `pos`, and the index after it."""
+        toks, idents = self.toks, self.idents
+        literals = []
+        while True:
+            negated = toks[pos] == "not"
+            atom = toks[pos + negated]
+            if atom not in idents:
+                self.fail_ident(pos + negated, "guard atom")
+            literals.append((atom, negated))
+            pos += negated + 1
+            if toks[pos] != "and":
+                return m.GuardExpr(tuple(literals)), pos
+            pos += 1
 
-    def parse_guard(self) -> m.GuardExpr:
-        literals = [self.parse_literal()]
-        while self.accept("and"):
-            literals.append(self.parse_literal())
-        return m.GuardExpr(tuple(literals))
-
-    def parse_literal(self) -> tuple[str, bool]:
-        negated = self.accept("not")
-        return self.expect_ident("guard atom"), negated
-
-    def parse_identlist(self, stop_at: set[str] | None = None) -> list[str]:
-        toks = self.toks
-        items = [self.expect_ident("name")]
-        while toks[self.pos] == "," and _is_word(nxt := toks[self.pos + 1]):
+    def identlist(self, pos: int, stop_at: set[str] | None = None) -> tuple[tuple[str, ...], int]:
+        """The names of the identlist at token `pos`, and the index after it.
+        With `stop_at`, a comma before one of its names ends the list, as it
+        starts the next branch."""
+        toks, idents = self.toks, self.idents
+        items = []
+        while True:
+            if (tok := toks[pos]) not in idents:
+                self.fail_ident(pos, "name")
+            items.append(tok)
+            if toks[pos + 1] != "," or not _is_word(nxt := toks[pos + 2]):
+                return tuple(items), pos + 1
             if stop_at is not None and nxt in stop_at:
-                break  # comma starts the next branch
-            self.pos += 1
-            items.append(self.expect_ident("name"))
-        return items
+                return tuple(items), pos + 1  # the comma starts the next branch
+            pos += 2
 
 
 def parse_dsl(text: str, filename: str = "<string>") -> m.ProcessModel:
@@ -365,10 +444,10 @@ def parse_guard(text: str, filename: str = "<string>") -> m.GuardExpr:
     """Parse a whole text as one guard (``g1 and not g2``); raises
     ModelSyntaxError."""
     parser = _Parser(text, filename)
-    guard = parser.parse_guard()
-    tail = parser.toks[parser.pos]
+    guard, pos = parser.parse_guard(0)
+    tail = parser.toks[pos]
     if tail != "":
-        parser.fail("UnexpectedToken", f"trailing input {_shown(tail)!r}")
+        parser.fail("UnexpectedToken", f"trailing input {_shown(tail)!r}", pos)
     return guard
 
 

@@ -5,17 +5,19 @@ composite), one implicit initial pseudostate, an optional final pseudostate,
 and transitions that may fan in (joins) and fan out (splits).  All values are
 immutable after construction; every other module consumes this one.
 
-Facts derived from a model live in a ``ModelIndex``: its path->node map,
-each state's default child, which every default-child descent reads,
-the name space table, the kind a feature term is read as, the leaf targets
-of multi-joins, its transitions keyed by input source, the or-split outputs
-feeding each transition's inputs, its exclusive-choice families, and each
-transition's workflow pattern with the or-splits feeding it.
+Facts derived from a model live in a ``ModelIndex``: its state nodes in
+walk order and its path->node map, each state's default child, which every
+default-child descent reads, the name space table, the kind a feature term
+is read as, the leaf targets of multi-joins, its transitions keyed by input
+source, the or-split outputs feeding each transition's inputs, its
+exclusive-choice families, and each transition's workflow pattern with the
+or-splits feeding it.
 Classification, lint, emission and canonicalization all read that one
 pattern table, built from ``MERGES`` and ``SPLITS``, and replay synchronizes
 an or-join by the same feeds.  Each fact is computed on first use and then
-kept, so ``validate`` pays only for the name spaces it reads while replay
-builds the rest once per model instead of once per scenario or step.
+kept, so ``validate`` pays only for the state walk and name spaces it reads
+while replay builds the rest once per model instead of once per scenario or
+step.
 ``model_index`` keeps the index of one model at a time, the last one asked
 for, compared by identity: replay, emission and canonicalization work
 through one model after another, so one entry serves them all, and a run
@@ -31,6 +33,7 @@ They stay immutable: assigning a field raises ``FrozenInstanceError``.
 from __future__ import annotations
 
 import enum
+import itertools
 import re
 from functools import cached_property
 from itertools import combinations
@@ -295,43 +298,38 @@ class ModelIndex:
         self.model = model
 
     @cached_property
+    def all_nodes(self) -> tuple[StateNode, ...]:
+        """Every state node, in ``iter_states`` order: a path declared twice
+        has a node for each declaration."""
+        return tuple(iter_states(self.model))
+
+    @cached_property
     def nodes(self) -> dict[str, StateNode]:
         """Path -> state node."""
-        return {node.path: node for node in iter_states(self.model)}
+        return {node.path: node for node in self.all_nodes}
 
     @cached_property
     def spaces(self) -> dict[str, frozenset[str]]:
-        """The table ``namespaces`` returns, built in one walk."""
-        model = self.model
-        states = {model.initial_name, model.final_name}
-        events: set[str] = set()
-        atoms: set[str] = set()
-        actions: set[str] = set()
-        for node in iter_states(model):
-            states.add(node.path)
-            actions.update(node.entry_actions)
-            actions.update(node.exit_actions)
-        for t in model.transitions:
-            if t.shared_event:
-                events.add(t.shared_event)
-            if t.shared_guard:
-                for atom, _ in t.shared_guard.literals:
-                    atoms.add(atom)
-            actions.update(t.shared_actions)
-            for b in t.inputs:
-                if b.event:
-                    events.add(b.event)
-                actions.update(b.actions)
-            for b in t.outputs:
-                if b.guard:
-                    for atom, _ in b.guard.literals:
-                        atoms.add(atom)
-                actions.update(b.actions)
+        """The table ``namespaces`` returns, read off ``all_nodes`` and one
+        pass over the transitions."""
+        model, nodes = self.model, self.all_nodes
+        transitions = model.transitions
+        inputs = [b for t in transitions for b in t.inputs]
+        outputs = [b for t in transitions for b in t.outputs]
+        guards = [t.shared_guard for t in transitions] + [b.guard for b in outputs]
+        actions = (
+            [n.entry_actions for n in nodes]
+            + [n.exit_actions for n in nodes]
+            + [t.shared_actions for t in transitions]
+            + [b.actions for b in inputs]
+            + [b.actions for b in outputs]
+        )
+        events = [t.shared_event for t in transitions] + [b.event for b in inputs]
         return {
-            "state": frozenset(states),
-            "event": frozenset(events),
-            "guard": frozenset(atoms),
-            "action": frozenset(actions),
+            "state": frozenset([model.initial_name, model.final_name] + [n.path for n in nodes]),
+            "event": frozenset(filter(None, events)),
+            "guard": frozenset(atom for g in guards if g for atom, _ in g.literals),
+            "action": frozenset(itertools.chain.from_iterable(actions)),
         }
 
     @cached_property
@@ -718,97 +716,90 @@ def _validate(model: ProcessModel, plain) -> list[Diagnostic]:
     """``validate``, with ``plain`` as the plain-name rule of every name but
     the pseudostate names."""
     report: list[Diagnostic] = []
+    initial, final = model.initial_name, model.final_name
 
-    for name, what in ((model.initial_name, "initial"), (model.final_name, "final")):
+    for name, what in ((initial, "initial"), (final, "final")):
         if not _is_plain(name):
             report.append(_diag("BadIdent", name, f"bad {what} pseudostate name"))
-    if model.initial_name == model.final_name:
-        report.append(
-            _diag("ReservedName", model.initial_name, "initial and final names collide")
-        )
+    if initial == final:
+        report.append(_diag("ReservedName", initial, "initial and final names collide"))
+
+    # each distinct event, guard atom and action is tested once, and its
+    # occurrences are looked for only when one of them is bad
+    index = model_index(model)
+    spaces = index.spaces
+    locate = not all(map(plain, spaces["event"] | spaces["guard"] | spaces["action"]))
 
     paths: set[str] = set()
-    for node in iter_states(model):
+    for node in index.all_nodes:
+        path = node.path
         if not plain(node.name):
-            report.append(_diag("BadIdent", node.path, "state name is not a plain token"))
-        if node.path in (model.initial_name, model.final_name):
-            report.append(_diag("ReservedName", node.path, "state shadows a pseudostate"))
-        if node.path in paths:
-            report.append(_diag("DuplicateStateName", node.path, "duplicate state path"))
-        paths.add(node.path)
-        seen_children = set()
+            report.append(_diag("BadIdent", path, "state name is not a plain token"))
+        if path == initial or path == final:
+            report.append(_diag("ReservedName", path, "state shadows a pseudostate"))
+        if path in paths:
+            report.append(_diag("DuplicateStateName", path, "duplicate state path"))
+        paths.add(path)
         for child in node.children:
-            if child.name in seen_children:
-                report.append(
-                    _diag("DuplicateStateName", child.path, "duplicate sibling name")
-                )
-            seen_children.add(child.name)
-            if child.path != f"{node.path}.{child.name}":
-                reason = f"child {child.name} of {node.path} is not at {node.path}.{child.name}"
+            if child.path != f"{path}.{child.name}":
+                reason = f"child {child.name} of {path} is not at {path}.{child.name}"
                 report.append(_diag("BadChildPath", child.path, reason))
-        if node.composite:
-            child_paths = {c.path for c in node.children}
+        if node.children:
             if node.initial_child is None:
                 report.append(
-                    _diag("MissingInitialChild", node.path, "composite lacks an initial child")
+                    _diag("MissingInitialChild", path, "composite lacks an initial child")
                 )
-            elif node.initial_child not in child_paths:
+            elif node.initial_child not in {c.path for c in node.children}:
                 report.append(
-                    _diag(
-                        "BadInitialChild",
-                        node.path,
-                        f"initial child {node.initial_child} is not a child",
-                    )
+                    _diag("BadInitialChild", path, f"initial child {node.initial_child} is not a child")
                 )
         elif node.initial_child is not None:
-            report.append(
-                _diag("BadInitialChild", node.path, "simple state declares an initial child")
-            )
+            report.append(_diag("BadInitialChild", path, "simple state declares an initial child"))
 
-    def check_plain(name: str, what: str, location: str):
-        if not plain(name):
-            report.append(_diag("BadIdent", location, f"bad {what} name {name!r}"))
+    def check_plain(names, what: str, location: str):
+        for name in names:
+            if not plain(name):
+                report.append(_diag("BadIdent", location, f"bad {what} name {name!r}"))
 
     def check_guard(g: GuardExpr, location: str):
         if not g.literals:
             report.append(_diag("EmptyGuard", location, "guard has no literals"))
         seen = set()
         for atom, _ in g.literals:
-            check_plain(atom, "guard atom", location)
+            if locate:
+                check_plain((atom,), "guard atom", location)
             if atom in seen:
-                report.append(
-                    _diag("DuplicateGuardAtom", location, f"atom {atom} repeated")
-                )
+                report.append(_diag("DuplicateGuardAtom", location, f"atom {atom} repeated"))
             seen.add(atom)
 
     tids: set[str] = set()
     for t in model.transitions:
-        loc = t.id
-        if not plain(t.id):
+        loc, join, split, inputs, outputs = t.id, t.join_kind, t.split_kind, t.inputs, t.outputs
+        if not plain(loc):
             report.append(_diag("BadIdent", loc, "bad transition id"))
-        if t.id in tids:
+        if loc in tids:
             report.append(_diag("DuplicateTransitionId", loc, "duplicate transition id"))
-        tids.add(t.id)
-        if t.join_kind not in JOIN_KINDS:
-            report.append(_diag("BadKind", loc, f"unknown join kind {t.join_kind!r}"))
-        if t.split_kind not in SPLIT_KINDS:
-            report.append(_diag("BadKind", loc, f"unknown split kind {t.split_kind!r}"))
-        if not t.inputs:
+        tids.add(loc)
+        if join not in JOIN_KINDS:
+            report.append(_diag("BadKind", loc, f"unknown join kind {join!r}"))
+        if split not in SPLIT_KINDS:
+            report.append(_diag("BadKind", loc, f"unknown split kind {split!r}"))
+        if not inputs:
             report.append(_diag("EmptyInputs", loc, "transition has no inputs"))
-        if not t.outputs:
+        if not outputs:
             report.append(_diag("EmptyOutputs", loc, "transition has no outputs"))
-        if len(t.inputs) > 1 and t.join_kind == "none":
+        if len(inputs) > 1 and join == "none":
             report.append(_diag("JoinKindRequired", loc, "multiple inputs need a join kind"))
-        if len(t.outputs) > 1 and t.split_kind == "none":
+        if len(outputs) > 1 and split == "none":
             report.append(_diag("SplitKindRequired", loc, "multiple outputs need a split kind"))
-        if t.join_kind in ("and", "or"):
+        if join == "and" or join == "or":
             # an and-join fires, and an or-join's strict row starts, with
             # every input active at once: a source listed twice needs two
             # tokens on it, which only a multi-join target may hold, and no
             # two children of one state are ever active together
             child_of: dict[str, str] = {}
             seen: set[str] = set()
-            for b in t.inputs:
+            for b in inputs:
                 if b.source in seen:
                     reason = f"lists input {b.source} twice, which needs two tokens on it"
                 elif conflict := _claim_children(child_of, b.source):
@@ -819,56 +810,48 @@ def _validate(model: ProcessModel, plain) -> list[Diagnostic]:
                 else:
                     seen.add(b.source)
                     continue
-                report.append(_diag("UnsatisfiableJoin", loc, f"{t.join_kind}-join {reason}"))
+                report.append(_diag("UnsatisfiableJoin", loc, f"{join}-join {reason}"))
                 break
-        if t.join_kind in ("xor", "multi"):
+        elif join == "xor" or join == "multi":
             # an xor or multi join fires on one input, but one token on a
             # source enables both copies of an input listed twice with one
             # event: xor always takes the first, multi takes both in conflict
-            keys = [(b.source, b.event) for b in t.inputs]
+            keys = [(b.source, b.event) for b in inputs]
             if len(set(keys)) < len(keys):
                 reason = "lists an input twice on one event, so one token enables both"
-                report.append(_diag("UnsatisfiableJoin", loc, f"{t.join_kind}-join {reason}"))
-        if t.split_kind == "or" and not any(b.guard for b in t.outputs):
-            report.append(
-                _diag("OrSplitNeedsGuardedOutput", loc, "or-split has no guarded output")
-            )
-        if t.split_kind == "and" and any(b.guard for b in t.outputs):
+                report.append(_diag("UnsatisfiableJoin", loc, f"{join}-join {reason}"))
+        if split == "or" and not any(b.guard for b in outputs):
+            report.append(_diag("OrSplitNeedsGuardedOutput", loc, "or-split has no guarded output"))
+        elif split == "and" and any(b.guard for b in outputs):
             report.append(_diag("AndSplitForbidsGuards", loc, "and-split outputs are guarded"))
-        if t.shared_event:
-            check_plain(t.shared_event, "event", loc)
+        if t.shared_event and locate:
+            check_plain((t.shared_event,), "event", loc)
         if t.shared_guard:
             check_guard(t.shared_guard, loc)
-        for a in t.shared_actions:
-            check_plain(a, "action", loc)
-        for b in t.inputs:
-            if b.source == model.final_name:
+        if locate:
+            check_plain(t.shared_actions, "action", loc)
+        for b in inputs:
+            if b.source == final:
                 report.append(_diag("TransitionFromFinal", loc, "final pseudostate as source"))
-            elif b.source != model.initial_name and b.source not in paths:
-                report.append(
-                    _diag("UnresolvedEndpoint", loc, f"unknown source {b.source}")
-                )
-            if b.event:
-                check_plain(b.event, "event", loc)
-            for a in b.actions:
-                check_plain(a, "action", loc)
-        for b in t.outputs:
-            if b.target == model.initial_name:
+            elif b.source != initial and b.source not in paths:
+                report.append(_diag("UnresolvedEndpoint", loc, f"unknown source {b.source}"))
+            if locate:
+                check_plain((b.event,) if b.event else (), "event", loc)
+                check_plain(b.actions, "action", loc)
+        for b in outputs:
+            if b.target == initial:
                 report.append(_diag("TransitionToInitial", loc, "initial pseudostate as target"))
-            elif b.target != model.final_name and b.target not in paths:
-                report.append(
-                    _diag("UnresolvedEndpoint", loc, f"unknown target {b.target}")
-                )
+            elif b.target != final and b.target not in paths:
+                report.append(_diag("UnresolvedEndpoint", loc, f"unknown target {b.target}"))
             if b.guard:
                 check_guard(b.guard, loc)
-            for a in b.actions:
-                check_plain(a, "action", loc)
+            if locate:
+                check_plain(b.actions, "action", loc)
 
-    for node in iter_states(model):
-        for a in node.entry_actions + node.exit_actions:
-            check_plain(a, "action", node.path)
+    if locate:
+        for node in index.all_nodes:
+            check_plain(node.entry_actions + node.exit_actions, "action", node.path)
 
-    spaces = model_index(model).spaces
     for kind, names in spaces.items():
         if COMPLETION_EVENT in names:
             report.append(

@@ -13,7 +13,10 @@ copying and ``dataclasses.replace`` are the dataclass's own.
 
 A value type may also declare ``derived`` fields, computed on first read
 and kept in their slot.  They are no ``__init__`` parameter and take no part
-in ``__eq__``, ``__hash__`` or ``__repr__``, so a ``replace`` recomputes them.
+in ``__eq__``, ``__hash__`` or ``__repr__``, and a ``replace``, a copy or an
+unpickled value computes its own.  Each is read through a descriptor that
+wraps its slot, so the class needs no ``__getattr__``, which would slow
+every other attribute read.
 """
 
 from __future__ import annotations
@@ -24,6 +27,31 @@ from dataclasses import MISSING, dataclass, field, fields
 def derived(compute):
     """A field holding ``compute(self)``, computed when it is first read."""
     return field(init=False, repr=False, compare=False, metadata={"derive": compute})
+
+
+class _Derived:
+    """A derived field's slot: reading it while empty computes the value and
+    keeps it there, so it only ever holds what its value's own fields give."""
+
+    __slots__ = ("get", "set", "compute")
+
+    def __init__(self, slot, compute):
+        self.get, self.set, self.compute = slot.__get__, slot.__set__, compute
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        try:
+            return self.get(obj)
+        except AttributeError:  # the slot is empty
+            value = self.compute(obj)
+            self.set(obj, value)
+            return value
+
+    def __set__(self, obj, value):
+        """Drop ``value``.  Only the dataclass's ``__setstate__`` gets here (a
+        frozen class's ``__setattr__`` raises first), with the original's
+        value; a copy or an unpickled value computes its own when read."""
 
 
 def value_type(cls):
@@ -53,11 +81,6 @@ def value_type(cls):
     init.__defaults__ = generated.__defaults__
     init.__annotations__ = generated.__annotations__
     cls.__init__ = init
-    if derive:
-        def __getattr__(self, name):  # called only when reading a slot fails
-            if name not in derive:
-                raise AttributeError(f"{cls.__name__!r} object has no attribute {name!r}")
-            object.__setattr__(self, name, value := derive[name](self))
-            return value
-        cls.__getattr__ = __getattr__
+    for name, compute in derive.items():
+        setattr(cls, name, _Derived(vars(cls)[name], compute))
     return cls

@@ -321,6 +321,23 @@ def _mutants(text, rng):
         out.append(re.sub(pattern, r"\1.x", text, count=1))
     for header in ['initialname "in.x"', 'finalname "f x"', 'initialname ""']:
         out.append(text.replace(" {\n", f" {{\n  {header}\n", 1))
+    # characters `str.split` reads as blanks and the grammar does not
+    for ch in ["\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028"]:
+        i = cut()
+        out.append(text[:i] + ch + text[i:])
+    out.append(text.replace(" ", "\x0b", 1))
+    # punctuation glued to the names around it: "S1{", "a1,a2", "}}"
+    out.append(text.replace(" {", "{"))
+    out.append(text.replace(", ", ","))
+    out.append(re.sub(r"\s+}", "}", text))
+    out.append(re.sub(r"\s+", "", text, count=40))
+    # a "#" inside a string, and a '"' inside a comment
+    out.append(text.replace('" {', ' # not a comment" {', 1))
+    out.append(text.replace(" {\n", ' { # a "quoted" word\n', 1))
+    out.append(text.replace(" {\n", ' { # an "unclosed quote\n', 1))
+    # a string that ends the input, with no newline after it
+    out.append(text.rstrip("\n") + ' "tail"')
+    out.append(text.rstrip("\n").removesuffix("}") + 'role "last"')
     return out
 
 
@@ -391,6 +408,13 @@ def test_blank_runs_scan_in_linear_time(base):
         elapsed = time.perf_counter() - start
         assert outcome == expected, repr(text[-20:])
         assert elapsed < 1.0, (repr(text[-20:]), elapsed)
+    # a token per character or two: the error is the one at the first
+    for tail in ["," * 1_000_000, "{ " * 500_000]:
+        start = time.perf_counter()
+        outcome = _parse_outcome(base + tail)
+        elapsed = time.perf_counter() - start
+        assert outcome == _parse_outcome(base + tail[:2]), repr(tail[:2])
+        assert elapsed < 1.0, (repr(tail[:2]), elapsed)
 
 
 @pytest.mark.parametrize("tail", ["@", '"ab'], ids=["stray", "unterminated"])
@@ -414,12 +438,15 @@ def test_errors_after_long_runs_are_placed_in_linear_time(tail):
 
 
 class _DepthCountingParser(_Parser):
-    """The parser with the trans capture it had before `scan` matched
-    braces: a second walk over each body that counts brace depth."""
+    """The parser with a trans capture that walks each body token by token,
+    counting brace depth."""
 
     def capture_trans(self):
         self.expect("trans")
-        name = self.expect_ident("transition id")
+        name = self.toks[self.pos]
+        if name not in self.idents:
+            self.fail_ident(self.pos, "transition id")
+        self.pos += 1
         self.expect("{")
         start = self.pos
         depth = 1

@@ -13,10 +13,10 @@ import pytest
 
 import flowspec
 from flowspec.emit import emit_feature
-from flowspec.feature import format_feature, parse_feature
+from flowspec.feature import ActionSeq, Scenario, Step, format_feature, parse_feature
 from flowspec.generator import GeneratorLimits
 from flowspec.replay import check_suite, explore
-from flowspec.values import value_type
+from flowspec.values import derived, value_type
 
 # Frozen dataclasses that keep a per-instance __dict__: none.
 KEEP_DICT: set[str] = set()
@@ -79,6 +79,42 @@ def test_value_types_build_like_their_plain_dataclass_twin(cls):
     for n in (f.name for f in dataclasses.fields(cls)):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(value, n, 1)
+
+
+def test_no_value_type_reads_attributes_through_getattr():
+    # a class __getattr__ would slow every attribute read of its instances
+    for name, cls in VALUE_TYPES.items():
+        assert not any("__getattr__" in vars(c) for c in cls.__mro__ if c is not object), name
+
+
+TALLIED: list[tuple[int, ...]] = []
+
+
+@value_type
+class _Tally:
+    items: tuple[int, ...]
+    total: int = derived(lambda tally: TALLIED.append(tally.items) or sum(tally.items))
+
+
+def test_derived_fields_are_computed_once_per_value_from_its_own_fields():
+    TALLIED.clear()
+    tally = _Tally((1, 2))
+    assert TALLIED == []  # nothing is computed until read
+    assert tally.total == 3 and tally.total == 3
+    assert TALLIED == [(1, 2)]
+    assert dataclasses.replace(tally, items=(5,)).total == 5
+    for copied in (dataclasses.replace(tally), pickle.loads(pickle.dumps(tally)), copy.deepcopy(tally)):
+        TALLIED.clear()
+        assert copied == tally and copied.total == 3
+        assert TALLIED == [(1, 2)]  # the copy computed its own
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tally.total = 4
+    assert tally.total == 3 and "total" not in repr(tally)
+    # a scenario's views, the one derived field in the library
+    scenario = Scenario("s", (Step("Given", "S1"), Step("When", "e1"), Step("Then", "a1; a2 AND S2")))
+    views = scenario.views
+    for copied in (dataclasses.replace(scenario), pickle.loads(pickle.dumps(scenario)), copy.deepcopy(scenario)):
+        assert copied.views == views and copied.then == (ActionSeq(("a1", "a2")), ActionSeq(("S2",)))
 
 
 def test_value_types_keep_post_init_and_reject_other_fields():

@@ -320,6 +320,8 @@ def test_namespaces_match_one_walk_per_space(fixtures):
         for n, seeds in ((80, 30), (160, 8))
         for seed in range(seeds)
     ]
+    # a path declared twice, with different actions on each declaration
+    models.append(ProcessModel(states=(simple("S", entry_actions=("a1",)), simple("S", exit_actions=("a2",)))))
     for model in models:
         want = {
             "state": _state_paths(model) | {model.initial_name, model.final_name},
@@ -330,6 +332,15 @@ def test_namespaces_match_one_walk_per_space(fixtures):
         spaces = m.namespaces(model)
         assert list(spaces) == ["state", "event", "guard", "action"]
         assert spaces == want, model.title
+
+
+def test_a_state_declared_twice_keeps_the_rules_on_both_declarations():
+    bad = ProcessModel(states=(simple("S", entry_actions=("_done", "a.b")), simple("S")))
+    assert [(d.code, d.location) for d in validate(bad)] == [
+        ("DuplicateStateName", "S"),
+        ("BadIdent", "S"),
+        ("ReservedName", "_done"),
+    ]
 
 
 def test_split_kind_rules():
@@ -386,11 +397,11 @@ VALIDATE_RULES = [
         [("ReservedName", "alpha", "state shadows a pseudostate")],
     ),
     (
-        # two siblings of one name share a path too (a path off its name is BadChildPath)
+        # two siblings of one name share a path (a path off its name is BadChildPath)
         _one_rule_model(
             states=(StateNode("C", "C", children=(simple("a", "C.a"), simple("a", "C.a")), initial_child="C.a"),)
         ),
-        [("DuplicateStateName", "C.a", "duplicate sibling name"), ("DuplicateStateName", "C.a", "duplicate state path")],
+        [("DuplicateStateName", "C.a", "duplicate state path")],
     ),
     (
         _one_rule_model(states=(StateNode("C", "C", children=(simple("a"),), initial_child="a"),)),
@@ -434,6 +445,14 @@ VALIDATE_RULES = [
 @pytest.mark.parametrize("model, expected", VALIDATE_RULES, ids=[rows[0][0] for _, rows in VALIDATE_RULES])
 def test_validate_reports_each_rule_alone(model, expected):
     assert [(d.code, d.location, d.message) for d in validate(model)] == expected
+
+
+def test_a_sibling_of_a_taken_name_off_its_path_is_reported_once():
+    # the second "a" is off its parent's path; that is its only fault
+    model = _one_rule_model(
+        states=(StateNode("P", "P", children=(simple("a", "P.a"), simple("a", "Q.a")), initial_child="P.a"),)
+    )
+    assert [(d.code, d.location) for d in validate(model)] == [("BadChildPath", "Q.a")]
 
 
 def test_rule_models_differ_from_a_clean_one_by_one_rule():

@@ -6,8 +6,10 @@ whether a lone event sat on the input branch or on the transition itself,
 is invisible in the emitted scenarios.  Two models are therefore compared
 through a canonical summary that folds those placements into observable
 quantities: the classified pattern kind, the (source, event) shape, folded
-guard literals, leaf-resolved targets, and the action traces of each
-characteristic firing.
+guard literals, leaf-resolved targets, and the action trace of each strict
+row (``model.strict_rows``), the firings the strict text shows.  An or-split
+with more than 10 guarded outputs has no strict rows, so comparing it raises
+TooManyChoiceBranches.
 """
 
 from __future__ import annotations
@@ -25,19 +27,6 @@ def _branch_guards(t: TransitionDecl) -> tuple:
         else:
             out.append(shared + tuple(b.guard.literals))
     return tuple(out)
-
-
-def _characteristic_traces(model: ProcessModel, t: TransitionDecl, kind: PatternKind):
-    """Traces of the firings the emitted text can distinguish: each consumed
-    set of the strict rows (``model.consumed_sets``) crossed with, for an
-    or-split, each guarded branch alone (with the mandatory ones), then
-    every output together.
-    """
-    fired = [None]
-    if t.split_kind == "or":
-        always = tuple(i for i, b in enumerate(t.outputs) if not b.guard)
-        fired = [tuple(sorted(always + (i,))) for i, b in enumerate(t.outputs) if b.guard] + fired
-    return tuple(m.firing_plan(model, t, c, f).trace for c in m.consumed_sets(t, kind) for f in fired)
 
 
 def transition_signature(model: ProcessModel, t: TransitionDecl, kind: PatternKind):
@@ -67,7 +56,7 @@ def transition_signature(model: ProcessModel, t: TransitionDecl, kind: PatternKi
         guards,
         targets,
         mandatory,
-        _characteristic_traces(model, t, kind),
+        tuple(m.firing_plan(model, t, c, f).trace for c, f in m.strict_rows(t, kind)),
     )
 
 

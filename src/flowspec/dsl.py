@@ -27,8 +27,8 @@ tab, CR, LF), but any character in code that is neither one of those nor
 part of a token is an error, so one test of the code keeps them out.  The
 parser reads the tokens as plain strings: a string token keeps its quotes,
 so it never equals a keyword, and end of input is ``""``.  Each distinct
-token is tested as an identifier once, so ``validate_parsed`` checks only
-that a name that must be plain has no dot.  A diagnostic names its token by
+token is tested as an identifier once, and ``validate`` tests every name
+that must be plain (no dot) in one match.  A diagnostic names its token by
 1-based line and column, counted in characters; only a diagnostic computes
 one, by running the token regex ``_TOKEN_RE`` over the text up to the
 failing token, and only an input in error runs it.  Inside a composite block
@@ -237,7 +237,7 @@ class _Parser:
             states=tuple(states),
             transitions=tuple(self.parse_trans(*piece, known) for piece in trans_slices),
         )
-        report = m.validate_parsed(model)
+        report = m.validate(model)
         if report:
             raise SemanticError(report)
         return model

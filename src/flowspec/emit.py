@@ -20,20 +20,10 @@ Two modes:
 from __future__ import annotations
 
 from . import model as m
-from .errors import TooManyChoiceBranches
 from .feature import KEYWORDS, FeatureDoc, Scenario, Step
-from .model import COMPLETION_EVENT, MAX_CHOICE_BRANCHES, PatternKind, ProcessModel, TransitionDecl, normalize_mode
-
-
-def enumerate_choice_subsets(branches):
-    """All nonempty subsets of ``branches``, smallest first, then by
-    declaration order.  Raises TooManyChoiceBranches above 10 branches."""
-    items = list(branches)
-    if not items:
-        raise ValueError("at least one branch is required")
-    if len(items) > MAX_CHOICE_BRANCHES:
-        raise TooManyChoiceBranches(len(items), MAX_CHOICE_BRANCHES)
-    return m.nonempty_subsets(items)
+from .model import COMPLETION_EVENT, PatternKind, ProcessModel, TransitionDecl, normalize_mode
+# re-exported: the or-split enumeration lives with the strict row table
+from .model import MAX_CHOICE_BRANCHES, enumerate_choice_subsets
 
 
 # -- THEN item shapes --------------------------------------------------------
@@ -87,45 +77,14 @@ class _Emitter:
         return self.row(name, t, consumed, _trace_items(plan), lits)
 
     def strict_scenarios(self, t: TransitionDecl, kind: PatternKind) -> list[Scenario]:
-        """One row per consumed set (``model.consumed_sets``) and fired case:
-        an or-split's guard subsets, else every output under the folded
-        guard.  Rows are numbered for a per-input merge or an or-split."""
+        """One row per ``model.strict_rows`` entry, numbered for a per-input
+        merge or an or-split."""
         base = f"{kind.value} {t.id}"
-        choice = t.split_kind == "or"
-        cases = self.choice_cases(t) if choice else [(None, m.effective_guard_literals(t))]
-        rows = [(c, fired, lits) for c in m.consumed_sets(t, kind) for fired, lits in cases]
-        numbered = choice or kind in m.PER_INPUT_MERGES
+        numbered = t.split_kind == "or" or kind in m.PER_INPUT_MERGES
         return [
-            self.strict_firing(f"{base} {i}" if numbered else base, t, *row)
-            for i, row in enumerate(rows, 1)
+            self.strict_firing(f"{base} {i}" if numbered else base, t, consumed, fired, m.row_literals(t, fired))
+            for i, (consumed, fired) in enumerate(m.strict_rows(t, kind), 1)
         ]
-
-    # -- choice enumeration ------------------------------------------------
-
-    def choice_cases(self, t: TransitionDecl):
-        """(fired output indices, guard literals) per nonempty guard subset."""
-        guarded = [i for i, b in enumerate(t.outputs) if b.guard]
-        always = [i for i, b in enumerate(t.outputs) if not b.guard]
-        shared = t.shared_guard.literals if t.shared_guard else ()
-        cases = []
-        for included in enumerate_choice_subsets(guarded) if guarded else ():
-            lits = list(shared)
-            seen = {atom for atom, _ in lits}
-            for i in included:
-                for atom, neg in t.outputs[i].guard.literals:
-                    if atom not in seen:
-                        seen.add(atom)
-                        lits.append((atom, neg))
-            for i in guarded:
-                if i in included:
-                    continue
-                for atom, neg in t.outputs[i].guard.literals:
-                    if atom not in seen:
-                        seen.add(atom)
-                        lits.append((atom, not neg))
-                        break
-            cases.append((tuple(sorted(always + list(included))), lits))
-        return cases
 
     # -- paper-exact mode ---------------------------------------------------
 
@@ -161,13 +120,13 @@ class _Emitter:
         if kind == PatternKind.MULTIPLE_CHOICE:
             return [
                 self.row(
-                    f"{base} {i + 1}",
+                    f"{base} {i}",
                     t,
-                    t.inputs,
-                    _action_items(m.firing_plan(self.model, t, t.inputs, fired)),
-                    given_lits=case,
+                    consumed,
+                    _action_items(m.firing_plan(self.model, t, consumed, fired)),
+                    given_lits=m.row_literals(t, fired),
                 )
-                for i, (fired, case) in enumerate(self.choice_cases(t))
+                for i, (consumed, fired) in enumerate(m.strict_rows(t, kind), 1)
             ]
         # Exclusive choice, sequence and parallel split; special-case styling
         # applies to the latter two.

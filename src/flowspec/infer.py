@@ -18,11 +18,11 @@ Two routes differ only in how they group rows into transitions:
 * documents produced by the emitter carry a mode stamp and scenario names of
   the form ``<Kind> <transition-id> [<index>]``; those names group the
   scenarios per transition, and the row shape of each kind adds seeds: WHEN
-  terms are events, a strict row ends in its result states, a paper-exact
-  merge row ends in its target, and a combined join row lists its sources
-  first.  Each group is read as emission's row table (each consumed set
-  crossed with each fired case) in reverse.  For strict documents reconstruction is
-  lossless up to canonical form;
+  terms are events unless the document negates them, a strict row ends in
+  its result states, a paper-exact merge row ends in its target, and a
+  combined join row lists its sources first.  Each group is read as
+  emission's row table (``model.strict_rows``) in reverse.  For strict
+  documents reconstruction is lossless up to canonical form;
 
 * other documents are grouped by structure: complemented guard-subset
   families form or-splits, rows sharing GIVEN and WHEN form and-splits, and
@@ -494,16 +494,20 @@ class _Inferrer:
     # -- named reconstruction --------------------------------------------------
 
     def shape_roles(self, groups) -> dict[str, str]:
-        """The named route's seeds, in document order: WHEN terms are events;
-        in a strict row the last chunk, and every chunk after a multi-atom
-        trace, is a result state; a paper-exact merge row ends in its target;
-        a combined join row lists its sources before its first guard."""
+        """The named route's seeds, in document order: WHEN terms are events,
+        but for an atom the document negates somewhere, which ``_roles``
+        then reads as a guard (a paper-exact ExclusiveChoice row puts its
+        guard literals in WHEN); in a strict row the last chunk, and every
+        chunk after a multi-atom trace, is a result state; a paper-exact
+        merge row ends in its target; a combined join row lists its sources
+        before its first guard."""
         strict = self.mode == "strict"
+        negated = {t.atom for s in self.scenarios for t in (*s.given, *s.when) if t.negated}
         shapes: dict[str, str] = {}
         for kind, _tid, scens in groups:
             for s in scens:
                 for t in s.when:
-                    if t.atom != COMPLETION_EVENT:
+                    if t.atom != COMPLETION_EVENT and t.atom not in negated:
                         shapes.setdefault(t.atom, "event")
                 chunks = _chunks_of(s)
                 ends = [chunks[-1]] if strict or kind in _SHAPE_CARRIES_TARGET else []

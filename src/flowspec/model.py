@@ -39,7 +39,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import NamedTuple
 
-from .errors import Diagnostic, UnknownState
+from .errors import Diagnostic, TooManyChoiceBranches, UnknownState
 from .values import value_type
 
 IDENT_RE = re.compile(r"[A-Za-z0-9_]+(?:\.[A-Za-z0-9_]+)*\Z")
@@ -273,12 +273,6 @@ def effective_guard_literals(t: TransitionDecl) -> tuple[tuple[str, bool], ...]:
     if len(t.outputs) == 1 and t.outputs[0].guard:
         lits.extend(t.outputs[0].guard.literals)
     return tuple(lits)
-
-
-def consumed_sets(t: TransitionDecl, kind: PatternKind) -> list[tuple[InBranch, ...]]:
-    """The inputs each strict row of ``t`` consumes: each input alone for a
-    per-input merge, every input together otherwise."""
-    return [(b,) for b in t.inputs] if kind in PER_INPUT_MERGES else [t.inputs]
 
 
 def namespaces(model: ProcessModel) -> dict[str, frozenset[str]]:
@@ -579,12 +573,55 @@ def legal_configuration(model: ProcessModel, config: Configuration) -> str | Non
 
 def nonempty_subsets(items) -> list[tuple]:
     """All nonempty subsets of ``items``, smallest first, then by order."""
-    items = list(items)
-    return [
-        tuple(items[i] for i in picked)
-        for size in range(1, len(items) + 1)
-        for picked in combinations(range(len(items)), size)
-    ]
+    items = tuple(items)
+    return [subset for size in range(1, len(items) + 1) for subset in combinations(items, size)]
+
+
+def enumerate_choice_subsets(branches):
+    """All nonempty subsets of ``branches``, smallest first, then by
+    declaration order.  Raises TooManyChoiceBranches above 10 branches."""
+    items = list(branches)
+    if not items:
+        raise ValueError("at least one branch is required")
+    if len(items) > MAX_CHOICE_BRANCHES:
+        raise TooManyChoiceBranches(len(items), MAX_CHOICE_BRANCHES)
+    return nonempty_subsets(items)
+
+
+def strict_rows(t: TransitionDecl, kind: PatternKind) -> list[tuple[tuple[InBranch, ...], tuple[int, ...] | None]]:
+    """The strict rows of ``t`` in emission order, each as (consumed inputs,
+    fired output indices): each consumed set (each input alone for a
+    per-input merge, every input together otherwise) crossed with each fired
+    case (an or-split's unguarded outputs with each nonempty subset of its
+    guarded ones, else ``None``: every output).  A row's guard literals are
+    ``row_literals(t, fired)``.  Raises TooManyChoiceBranches above 10
+    guarded outputs."""
+    fired = [None]
+    if t.split_kind == "or":
+        guarded = [i for i, b in enumerate(t.outputs) if b.guard]
+        always = tuple(i for i, b in enumerate(t.outputs) if not b.guard)
+        fired = [tuple(sorted(always + s)) for s in enumerate_choice_subsets(guarded)] if guarded else []
+    consumed = [(b,) for b in t.inputs] if kind in PER_INPUT_MERGES else [t.inputs]
+    return [(c, f) for c in consumed for f in fired]
+
+
+def row_literals(t: TransitionDecl, fired: tuple[int, ...] | None) -> tuple[tuple[str, bool], ...]:
+    """The guard literals of ``t``'s strict row firing ``fired``: the folded
+    guard when every output fires (``None``); else the shared guard, each
+    fired output's guard, then the first new literal of each unfired guarded
+    output, negated.  An atom met before is skipped."""
+    if fired is None:
+        return effective_guard_literals(t)
+    lits = dict(t.shared_guard.literals if t.shared_guard else ())  # atom -> negated
+    outs = t.outputs
+    for i in fired:
+        for atom, neg in outs[i].guard.literals if outs[i].guard else ():
+            lits.setdefault(atom, neg)
+    for i, b in enumerate(outs):
+        if b.guard and i not in fired:
+            fresh = [(atom, not neg) for atom, neg in b.guard.literals if atom not in lits]
+            lits.update(fresh[:1])
+    return tuple(lits.items())
 
 
 # ``firing_plan`` builds both with ``tuple.__new__``, skipping NamedTuple's Python ``__new__``.
@@ -701,20 +738,6 @@ def _diag(code: str, location: str, message: str) -> Diagnostic:
 def validate(model: ProcessModel) -> list[Diagnostic]:
     """Check every structural invariant; returns all violations, never just
     the first.  An empty report means the model is well formed."""
-    return _validate(model, _is_plain)
-
-
-def validate_parsed(model: ProcessModel) -> list[Diagnostic]:
-    """``validate`` for a model ``parse_dsl`` has just built, whose names all
-    matched ``is_ident`` as tokens: of the plain-name rule only the dot test
-    is left.  The pseudostate names arrive as strings and keep the full
-    rule."""
-    return _validate(model, lambda name: "." not in name)
-
-
-def _validate(model: ProcessModel, plain) -> list[Diagnostic]:
-    """``validate``, with ``plain`` as the plain-name rule of every name but
-    the pseudostate names."""
     report: list[Diagnostic] = []
     initial, final = model.initial_name, model.final_name
 
@@ -724,16 +747,20 @@ def _validate(model: ProcessModel, plain) -> list[Diagnostic]:
     if initial == final:
         report.append(_diag("ReservedName", initial, "initial and final names collide"))
 
-    # each distinct event, guard atom and action is tested once, and its
-    # occurrences are looked for only when one of them is bad
+    # every name that must be plain is tested at once: joined by dots, they
+    # are one identifier with one dot per join exactly when each is plain;
+    # each is tested, and located, only when that fails
     index = model_index(model)
     spaces = index.spaces
-    locate = not all(map(plain, spaces["event"] | spaces["guard"] | spaces["action"]))
+    names = [node.name for node in index.all_nodes] + [t.id for t in model.transitions]
+    names += spaces["event"] | spaces["guard"] | spaces["action"]
+    joined = ".".join(names)
+    locate = not (is_ident(joined) and joined.count(".") == len(names) - 1)
 
     paths: set[str] = set()
     for node in index.all_nodes:
         path = node.path
-        if not plain(node.name):
+        if locate and not _is_plain(node.name):
             report.append(_diag("BadIdent", path, "state name is not a plain token"))
         if path == initial or path == final:
             report.append(_diag("ReservedName", path, "state shadows a pseudostate"))
@@ -758,7 +785,7 @@ def _validate(model: ProcessModel, plain) -> list[Diagnostic]:
 
     def check_plain(names, what: str, location: str):
         for name in names:
-            if not plain(name):
+            if not _is_plain(name):
                 report.append(_diag("BadIdent", location, f"bad {what} name {name!r}"))
 
     def check_guard(g: GuardExpr, location: str):
@@ -775,7 +802,7 @@ def _validate(model: ProcessModel, plain) -> list[Diagnostic]:
     tids: set[str] = set()
     for t in model.transitions:
         loc, join, split, inputs, outputs = t.id, t.join_kind, t.split_kind, t.inputs, t.outputs
-        if not plain(loc):
+        if locate and not _is_plain(loc):
             report.append(_diag("BadIdent", loc, "bad transition id"))
         if loc in tids:
             report.append(_diag("DuplicateTransitionId", loc, "duplicate transition id"))

@@ -543,7 +543,7 @@ def test_string_tokens_match_the_tok_parser():
         assert _guard(parse_guard, text) == _guard(dsl_reference.parse_guard, text), repr(text)
     # valid and invalid models, and each error the scanner raises
     assert {"ProcessModel", "list", "BadString", "stray character", "unterminated trans block"} <= outcomes
-    # the name rules `validate_parsed` leaves to the dot test, and those it keeps
+    # each name rule of `validate`, on the names the parser has read as tokens
     assert {
         "bad event name",
         "bad action name",

@@ -17,7 +17,7 @@ from flowspec.model import COMPLETION_EVENT, PatternKind, iter_states, model_ind
 from flowspec.patterns import classify
 from flowspec.replay import check_suite, replay_scenario
 
-from conftest import GUARD_READ_AS_SOURCE, JOIN_SPLIT_VARIANTS, JOIN_SPLITS, join_split_model
+from conftest import DATA_DIR, GUARD_READ_AS_SOURCE, JOIN_SPLIT_VARIANTS, JOIN_SPLITS, join_split_model
 
 EMBEDDED_ROWS = """\
 GIVEN S5
@@ -366,6 +366,22 @@ def test_paper_exact_documents_infer_without_errors(fixtures, key):
     from flowspec.dot import render_dot
 
     assert render_dot(inferred).startswith("digraph process {")
+
+
+@pytest.mark.parametrize("key", ["m1", "m2", "m3", "m4", "m5", "m6", "m7", "m8", "m9"])
+def test_golden_paper_reverse_replays_like_its_source(fixtures, key):
+    """The reverse of a golden paper-exact feature has no error, its own
+    strict suite is green at coverage 1.0, and the document gets the same
+    verdicts against it as against the source model.  Only Synchronization
+    rows fail there: they name one source of an and-join each (m3)."""
+    doc = parse_feature((DATA_DIR / "golden" / f"{key}.paper.feature").read_text())
+    inferred, diags = infer_model(doc)
+    assert [d for d in diags if d.severity == "error"] == [], key
+    own = check_suite(inferred, emit_feature(inferred, "strict"), "strict")
+    assert own.passed and own.coverage == 1.0, key
+    verdicts = [(name, v.passed) for name, v in check_suite(fixtures[key], doc, "paper_exact").verdicts]
+    assert [(name, v.passed) for name, v in check_suite(inferred, doc, "paper_exact").verdicts] == verdicts
+    assert all(name.startswith("Synchronization ") for name, passed in verdicts if not passed), key
 
 
 def test_paper_exact_merge_rows_fold_per_input(m3):

@@ -8,6 +8,7 @@ import pytest
 
 from flowspec.canon import canonical_form
 from flowspec.dsl import parse_dsl
+from flowspec.emit import emit_feature
 from flowspec.generator import GeneratorLimits, random_model
 from flowspec.model import (
     GuardExpr,
@@ -20,12 +21,13 @@ from flowspec.model import (
     chain,
     is_pseudostate,
     model_index,
+    namespaces,
     validate,
 )
 from flowspec.patterns import _reachable_paths, classify, guards_overlap, lint
 
 import patterns_reference
-from conftest import FIXTURE_DSL, JOIN_SPLITS, join_split_model, or_fed_join_model
+from conftest import FIXTURE_DSL, JOIN_SPLIT_VARIANTS, JOIN_SPLITS, join_split_model, or_fed_join_model
 
 
 def kinds_by_tid(model):
@@ -304,33 +306,56 @@ def _reference_corpus(generated_models):
         yield f"join {join} split {split}", join_split_model(join, split)
 
 
-# A per-input merge that or-splits has one strict row per input and fired
-# case, so canonical_form carries one trace per such pair; the earlier
-# decision kept only the fired cases.
-PER_INPUT_CHOICE_TRACES = {
-    f"join {join} split or": (("a1",), ("a2",), ("a1", "a2"), ("a1",), ("a2",), ("a1", "a2"))
-    for join in ("xor", "multi")
-}
-
-
 def test_pattern_decision_matches_reference(generated_models):
     """classify, canonical_form and lint read the model index and agree
-    with the earlier per-module decisions, but for the traces of the two
-    per-input merges that or-split; the one new finding is JoinWithSplit,
-    on exactly the transitions that join and split."""
+    with the earlier per-module decisions, but for the traces of an
+    or-split; the one new finding is JoinWithSplit, on exactly the
+    transitions that join and split.
+
+    An or-split's traces are now one per strict row, every guard subset
+    under every consumed set, where the earlier decision kept each guarded
+    output alone and then every output: each of those is still among them.
+    """
     for name, model in _reference_corpus(generated_models):
         instances, _ = classify(model)
         assert instances == patterns_reference.classify(model), name
-        want = patterns_reference.canonical_form(model)
-        if name in PER_INPUT_CHOICE_TRACES:
-            t1 = want["transitions"]["t1"]
-            assert t1[-1] == (("a1",), ("a2",), ("a1", "a2")), name
-            want["transitions"]["t1"] = (*t1[:-1], PER_INPUT_CHOICE_TRACES[name])
-        assert canonical_form(model) == want, name
+        got, want = canonical_form(model), patterns_reference.canonical_form(model)
+        for tid, sig in want["transitions"].items():
+            if sig[2] == "or":
+                traces = got["transitions"][tid][-1]
+                assert set(sig[-1]) <= set(traces), (name, tid)
+                want["transitions"][tid] = (*sig[:-1], traces)
+        assert got == want, name
         found = lint(model)
         assert [d for d in found if d.code != "JoinWithSplit"] == patterns_reference.lint(model), name
         both = [t.id for t in model.transitions if t.join_kind != "none" and t.split_kind != "none"]
         assert [d.location for d in found if d.code == "JoinWithSplit"] == both, name
+
+
+def test_canonical_traces_are_the_strict_then_traces(fixtures):
+    """canonical_form carries, per transition, the action trace of each of
+    its strict rows, in the order the strict text lists them: an or-split
+    with three guarded outputs has seven."""
+    joins = [join_split_model(j, s, v) for v in JOIN_SPLIT_VARIANTS for j, s in JOIN_SPLITS]
+    # an or-split with one unguarded and one guarded output has one row
+    mandatory = parse_dsl("""\
+process "mandatory" {
+  state S1 state S2
+  trans t1 { from alpha on go split or to S1 do a1, S2 if g1 and not g2 do a2 }
+}
+""")
+    widths = set()
+    for model in [*fixtures.values(), *joins, mandatory, *_rungs()]:
+        states = namespaces(model)["state"]
+        want: dict[str, list] = {t.id: [] for t in model.transitions}
+        for scenario in emit_feature(model, "strict").scenarios:
+            # THEN is the trace, when there is one, then one state per fired output
+            first = scenario.then[0].actions
+            want[scenario.name.split()[1]].append(() if first[0] in states else first)
+        got = canonical_form(model)["transitions"]
+        assert {tid: list(sig[-1]) for tid, sig in got.items()} == want, model.title
+        widths.update(sum(b.guard is not None for b in t.outputs) for t in model.transitions if t.split_kind == "or")
+    assert {1, 2, 3} <= widths
 
 
 # ---------------------------------------------------------------------------

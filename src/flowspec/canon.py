@@ -56,7 +56,7 @@ def transition_signature(model: ProcessModel, t: TransitionDecl, kind: PatternKi
         guards,
         targets,
         mandatory,
-        tuple(m.firing_plan(model, t, c, f).trace for c, f in m.strict_rows(t, kind)),
+        tuple(m.firing_plan(model, t, c, f).trace for c, f in m.strict_rows(t)),
     )
 
 

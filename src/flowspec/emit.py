@@ -80,10 +80,10 @@ class _Emitter:
         """One row per ``model.strict_rows`` entry, numbered for a per-input
         merge or an or-split."""
         base = f"{kind.value} {t.id}"
-        numbered = t.split_kind == "or" or kind in m.PER_INPUT_MERGES
+        numbered = t.split_kind == "or" or t.join_kind in m.PER_INPUT_JOINS
         return [
             self.strict_firing(f"{base} {i}" if numbered else base, t, consumed, fired, m.row_literals(t, fired))
-            for i, (consumed, fired) in enumerate(m.strict_rows(t, kind), 1)
+            for i, (consumed, fired) in enumerate(m.strict_rows(t), 1)
         ]
 
     # -- paper-exact mode ---------------------------------------------------
@@ -126,7 +126,7 @@ class _Emitter:
                     _action_items(m.firing_plan(self.model, t, consumed, fired)),
                     given_lits=m.row_literals(t, fired),
                 )
-                for i, (consumed, fired) in enumerate(m.strict_rows(t, kind), 1)
+                for i, (consumed, fired) in enumerate(m.strict_rows(t), 1)
             ]
         # Exclusive choice, sequence and parallel split; special-case styling
         # applies to the latter two.

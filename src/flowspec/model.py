@@ -185,8 +185,9 @@ MERGES = {
     "xor": PatternKind.SIMPLE_MERGE,
     "multi": PatternKind.MULTIPLE_MERGE,
 }
-# Merges whose strict rows fire one input each, so each input's trace shows.
-PER_INPUT_MERGES = frozenset({PatternKind.SIMPLE_MERGE, PatternKind.MULTIPLE_MERGE})
+# Joins whose strict rows fire one input each, so each input's trace shows.
+PER_INPUT_JOINS = ("xor", "multi")
+PER_INPUT_MERGES = frozenset(MERGES[join] for join in PER_INPUT_JOINS)
 # The pattern a split reads as when its transition does not join.
 SPLITS = {"and": PatternKind.PARALLEL_SPLIT, "or": PatternKind.MULTIPLE_CHOICE}
 # Or-split scenario enumeration covers at most this many guarded branches.
@@ -588,20 +589,20 @@ def enumerate_choice_subsets(branches):
     return nonempty_subsets(items)
 
 
-def strict_rows(t: TransitionDecl, kind: PatternKind) -> list[tuple[tuple[InBranch, ...], tuple[int, ...] | None]]:
-    """The strict rows of ``t`` in emission order, each as (consumed inputs,
-    fired output indices): each consumed set (each input alone for a
-    per-input merge, every input together otherwise) crossed with each fired
-    case (an or-split's unguarded outputs with each nonempty subset of its
-    guarded ones, else ``None``: every output).  A row's guard literals are
-    ``row_literals(t, fired)``.  Raises TooManyChoiceBranches above 10
-    guarded outputs."""
+def strict_rows(t: TransitionDecl) -> list[tuple[tuple[InBranch, ...], tuple[int, ...] | None]]:
+    """The strict rows of ``t`` in emission order, as (consumed inputs, fired
+    output indices): each consumed set (each input alone for a join in
+    ``PER_INPUT_JOINS``, every input together otherwise) crossed with each
+    fired case (an or-split's unguarded outputs with each nonempty subset of
+    its guarded ones, else ``None``: every output).  A row's guard literals
+    are ``row_literals(t, fired)``.  Emission, ``canon`` and ``explore`` read
+    it.  Raises TooManyChoiceBranches above 10 guarded outputs."""
     fired = [None]
     if t.split_kind == "or":
         guarded = [i for i, b in enumerate(t.outputs) if b.guard]
         always = tuple(i for i, b in enumerate(t.outputs) if not b.guard)
         fired = [tuple(sorted(always + s)) for s in enumerate_choice_subsets(guarded)] if guarded else []
-    consumed = [(b,) for b in t.inputs] if kind in PER_INPUT_MERGES else [t.inputs]
+    consumed = [(b,) for b in t.inputs] if t.join_kind in PER_INPUT_JOINS else [t.inputs]
     return [(c, f) for c in consumed for f in fired]
 
 

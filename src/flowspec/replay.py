@@ -21,8 +21,6 @@ from .model import (
     Configuration,
     ProcessModel,
     TransitionDecl,
-    effective_guard_literals,
-    nonempty_subsets,
     normalize_mode,
 )
 from .values import value_type
@@ -457,48 +455,32 @@ class ExploreStep:
     after: Configuration
 
 
-def _offers(entries) -> dict[tuple, tuple[set[str], dict[str, bool]]]:
-    """Candidate (events, valuation) pairs at a configuration whose
-    ``_view`` has these ``entries``, deterministic, each keyed by its sorted
-    events and sorted valuation."""
+def _offers(entries, rows) -> dict[tuple, tuple[set[str], dict[str, bool]]]:
+    """The WHEN events and GIVEN guard valuation of each strict row
+    (``model.strict_rows``) of each transition with an active input in these
+    ``_view`` entries, keyed by both sorted; of a per-input join, the rows of
+    its active inputs only.  ``rows`` keeps each transition's rows by ``id``
+    for a caller that holds the transitions.  Raises TooManyChoiceBranches."""
     out: dict[tuple, tuple[set[str], dict[str, bool]]] = {}
-
-    def add(events: set[str], valuation: dict[str, bool]):
-        key = (tuple(sorted(events)), tuple(sorted(valuation.items())))
-        if key not in out:
-            out[key] = (events, valuation)
-
     for t, active, _ in entries:
         if not active:
             continue
-        base_events = {b.event for b in t.inputs if b.event}
-        if t.shared_event:
-            base_events.add(t.shared_event)
-        base_val: dict[str, bool] = {}
-        for atom, neg in effective_guard_literals(t):
-            base_val.setdefault(atom, not neg)
-        if t.split_kind == "or":
-            guarded = [i for i, b in enumerate(t.outputs) if b.guard]
-            for included in nonempty_subsets(guarded):
-                valuation = dict(base_val)
-                ok = True
-                for i in guarded:
-                    for atom, neg in t.outputs[i].guard.literals:
-                        want = (not neg) if i in included else neg
-                        if valuation.setdefault(atom, want) != want:
-                            ok = False
-                    if not ok:
-                        break
-                if ok:
-                    add(base_events, valuation)
-        elif t.join_kind in ("xor", "multi"):
-            for i in active:
-                ev = {t.inputs[i].event} if t.inputs[i].event else set()
+        if (offered := rows.get(id(t))) is None:
+            offered = rows[id(t)] = []
+            table = m.strict_rows(t)
+            cases = len(table) // len(t.inputs)  # a per-input join's rows run input by input
+            for n, (consumed, fired) in enumerate(table):
+                events = {b.event for b in consumed if b.event}
                 if t.shared_event:
-                    ev.add(t.shared_event)
-                add(ev, base_val)
-        else:
-            add(base_events, base_val)
+                    events.add(t.shared_event)
+                valuation: dict[str, bool] = {}
+                for atom, neg in m.row_literals(t, fired):  # the first literal of an atom wins
+                    valuation.setdefault(atom, not neg)
+                key = (tuple(sorted(events)), tuple(sorted(valuation.items())))
+                offered.append((n // cases if len(consumed) < len(t.inputs) else None, key, (events, valuation)))
+        for position, key, stimulus in offered:
+            if position is None or position in active:
+                out.setdefault(key, stimulus)
     return out
 
 
@@ -509,9 +491,10 @@ def explore(
 ) -> list[tuple[ExploreStep, ...]]:
     """Exhaustively enumerate maximal runs up to ``depth_bound`` steps.
 
-    Branches over the event sets and guard valuations each reachable
-    transition could be offered; conflicting stimuli are skipped.  Raises
-    UnknownState when ``start`` holds a path the model does not declare.
+    At each configuration it offers each transition that could fire there
+    its strict rows' stimuli (``_offers``), skipping conflicting ones.
+    Raises UnknownState for an undeclared path in ``start``, and
+    TooManyChoiceBranches for an or-split with over 10 guarded outputs.
     """
     if depth_bound > MAX_EXPLORE_DEPTH:
         raise ValueError(f"depth bound above {MAX_EXPLORE_DEPTH}")
@@ -521,9 +504,10 @@ def explore(
     if depth_bound <= 0:
         return []
     traces: list[tuple[ExploreStep, ...]] = []
-    # firing plans met again at another configuration; this call holds the
-    # model, and with it every transition the plans are keyed by
+    # firing plans and offered rows met again at another configuration; this
+    # call holds the model, and with it every transition they are keyed by
     plans: dict[tuple, m.FiringPlan] = {}
+    rows: dict[int, list[tuple]] = {}
     # depth first on a stack: a recursive closure would hold every run in a cycle
     stack = [(start or m.initial_configuration(model), ())]
     while stack:
@@ -532,7 +516,7 @@ def explore(
         if len(prefix) < depth_bound:
             # one view of the configuration serves every stimulus
             view = _view(model, config)
-            for (sorted_events, sorted_valuation), (events, valuation) in _offers(view[1]).items():
+            for (sorted_events, sorted_valuation), (events, valuation) in _offers(view[1], rows).items():
                 try:
                     fired, trace, after = _step(model, config, view, events, valuation, plans)
                 except NondeterminismConflict:

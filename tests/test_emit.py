@@ -16,7 +16,9 @@ from flowspec.feature import (
     format_feature,
 )
 from flowspec.dsl import parse_dsl
-from flowspec.model import COMPLETION_EVENT, normalize_mode
+from flowspec.model import COMPLETION_EVENT, normalize_mode, validate
+from flowspec.patterns import lint
+from flowspec.replay import check_suite
 
 from gwt_texts import PATTERN_GOLDENS, gwt_lines, normalize_block, pattern_lines
 from gwt_texts import SPECIAL_CASES_GWT
@@ -236,6 +238,28 @@ process "wide" {{
     # canonical_form reads the same strict rows, so comparing fails alike
     with pytest.raises(TooManyChoiceBranches):
         isomorphic(model, model)
+
+
+# CHANGES.md FOUND 67, ROADMAP item 3: strict emission writes a row for
+# every guard subset of an or-split, even one that cannot fire alone.  With
+# A if g1, B if g1 rows 1-2 fail (all three rows read GIVEN S1 AND g1); with
+# A if g1, B if g1 and g2 row 2 (B alone) fails, as A fires too.  validate
+# and lint say nothing.  Emission skipping those subsets, or a lint naming
+# them, flips this test.
+@pytest.mark.xfail(strict=True, raises=AssertionError)
+@pytest.mark.parametrize("outputs", ["A if g1, B if g1", "A if g1, B if g1 and g2"])
+def test_own_strict_suite_of_an_or_split_is_green_or_flagged(outputs):
+    model = parse_dsl(f"""\
+process "implied guards" {{
+  state S1
+  state A
+  state B
+  trans t0 {{ from alpha on go to S1 }}
+  trans t1 {{ from S1 on e split or to {outputs} }}
+}}
+""")
+    report = check_suite(model, emit_feature(model, "strict"))
+    assert report.passed or validate(model) or lint(model)
 
 
 # ---------------------------------------------------------------------------

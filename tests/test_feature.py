@@ -154,6 +154,30 @@ THEN a1
     assert doc.benefit == "insight"
 
 
+def test_every_hint_key_is_written_and_read_back():
+    hints = DocHints(("S1",), ("ev1",), ("g1", "g2"), ("a1",), "start", "stop")
+    doc = FeatureDoc(
+        title="demo",
+        scenarios=(Scenario("one", (Step("Given", "S1"), Step("When", "ev1"), Step("Then", "a1"))),),
+        hints=hints,
+    )
+    text = format_feature(doc)
+    assert text.splitlines()[:6] == [
+        "# states: S1",
+        "# events: ev1",
+        "# guards: g1, g2",
+        "# actions: a1",
+        "# initial: start",
+        "# final: stop",
+    ]
+    assert parse_feature(text) == doc
+
+
+def test_unknown_style_rejected():
+    with pytest.raises(ValueError, match=r"^unknown style 'plain'$"):
+        format_feature(FeatureDoc(title="demo"), "plain")
+
+
 def test_name_hinted_in_two_roles_rejected_at_later_hint():
     text = "# states: S1, x\n# events: ev1\n# guards: g1, x\nGIVEN S1\nWHEN ev1\nTHEN a1\n"
     with pytest.raises(FeatureSyntaxError) as exc:

@@ -5,8 +5,8 @@
 ``replay._offers`` reads a configuration's view.  The reference copies below
 compute the same results the earlier way, with chain depths
 (``_common_depth``), one input scan per join kind (``_input_satisfied``) and
-the stimuli from candidates and token counts (``reference_offers``), and
-every result is compared with them.  ``reference_match_or_split`` is the
+the stimuli read from the model's strict feature text (``reference_offers``),
+and every result is compared with them.  ``reference_match_or_split`` is the
 or-join match as replay found it before ``ModelIndex.or_feeds``, by a scan
 of every or-split at each call.  The reference fires an and-join that an
 or-split feeds (``reference_or_fed``) by the or-join rule, as the
@@ -27,7 +27,9 @@ from types import SimpleNamespace
 import pytest
 
 from flowspec.dsl import parse_dsl
+from flowspec.emit import emit_feature
 from flowspec.errors import NondeterminismConflict, UnknownState
+from flowspec.feature import format_feature, parse_feature
 from flowspec.generator import random_model
 from flowspec.model import (
     Configuration,
@@ -57,12 +59,12 @@ from flowspec.replay import (
     firings_for,
 )
 
-from conftest import OR_FED_JOINS, or_fed_join_model
+from conftest import JOIN_SPLIT_VARIANTS, JOIN_SPLITS, OR_FED_JOINS, join_split_model, or_fed_join_model
 
 
 def _stimuli(model, config):
     """The (events, valuation) pairs ``explore`` offers at ``config``."""
-    return list(_offers(_view(model, config)[1]).values())
+    return list(_offers(_view(model, config)[1], {}).values())
 
 
 # Entry and exit actions on every level, and a move of each kind: child to
@@ -538,61 +540,33 @@ def test_firings_for_matches_per_join_reference(fixtures, three_levels, re_entry
 # ---------------------------------------------------------------------------
 
 
-def reference_offers(candidates, counts):
-    """The stimuli at a configuration, computed from its candidate
-    transitions and token counts, with the guard fold written out."""
+def reference_offers(doc, kinds, counts):
+    """The stimuli at a configuration with these token counts, read from
+    the model's strict feature text ``doc``: in document order, each
+    scenario with a GIVEN state that holds a token (so every row of a
+    transition with an active input, but of a per-input merge only the rows
+    of its active inputs) offers its non-state GIVEN literals, the first
+    literal of an atom winning, and its WHEN events without ``_done``."""
     out = {}
-
-    def add(events, valuation):
-        key = (tuple(sorted(events)), tuple(sorted(valuation.items())))
-        if key not in out:
-            out[key] = (events, valuation)
-
-    for t in candidates:
-        if not any(counts.get(b.source, 0) >= 1 for b in t.inputs):
+    for scenario in doc.scenarios:
+        given, when, _ = scenario.views
+        if not any(kinds[term.atom] == "state" and counts.get(term.atom, 0) >= 1 for term in given):
             continue
-        base_events = {b.event for b in t.inputs if b.event}
-        if t.shared_event:
-            base_events.add(t.shared_event)
-        base_val = {}
-        if t.shared_guard:
-            for atom, neg in t.shared_guard.literals:
-                base_val[atom] = not neg
-        if t.split_kind == "or":
-            guarded = [i for i, b in enumerate(t.outputs) if b.guard]
-            for included in nonempty_subsets(guarded):
-                valuation = dict(base_val)
-                ok = True
-                for i in guarded:
-                    for atom, neg in t.outputs[i].guard.literals:
-                        want = (not neg) if i in included else neg
-                        if valuation.setdefault(atom, want) != want:
-                            ok = False
-                    if not ok:
-                        break
-                if ok:
-                    add(base_events, valuation)
-            continue
-        valuation = dict(base_val)
-        if len(t.outputs) == 1 and t.outputs[0].guard:
-            for atom, neg in t.outputs[0].guard.literals:
-                valuation.setdefault(atom, not neg)
-        if t.join_kind in ("xor", "multi"):
-            for b in t.inputs:
-                if counts.get(b.source, 0) >= 1:
-                    ev = {b.event} if b.event else set()
-                    if t.shared_event:
-                        ev.add(t.shared_event)
-                    add(ev, valuation)
-        else:
-            add(base_events, valuation)
+        valuation = {}
+        for term in given:
+            if kinds[term.atom] != "state":
+                valuation.setdefault(term.atom, not term.negated)
+        events = {term.atom for term in when if term.atom != "_done"}
+        out.setdefault((tuple(sorted(events)), tuple(sorted(valuation.items()))), (events, valuation))
     return out
 
 
 # Or-splits with one guarded output (t2, and t5 whose shared guard denies
-# it), with multi-literal guards (t3), and plain transitions whose shared
-# guard repeats an output-guard atom with the opposite sign (t4, t6), next
-# to an xor-join with a shared event (t7).
+# it: its row offers g7 false, which fires nothing), with multi-literal
+# guards (t3, whose rows negate only the first literal of an unfired
+# output), and plain transitions whose shared guard repeats an output-guard
+# atom with the opposite sign (t4, t6), next to an xor-join with a shared
+# event (t7).
 OFFER_CASES = """\
 process "Offer cases" {
   state S1
@@ -615,14 +589,14 @@ def assert_offers_match(model):
     """Compare ``_offers``, order included, with the reference at every
     configuration ``explore(model, 4)`` reaches.  Returns the number of
     stimuli compared."""
-    index = model_index(model)
+    doc = parse_feature(format_feature(emit_feature(model, "strict")))
+    kinds = model_index(model).kinds
     start = initial_configuration(model)
     configs = {start} | {s.after for run in explore(model, 4) for s in run}
     compared = 0
     for config in sorted(configs, key=repr):
-        counts = config.counts()
-        want = reference_offers(index.candidates(counts), counts)
-        got = _offers(_view(model, config)[1])
+        want = reference_offers(doc, kinds, config.counts())
+        got = _offers(_view(model, config)[1], {})
         assert list(got.items()) == list(want.items()), config
         compared += len(got)
     return compared
@@ -632,7 +606,13 @@ def test_offers_match_reference(fixtures, three_levels):
     cases = parse_dsl(OFFER_CASES)
     assert validate(cases) == []
     assert assert_offers_match(cases) >= 10
-    models = [*fixtures.values(), three_levels, *(random_model(seed) for seed in range(60))]
+    models = [
+        *fixtures.values(),
+        three_levels,
+        *(random_model(seed) for seed in range(60)),
+        *(join_split_model(join, split, variant) for variant in JOIN_SPLIT_VARIANTS for join, split in JOIN_SPLITS),
+        *(or_fed_join_model(join, target) for join, target in OR_FED_JOINS),
+    ]
     assert sum(assert_offers_match(model) for model in models) > 1000
 
 
@@ -645,13 +625,13 @@ def reference_explore(model, depth_bound, start=None, conflicts=None):
     """The earlier recursive walk of ``explore``; appends each stimulus it
     skips for a NondeterminismConflict to ``conflicts``."""
     traces = []
-    plans = {}
+    plans, rows = {}, {}
 
     def walk(config, prefix):
         extended = False
         if len(prefix) < depth_bound:
             view = _view(model, config)
-            for (sorted_events, sorted_valuation), (events, valuation) in _offers(view[1]).items():
+            for (sorted_events, sorted_valuation), (events, valuation) in _offers(view[1], rows).items():
                 try:
                     fired, trace, after = _step(model, config, view, events, valuation, plans)
                 except NondeterminismConflict:

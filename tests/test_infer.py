@@ -353,6 +353,36 @@ def test_named_merge_rows_that_disagree_keep_the_first_row():
     ]
 
 
+def _messages(text):
+    _, diags = infer_model(parse_feature(text))
+    return [(d.code, d.location, d.message) for d in diags]
+
+
+def test_hinted_guard_heading_a_given_is_ambiguous():
+    text = "# guards: S1\nFeature: f\n\nScenario: s\nGiven S1\nWhen e\nThen a AND S2\n"
+    assert ("AmbiguousTerm", "S1", "GIVEN head also classified as a non-state") in _messages(text)
+
+
+def test_given_without_a_state_reads_as_a_row_with_no_input():
+    text = "Feature: f\n\nScenario: s\nGiven NOT g1\nWhen e\nThen a AND S2\n"
+    messages = _messages(text)
+    assert ("AmbiguousTerm", "s", "GIVEN names no state; the row has no input") in messages
+    assert ("EmptyInputs", "u1", "transition has no inputs") in messages
+
+
+def test_sinks_of_names_with_one_slug_are_numbered():
+    text = (
+        "Feature: f\n\nScenario: x\nGiven S1\nWhen e\nThen a\n\n"
+        "Scenario: x!\nGiven S1\nWhen f\nThen b\n"
+    )
+    model, diags = infer_model(parse_feature(text))
+    assert [t.outputs[0].target for t in model.transitions] == ["_after_x", "_after_x_1"]
+    assert [(d.location, d.message) for d in diags if d.code == "SyntheticTarget"] == [
+        ("x", "no resulting state; synthesized _after_x"),
+        ("x!", "no resulting state; synthesized _after_x_1"),
+    ]
+
+
 @pytest.mark.parametrize("key", ["m1", "m2", "m3", "m4", "m5", "m6", "m7", "m8", "m9"])
 def test_paper_exact_documents_infer_without_errors(fixtures, key):
     # the compact shapes drop result states, so sinks and warnings are

@@ -41,9 +41,12 @@ from flowspec.replay import (
     step,
 )
 
+from conftest import join_split_model
+
+
 def _stimuli(model, config):
     """The (events, valuation) pairs ``explore`` offers at ``config``."""
-    return list(_offers(_view(model, config)[1]).values())
+    return list(_offers(_view(model, config)[1], {}).values())
 
 
 TRUE = {"g1": True, "g2": True, "h1": True, "h2": True, "h3": True}
@@ -487,11 +490,43 @@ def test_explore_depth_zero_is_empty(m1):
     assert explore(m1, 0) == []
 
 
+# B's guard implies A's, so A fires alone only with g2 false: the strict
+# row GIVEN S1 AND g1 AND NOT g2.  Negating every literal of B's guard
+# (g1 too) could not offer it.
+OVERLAPPING_GUARDS = """\
+process "overlapping guards" {
+  state S1
+  state A
+  state B
+  trans t0 { from alpha on go to S1 }
+  trans t1 { from S1 on e split or to A if g1 do a1, B if g1 and g2 do b1 }
+}
+"""
+
+
 def test_explore_m6_one_trace_per_guard_subset(m6):
     traces = explore(m6, 2)
     assert len(traces) == 3
     finals = {tuple(sorted(t[-1].after.paths())) for t in traces}
     assert finals == {("E1", "E2"), ("E1", "E3"), ("E1", "E2", "E3")}
+
+
+def test_explore_fires_an_or_split_output_whose_guard_another_implies():
+    runs = explore(parse_dsl(OVERLAPPING_GUARDS), 2)
+    assert [(run[-1].valuation, run[-1].trace, run[-1].after.paths()) for run in runs] == [
+        ((("g1", True), ("g2", False)), ("a1",), ["A"]),
+        ((("g1", True), ("g2", True)), ("a1", "b1"), ["A", "B"]),
+    ]
+
+
+@pytest.mark.parametrize("join", ["xor", "multi"])
+def test_per_input_join_that_or_splits_fires_each_input_alone(join):
+    # t1 is offered each input's strict rows: from S2 alone, S1 keeps its token
+    runs = explore(join_split_model(join, "or"), 2)
+    alone = {(run[-1].events, run[-1].trace, tuple(run[-1].after.paths())) for run in runs}
+    assert (("e2",), ("a1",), ("S1", "S3")) in alone
+    assert (("e1",), ("a2",), ("S2", "S4")) in alone
+    assert all(len(run[-1].fired) == 1 for run in runs)
 
 
 @pytest.mark.parametrize("start, trace", [("S1", ("a1", "a3")), ("S2", ("a2", "a3"))])

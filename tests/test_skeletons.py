@@ -42,6 +42,16 @@ def test_single_token_step():
     assert s.slug == "when_x"
 
 
+def test_unknown_keyword_rejected():
+    with pytest.raises(ValueError, match=r"^unknown step keyword 'Suppose'$"):
+        extract_skeleton("suppose", "X")
+
+
+def test_empty_step_text_rejected():
+    with pytest.raises(ValueError, match=r"^step text is empty$"):
+        extract_skeleton("Given", "")
+
+
 def test_unbalanced_quotes_rejected():
     with pytest.raises(UnbalancedQuotes):
         extract_skeleton("Given", 'a "broken step')

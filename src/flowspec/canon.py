@@ -65,7 +65,7 @@ def canonical_form(model: ProcessModel) -> dict:
     patterns = m.model_index(model).patterns
     states = {
         node.path: (tuple(c.path for c in node.children), node.initial_child)
-        for node in m.iter_states(model)
+        for node in m.model_index(model).all_nodes
     }
     transitions = {
         t.id: transition_signature(model, t, patterns[t.id][0]) for t in model.transitions

@@ -210,13 +210,16 @@ def normalize_mode(mode: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def iter_states(model: ProcessModel):
-    """Depth-first, declaration-ordered iteration over all state nodes."""
+def iter_states(model: ProcessModel) -> list[StateNode]:
+    """All state nodes, depth first in declaration order, gathered in one
+    loop (``ModelIndex.all_nodes`` keeps them)."""
+    nodes: list[StateNode] = []
     stack = list(reversed(model.states))
     while stack:
         node = stack.pop()
-        yield node
+        nodes.append(node)
         stack += reversed(node.children)
+    return nodes
 
 
 def chain(path: str) -> list[str]:
@@ -283,7 +286,10 @@ def namespaces(model: ProcessModel) -> dict[str, frozenset[str]]:
 
 
 class ModelIndex:
-    """Facts derived from one model, each computed on first use and kept.
+    """Facts derived from one model, each computed on first use and kept,
+    so a caller pays only for the facts it reads: ``lint`` tests or-joins on
+    ``or_feeds``, and only ``classify``, emission and ``canon`` build
+    ``patterns``.
 
     Get one through ``model_index``, which keeps the index of one model at
     a time.
@@ -450,17 +456,6 @@ class ModelIndex:
     def inputless(self) -> tuple[int, ...]:
         """Positions of the transitions with no inputs."""
         return tuple(i for i, t in enumerate(self.model.transitions) if not t.inputs)
-
-    def candidates(self, counts: dict[str, int]) -> list[TransitionDecl]:
-        """In declaration order, the transitions with an input on a path
-        that holds a token in ``counts``, and those with no inputs (which
-        ``all([])`` enables).  No other transition can fire."""
-        picked = set(self.inputless)
-        for path, n in counts.items():
-            if n >= 1:
-                picked.update(self.by_source.get(path, ()))
-        transitions = self.model.transitions
-        return [transitions[i] for i in sorted(picked)]
 
     def leaf(self, path: str) -> str:
         """See ``leaf_path``."""

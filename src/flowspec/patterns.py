@@ -43,7 +43,7 @@ def classify(model: ProcessModel) -> tuple[list[PatternInstance], list[StateSpec
         instances.append(PatternInstance(kind=kind, transition_id=t.id, notes=notes))
 
     specials: list[StateSpecialCase] = []
-    for node in m.iter_states(model):
+    for node in m.model_index(model).all_nodes:
         if node.entry_actions or node.exit_actions:
             notes = []
             if node.entry_actions:
@@ -137,14 +137,14 @@ def lint(model: ProcessModel) -> list[Diagnostic]:
                 )
 
     reached = _reachable_paths(model)
-    for node in m.iter_states(model):
+    for node in index.all_nodes:
         if node.path not in reached:
             report.append(
                 _warn("UnreachableState", node.path, "state is unreachable from the initial pseudostate")
             )
 
     for t in model.transitions:
-        if t.join_kind == "or" and not index.patterns[t.id][1]:
+        if t.join_kind == "or" and t.id not in index.or_feeds:
             report.append(
                 _warn(
                     "OrJoinWithoutOrSplit",

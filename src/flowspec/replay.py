@@ -120,12 +120,19 @@ def _entry(model, t, config, counts, synchronizing):
 
 def _view(model: ProcessModel, config: Configuration):
     """What enabling reads of ``config`` under any stimulus: its token
-    counts, and the ``_entry`` of each transition that could fire there
-    (``ModelIndex.candidates``), in declaration order."""
+    counts, and the ``_entry`` of each transition that could fire there, in
+    declaration order.  Those are the transitions with no inputs
+    (``ModelIndex.inputless``), which ``all([])`` enables, and those with an
+    input on a path holding a token (``ModelIndex.by_source``)."""
     counts = config.counts()
     index = m.model_index(model)
-    synchronizing = index.synchronizing
-    return counts, [_entry(model, t, config, counts, synchronizing) for t in index.candidates(counts)]
+    by_source = index.by_source
+    picked = set(index.inputless)
+    for path, n in counts.items():
+        if n >= 1 and path in by_source:
+            picked.update(by_source[path])
+    transitions, synchronizing = model.transitions, index.synchronizing
+    return counts, [_entry(model, transitions[i], config, counts, synchronizing) for i in sorted(picked)]
 
 
 def _firings(entry, events, valuation) -> list[tuple]:
@@ -183,28 +190,43 @@ def _step(model, config, view, events, valuation, plans) -> tuple:
     as a plain ``(fired, trace, after)`` tuple in the field order of
     ``StepResult``.  ``plans`` keeps firing plans by (``id`` of the
     transition, consumed positions, fired outputs), so the caller must hold
-    every transition it keys for as long as it keeps the dict."""
+    every transition it keys for as long as it keeps the dict.
+
+    A lone firing that consumes one input takes that input's token directly:
+    its source is active, so it holds one, and nothing competes for it.  Any
+    other set of firings sums its demand per source first.  ``after`` reuses
+    ``config.or_marks`` unless a firing sets or clears a mark."""
     counts, entries = view
-    firings = [f for entry in entries for f in _firings(entry, events, valuation)]
+    firings = []
+    for entry in entries:
+        firings += _firings(entry, events, valuation)
 
     counts = dict(counts)
-    demand: dict[str, int] = {}
-    for t, consumed, _, _ in firings:
-        for i in consumed:
-            src = t.inputs[i].source
-            demand[src] = demand.get(src, 0) + 1
-    for src, needed in demand.items():
-        left = counts.get(src, 0) - needed
-        if left < 0:
-            raise NondeterminismConflict(sorted({
-                t.id for t, consumed, _, _ in firings for i in consumed if t.inputs[i].source == src
-            }))
-        if left:
-            counts[src] = left
+    if len(firings) == 1 and len(firings[0][1]) == 1:
+        t, (i,), _, _ = firings[0]
+        src = t.inputs[i].source
+        if counts[src] > 1:
+            counts[src] -= 1
         else:
-            counts.pop(src, None)
+            del counts[src]
+    else:
+        demand: dict[str, int] = {}
+        for t, consumed, _, _ in firings:
+            for i in consumed:
+                src = t.inputs[i].source
+                demand[src] = demand.get(src, 0) + 1
+        for src, needed in demand.items():
+            left = counts.get(src, 0) - needed
+            if left < 0:
+                raise NondeterminismConflict(sorted({
+                    t.id for t, consumed, _, _ in firings for i in consumed if t.inputs[i].source == src
+                }))
+            if left:
+                counts[src] = left
+            else:
+                counts.pop(src, None)
 
-    marks = dict(config.or_marks)
+    marks = None
     trace: list[str] = []
     fired_ids: list[str] = []
     for t, consumed, outs, clear_mark in firings:
@@ -215,14 +237,18 @@ def _step(model, config, view, events, valuation, plans) -> tuple:
             plan = plans[key] = m.firing_plan(model, t, branches, outs)
         for leaf in plan.leaves:
             counts[leaf] = counts.get(leaf, 0) + 1
-        if t.split_kind == "or":
-            marks[t.id] = outs
-        if clear_mark is not None:
-            marks.pop(clear_mark, None)
+        if t.split_kind == "or" or clear_mark is not None:
+            if marks is None:
+                marks = dict(config.or_marks)
+            if t.split_kind == "or":
+                marks[t.id] = outs
+            if clear_mark is not None:
+                marks.pop(clear_mark, None)
         trace.extend(plan.trace)
         fired_ids.append(t.id)
 
-    after = Configuration(tuple(sorted(counts.items())), tuple(sorted(marks.items())))
+    or_marks = config.or_marks if marks is None else tuple(sorted(marks.items()))
+    after = Configuration(tuple(sorted(counts.items())), or_marks)
     return tuple(fired_ids), tuple(trace), after
 
 

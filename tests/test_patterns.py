@@ -210,8 +210,7 @@ def test_lint_unreachable(m9):
     assert "S1" not in flagged and "S2" not in flagged
 
 
-def test_lint_or_join_without_or_split():
-    text = """\
+OR_JOIN_WITHOUT_OR_SPLIT = """\
 process "p" {
   state S1
   state S2
@@ -220,8 +219,30 @@ process "p" {
   trans t2 { from S1 on e1, S2 on e2 join or to S3 }
 }
 """
-    model = parse_dsl(text)
+
+
+def test_lint_or_join_without_or_split():
+    model = parse_dsl(OR_JOIN_WITHOUT_OR_SPLIT)
     assert "OrJoinWithoutOrSplit" in [d.code for d in lint(model)]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        *(pytest.param(lambda name=name: parse_dsl(FIXTURE_DSL[name]), id=name) for name in sorted(FIXTURE_DSL)),
+        pytest.param(lambda: parse_dsl(OR_JOIN_WITHOUT_OR_SPLIT), id="or-join without or-split"),
+        pytest.param(lambda: or_fed_join_model("or"), id="or-fed or-join"),
+        pytest.param(lambda: join_split_model("or", "or"), id="join or split or"),
+    ],
+)
+def test_lint_leaves_the_pattern_table_unbuilt(build):
+    """lint tests OrJoinWithoutOrSplit on ``or_feeds``, so only classify,
+    emission and canon build ``ModelIndex.patterns``."""
+    model = build()
+    lint(model)
+    assert "patterns" not in vars(model_index(model))
+    classify(model)
+    assert "patterns" in vars(model_index(model))
 
 
 @pytest.mark.parametrize("join", ["and", "or", "xor", "multi"])

@@ -825,6 +825,10 @@ def test_candidates_on_a_multi_join_target_with_two_tokens():
     assert two.after == Configuration.of("S3", "S3")
     # Two tokens feed two transitions: no conflict.
     assert step(model, two.after, {"ev3"}, {}).after == Configuration.of("S4", "S5")
+    # Three tokens feed the two: both fire, and one token stays.
+    three = step(model, Configuration.of("S3", "S3", "S3"), {"ev3"}, {})
+    assert three.after == Configuration.of("S3", "S4", "S5")
+    assert three == oracle_step(model, Configuration.of("S3", "S3", "S3"), {"ev3"}, {})
     with pytest.raises(NondeterminismConflict):
         step(model, Configuration.of("S3"), {"ev3"}, {})
     assert assert_candidates_match_scan(model)

@@ -1,10 +1,13 @@
 """Given-When-Then feature documents: types, text parser and formatter.
 
-A scenario's source of truth is its raw step lines.  Structured views
-(terms, action sequences) are derived from the text, so a document produced
-by the emitter and the same document re-read from disk compare equal.  The
-three views of a scenario are read together, in one pass over its steps,
-into a derived slot on first use.  Parsing builds none (a round trip through
+A scenario's source of truth is its raw step lines.  Structured views are
+derived from the text, so a document produced by the emitter and the same
+document re-read from disk compare equal.  The three views of a scenario
+are read together, in one pass over its steps, into a derived slot on first
+use, as plain data: ``(atom, negated)`` pairs for GIVEN and WHEN, a tuple of
+names per THEN chunk.  Replay and ``reverse`` read those; the ``given``,
+``when`` and ``then`` accessors build ``Term`` and ``ActionSeq`` values from
+them on each read.  Parsing builds none (a round trip through
 the text reads none); ``check_suite`` reads every scenario's in a first pass
 and replays in a second, which measured faster than reading each scenario's
 just before its replay.  Steps whose text is free prose (quoted sentences
@@ -90,8 +93,10 @@ _PLAIN = {"Given": _TERMS, "When": _TERMS, "Then": re.compile(rf"{_NAME}(?:(?: A
 
 
 def _structure(steps: tuple[Step, ...]) -> tuple:
-    """The (given, when, then) views of `steps`, read in one pass.  A view
-    is None when its keyword has no step or has a prose step."""
+    """The (given, when, then) views of `steps`, read in one pass.  A GIVEN
+    or WHEN view holds an ``(atom, negated)`` pair per term and a THEN view
+    a tuple of names per chunk.  A view is None when its keyword has no step
+    or has a prose step."""
     views: dict[str, list | None] = {"Given": [], "When": [], "Then": []}
     for step in steps:
         keyword = step.keyword
@@ -102,9 +107,9 @@ def _structure(steps: tuple[Step, ...]) -> tuple:
         if _PLAIN[keyword](text):
             chunks = text.split(" AND ")
             if keyword == "Then":
-                items += [ActionSeq(tuple(chunk.split("; "))) for chunk in chunks]
+                items += [tuple(chunk.split("; ")) for chunk in chunks]
             else:
-                items += [Term(chunk) for chunk in chunks]
+                items += [(chunk, False) for chunk in chunks]
             continue
         chunks = _AND_SPLIT.split(text.strip())
         if keyword == "Then":
@@ -112,7 +117,7 @@ def _structure(steps: tuple[Step, ...]) -> tuple:
                 parts = [p for p in _SEQ_SPLIT.split(chunk) if p]
                 if not parts or not all(map(_ident, parts)):
                     break
-                items.append(ActionSeq(tuple(parts)))
+                items.append(tuple(parts))
             else:
                 continue
         else:
@@ -122,31 +127,39 @@ def _structure(steps: tuple[Step, ...]) -> tuple:
                     chunk = chunk[4:].strip()
                 if not _ident(chunk):
                     break
-                items.append(Term(chunk, negated))
+                items.append((chunk, negated))
             else:
                 continue
         views[keyword] = None
     return tuple(tuple(items) if items else None for items in views.values())
 
 
+def _terms(pairs) -> tuple[Term, ...] | None:
+    return None if pairs is None else tuple([Term(atom, negated) for atom, negated in pairs])
+
+
 @value_type
 class Scenario:
     name: str
     steps: tuple[Step, ...]
-    # (given, when, then), read from the steps when first needed
+    # (given, when, then) as plain data, read from the steps when first
+    # needed: ``(atom, negated)`` pairs in GIVEN and WHEN (the shape of
+    # ``GuardExpr.literals``), a tuple of names per THEN chunk
     views: tuple = derived(lambda scenario: _structure(scenario.steps))
 
+    # the typed views, built from the plain ones on each read
     @property
     def given(self) -> tuple[Term, ...] | None:
-        return self.views[0]
+        return _terms(self.views[0])
 
     @property
     def when(self) -> tuple[Term, ...] | None:
-        return self.views[1]
+        return _terms(self.views[1])
 
     @property
     def then(self) -> tuple[ActionSeq, ...] | None:
-        return self.views[2]
+        then = self.views[2]
+        return None if then is None else tuple([ActionSeq(names) for names in then])
 
     @property
     def structured(self) -> bool:

@@ -82,19 +82,16 @@ def _slug(text: str) -> str:
     return re.sub(r"[^A-Za-z0-9_]+", "_", text).strip("_") or "row"
 
 
-def _chunks_of(scenario: Scenario) -> list[tuple[str, ...]]:
-    return [item.actions for item in scenario.then]
-
-
 def _split_given(terms, is_state) -> tuple[list[str], list[tuple[str, bool]]]:
-    """Leading positive state terms are sources; the rest are guard literals."""
+    """Leading positive state terms of a GIVEN view's ``(atom, negated)``
+    pairs are sources; the rest are guard literals."""
     sources: list[str] = []
     lits: list[tuple[str, bool]] = []
-    for term in terms:
-        if not lits and not term.negated and is_state(term.atom):
-            sources.append(term.atom)
+    for atom, negated in terms:
+        if not lits and not negated and is_state(atom):
+            sources.append(atom)
         else:
-            lits.append((term.atom, term.negated))
+            lits.append((atom, negated))
     return sources, lits
 
 
@@ -259,14 +256,14 @@ class _Inferrer:
             for atom in atoms:
                 roles.setdefault(atom, role)
 
-        rows = [(s.given, s.when, _chunks_of(s)) for s in self.scenarios]
-        terms = [t for g, w, _ in rows for t in (*g, *w) if t.atom != COMPLETION_EVENT]
+        rows = [s.views for s in self.scenarios]
+        terms = [t for g, w, _ in rows for t in (*g, *w) if t[0] != COMPLETION_EVENT]
         then_atoms = dict.fromkeys(a for _, _, chunks in rows for c in chunks for a in c)
-        in_given = {t.atom for g, _, _ in rows for t in g}
-        in_when = {t.atom for _, w, _ in rows for t in w} - {COMPLETION_EVENT}
-        seed((a for a in (*(t.atom for t in terms), *then_atoms) if "." in a), "state")
-        seed((t.atom for t in terms if t.negated), "guard")
-        for atom in sorted({g[0].atom for g, _, _ in rows if not g[0].negated}):
+        in_given = {atom for g, _, _ in rows for atom, _ in g}
+        in_when = {atom for _, w, _ in rows for atom, _ in w} - {COMPLETION_EVENT}
+        seed((a for a in (*(atom for atom, _ in terms), *then_atoms) if "." in a), "state")
+        seed((atom for atom, negated in terms if negated), "guard")
+        for atom in sorted({g[0][0] for g, _, _ in rows if not g[0][1]}):
             if roles.setdefault(atom, "state") != "state":
                 self.warn("AmbiguousTerm", atom, "GIVEN head also classified as a non-state")
         seed((c[-1][-1] for _, _, c in rows if c[-1][-1] in in_given), "state")
@@ -274,16 +271,16 @@ class _Inferrer:
         # propagate to a fixpoint, revisiting the rows of each new state
         rows_of: dict[str, list[int]] = {}
         for i, (g, _, chunks) in enumerate(rows):
-            for atom in {t.atom for t in g}.union(c[0] for c in chunks if len(c) == 1):
+            for atom in {atom for atom, _ in g}.union(c[0] for c in chunks if len(c) == 1):
                 rows_of.setdefault(atom, []).append(i)
         todo = list(range(len(rows)))
         while todo:
             g, _, chunks = rows[todo.pop()]
             last = max(
-                (k for k, t in enumerate(g) if not t.negated and roles.get(t.atom) == "state"),
+                (k for k, (atom, negated) in enumerate(g) if not negated and roles.get(atom) == "state"),
                 default=0,
             )
-            found = [t.atom for t in g[:last] if not t.negated]
+            found = [atom for atom, negated in g[:last] if not negated]
             first = next(
                 (k for k, c in enumerate(chunks) if len(c) == 1 and roles.get(c[0]) == "state"),
                 len(chunks),
@@ -310,18 +307,19 @@ class _Inferrer:
 
     def read(self, scenario: Scenario, index: int = 0) -> _Row:
         """Read one row over the role table; its sources and targets are noted."""
-        sources, lits = _split_given(scenario.given, self.is_state)
+        given, when, chunks = scenario.views
+        sources, lits = _split_given(given, self.is_state)
         events: list[str] = []
-        for term in scenario.when:
-            if term.atom == COMPLETION_EVENT:
+        for atom, negated in when:
+            if atom == COMPLETION_EVENT:
                 continue
-            if self.roles.get(term.atom) == "guard":
-                lits.append((term.atom, term.negated))
+            if self.roles.get(atom) == "guard":
+                lits.append((atom, negated))
             else:
-                events.append(term.atom)
+                events.append(atom)
         if not sources:
             self.warn("AmbiguousTerm", scenario.name, "GIVEN names no state; the row has no input")
-        actions, targets = _peel(_chunks_of(scenario), self.is_state)
+        actions, targets = _peel(chunks, self.is_state)
         if COMPLETION_EVENT in actions:
             actions = [a for a in actions if a != COMPLETION_EVENT]
             self.diags.append(Diagnostic(
@@ -502,22 +500,24 @@ class _Inferrer:
         merge row ends in its target; a combined join row lists its sources
         before its first guard."""
         strict = self.mode == "strict"
-        negated = {t.atom for s in self.scenarios for t in (*s.given, *s.when) if t.negated}
+        negated = {
+            atom for s in self.scenarios for atom, neg in (*s.views[0], *s.views[1]) if neg
+        }
         shapes: dict[str, str] = {}
         for kind, _tid, scens in groups:
             for s in scens:
-                for t in s.when:
-                    if t.atom != COMPLETION_EVENT and t.atom not in negated:
-                        shapes.setdefault(t.atom, "event")
-                chunks = _chunks_of(s)
+                given, when, chunks = s.views
+                for atom, _ in when:
+                    if atom != COMPLETION_EVENT and atom not in negated:
+                        shapes.setdefault(atom, "event")
                 ends = [chunks[-1]] if strict or kind in _SHAPE_CARRIES_TARGET else []
                 if strict and len(chunks[0]) > 1:
                     ends += chunks[1:]
                 if len(scens) == 1 and kind in _COMBINED_JOINS:
-                    for t in s.given:
-                        if t.negated or t.atom in self.hints.guards:
+                    for atom, neg in given:
+                        if neg or atom in self.hints.guards:
                             break
-                        shapes.setdefault(t.atom, "state")
+                        shapes.setdefault(atom, "state")
                 for c in ends:
                     if len(c) == 1:
                         shapes.setdefault(c[0], "state")
@@ -557,7 +557,7 @@ class _Inferrer:
     def infer_structural(self) -> list[_Draft]:
         rows = [self.read(s, i) for i, s in enumerate(self.scenarios)]
         for row in rows:
-            chunks = _chunks_of(row.scenario)
+            chunks = row.scenario.views[2]
             if len(chunks) > 1 and not row.targets and chunks[-1][-1] != COMPLETION_EVENT:
                 self.warn(
                     "AmbiguousTerm",
@@ -699,8 +699,9 @@ class _Inferrer:
         # document's shape seeds), and rows note the rest as they are read
         known = []
         for s in self.scenarios:
-            atoms = [t.atom for t in (*s.given, *s.when)] + [a for c in _chunks_of(s) for a in c]
-            known += [s.given[0].atom, *(a for a in atoms if "." in a)]
+            given, when, chunks = s.views
+            atoms = [atom for atom, _ in (*given, *when)] + [a for c in chunks for a in c]
+            known += [given[0][0], *(a for a in atoms if "." in a)]
         if self.mode == "strict":
             known += shapes
         for atom in known:

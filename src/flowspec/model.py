@@ -445,11 +445,14 @@ class ModelIndex:
 
     @cached_property
     def by_source(self) -> dict[str, list[int]]:
-        """Input source -> positions of the transitions reading it."""
+        """Input source -> positions of the transitions reading it, each
+        once, ascending."""
         out: dict[str, list[int]] = {}
         for i, t in enumerate(self.model.transitions):
             for b in t.inputs:
-                out.setdefault(b.source, []).append(i)
+                positions = out.setdefault(b.source, [])
+                if not positions or positions[-1] != i:
+                    positions.append(i)
         return out
 
     @cached_property

@@ -123,16 +123,21 @@ def _view(model: ProcessModel, config: Configuration):
     counts, and the ``_entry`` of each transition that could fire there, in
     declaration order.  Those are the transitions with no inputs
     (``ModelIndex.inputless``), which ``all([])`` enables, and those with an
-    input on a path holding a token (``ModelIndex.by_source``)."""
+    input on a path holding a token (``ModelIndex.by_source``).  Tokens on
+    one path with no inputless transition read that path's list as it is."""
     counts = config.counts()
     index = m.model_index(model)
     by_source = index.by_source
-    picked = set(index.inputless)
-    for path, n in counts.items():
-        if n >= 1 and path in by_source:
-            picked.update(by_source[path])
+    if len(counts) == 1 and not index.inputless:
+        picked = by_source.get(config.entries[0][0], ())
+    else:
+        picked = set(index.inputless)
+        for path, n in counts.items():
+            if n >= 1 and path in by_source:
+                picked.update(by_source[path])
+        picked = sorted(picked)
     transitions, synchronizing = model.transitions, index.synchronizing
-    return counts, [_entry(model, transitions[i], config, counts, synchronizing) for i in sorted(picked)]
+    return counts, [_entry(model, transitions[i], config, counts, synchronizing) for i in picked]
 
 
 def _firings(entry, events, valuation) -> list[tuple]:
@@ -182,15 +187,15 @@ def step(model: ProcessModel, config: Configuration, events, valuation) -> StepR
     Raises NondeterminismConflict when the enabled firings demand more
     tokens from some state than the configuration holds.
     """
-    return StepResult(*_step(model, config, _view(model, config), set(events), valuation, {}))
+    return StepResult(*_step(model, config, _view(model, config), set(events), valuation))
 
 
-def _step(model, config, view, events, valuation, plans) -> tuple:
+def _step(model, config, view, events, valuation, plans=None) -> tuple:
     """``step``, given the ``_view`` of ``config`` and ``events`` as a set,
     as a plain ``(fired, trace, after)`` tuple in the field order of
-    ``StepResult``.  ``plans`` keeps firing plans by (``id`` of the
-    transition, consumed positions, fired outputs), so the caller must hold
-    every transition it keys for as long as it keeps the dict.
+    ``StepResult``.  ``plans``, when given, keeps firing plans by (``id`` of
+    the transition, consumed positions, fired outputs), so the caller must
+    hold every transition it keys for as long as it keeps the dict.
 
     A lone firing that consumes one input takes that input's token directly:
     its source is active, so it holds one, and nothing competes for it.  Any
@@ -230,11 +235,10 @@ def _step(model, config, view, events, valuation, plans) -> tuple:
     trace: list[str] = []
     fired_ids: list[str] = []
     for t, consumed, outs, clear_mark in firings:
-        key = (id(t), consumed, outs)
-        plan = plans.get(key)
-        if plan is None:
-            branches = tuple([t.inputs[i] for i in consumed])
-            plan = plans[key] = m.firing_plan(model, t, branches, outs)
+        if plans is None:
+            plan = m.firing_plan(model, t, tuple([t.inputs[i] for i in consumed]), outs)
+        elif (plan := plans.get(key := (id(t), consumed, outs))) is None:
+            plan = plans[key] = m.firing_plan(model, t, tuple([t.inputs[i] for i in consumed]), outs)
         for leaf in plan.leaves:
             counts[leaf] = counts.get(leaf, 0) + 1
         if t.split_kind == "or" or clear_mark is not None:
@@ -275,23 +279,26 @@ def replay_scenario(model: ProcessModel, scenario: Scenario, mode: str = "strict
 
 def _replay(model: ProcessModel, kinds, scenario: Scenario, mode: str) -> Verdict:
     """``replay_scenario`` in a mode spelled as in ``MODES``, where ``kinds``
-    is the model's ``ModelIndex.kinds``."""
+    is the model's ``ModelIndex.kinds``.  It reads the scenario's plain
+    ``views`` (``(atom, negated)`` pairs and tuples of names), not the typed
+    ``given``/``when``/``then``.  A THEN whose action runs, joined in the
+    order written, equal the trace passes both action tests without running
+    them; any other THEN runs both, so its mismatches are listed in full."""
     given, when, then = views = scenario.views
     if None in views:
         return Verdict(False, (("structured clauses", "free-text steps", scenario.name),))
 
     paths: list[str] = []
     valuation: dict[str, bool] = {}
-    for term in given:
-        kind = kinds.get(term.atom, "unknown")
-        if kind == "state" and not term.negated:
-            paths.append(term.atom)
+    for atom, negated in given:
+        kind = kinds.get(atom, "unknown")
+        if kind == "state" and not negated:
+            paths.append(atom)
         elif kind == "guard":
-            valuation.setdefault(term.atom, not term.negated)
+            valuation.setdefault(atom, not negated)
         else:
-            raise IllegalGiven(
-                f"GIVEN term {term.render()!r} is not a state or guard of the model"
-            )
+            term = ("NOT " if negated else "") + atom
+            raise IllegalGiven(f"GIVEN term {term!r} is not a state or guard of the model")
     if not paths:
         raise IllegalGiven("GIVEN names no states")
     if len(paths) == 1:  # one declared state holding one token is always legal
@@ -302,18 +309,17 @@ def _replay(model: ProcessModel, kinds, scenario: Scenario, mode: str) -> Verdic
             raise IllegalGiven(reason)
 
     events: set[str] = set()
-    for term in when:
-        kind = kinds.get(term.atom, "unknown")
-        if kind == "guard":
-            valuation.setdefault(term.atom, not term.negated)
-        elif term.atom != COMPLETION_EVENT:
-            events.add(term.atom)
+    for atom, negated in when:
+        if kinds.get(atom) == "guard":
+            valuation.setdefault(atom, not negated)
+        elif atom != COMPLETION_EVENT:
+            events.add(atom)
 
     expected_chunks: list[tuple[str, ...]] = []
     expected_states: list[str] = []
-    for item in then:
+    for names in then:
         run: list[str] = []
-        for atom in item.actions:
+        for atom in names:
             if kinds.get(atom) == "state":
                 if run:
                     expected_chunks.append(tuple(run))
@@ -323,9 +329,10 @@ def _replay(model: ProcessModel, kinds, scenario: Scenario, mode: str) -> Verdic
                 run.append(atom)
         if run:
             expected_chunks.append(tuple(run))
+    expected = tuple([a for c in expected_chunks for a in c])
 
     try:
-        fired, trace, after = _step(model, config, _view(model, config), events, valuation, {})
+        fired, trace, after = _step(model, config, _view(model, config), events, valuation)
     except NondeterminismConflict as exc:
         return Verdict(
             False,
@@ -333,21 +340,15 @@ def _replay(model: ProcessModel, kinds, scenario: Scenario, mode: str) -> Verdic
         )
 
     mismatches: list[tuple[str, str, str]] = []
-    for pos, chunk in enumerate(expected_chunks):
-        if not _is_subsequence(chunk, trace):
-            mismatches.append(
-                ("; ".join(chunk), "; ".join(trace), f"then actions[{pos}]")
-            )
+    # the chunks written in trace order embed and have the trace's multiset
+    if expected != trace:
+        for pos, chunk in enumerate(expected_chunks):
+            if not _is_subsequence(chunk, trace):
+                mismatches.append(("; ".join(chunk), "; ".join(trace), f"then actions[{pos}]"))
+        if mode == "strict" and sorted(expected) != sorted(trace):
+            mismatches.append(("; ".join(expected), "; ".join(trace), "then trace"))
     after_paths = after.paths()  # already sorted
     if mode == "strict":
-        if sorted([a for c in expected_chunks for a in c]) != sorted(trace):
-            mismatches.append(
-                (
-                    "; ".join(a for c in expected_chunks for a in c),
-                    "; ".join(trace),
-                    "then trace",
-                )
-            )
         if sorted(expected_states) != after_paths:
             mismatches.append(
                 (
@@ -403,29 +404,37 @@ class CheckReport:
 
     def to_json_text(self) -> str:
         """The text of ``json.dumps(self.to_json(), indent=2)``, written from
-        the report's fixed shape with the C string encoder."""
-        verdicts = []
-        for name, v in self.verdicts:
-            mismatches = [
-                '{\n          "expected": ' + _quote(e)
-                + ',\n          "observed": ' + _quote(o)
-                + ',\n          "position": ' + _quote(p)
-                + "\n        }"
-                for e, o, p in v.mismatches
-            ]
-            verdicts.append(
-                '{\n      "scenario": ' + _quote(name)
-                + ',\n      "passed": ' + ("true" if v.passed else "false")
-                + ',\n      "mismatches": ' + _json_list(mismatches, 6)
-                + ',\n      "fired": ' + _json_list(map(_quote, v.fired), 6)
-                + "\n    }"
+        the report's fixed shape with the C string encoder, one format per
+        verdict."""
+        verdicts = [
+            _FIRED_VERDICT % (_quote(name), "true" if v.passed else "false", _SEP6.join(map(_quote, v.fired)))
+            if v.fired and not v.mismatches
+            else _VERDICT % (
+                _quote(name),
+                "true" if v.passed else "false",
+                _json_list([_MISMATCH % tuple(map(_quote, m)) for m in v.mismatches], 6),
+                _json_list(map(_quote, v.fired), 6),
             )
+            for name, v in self.verdicts
+        ]
         return (
             '{\n  "verdicts": ' + _json_list(verdicts, 2)
             + ',\n  "coverage": ' + json.dumps(self.coverage)
             + ',\n  "uncovered": ' + _json_list(map(_quote, self.uncovered), 2)
             + "\n}"
         )
+
+
+# a verdict as ``indent=2`` lays it out; most fire and list no mismatch
+_SEP6 = ",\n        "
+_FIRED_VERDICT = (
+    '{\n      "scenario": %s,\n      "passed": %s,\n      "mismatches": [],\n'
+    '      "fired": [\n        %s\n      ]\n    }'
+)
+_VERDICT = (
+    '{\n      "scenario": %s,\n      "passed": %s,\n      "mismatches": %s,\n      "fired": %s\n    }'
+)
+_MISMATCH = '{\n          "expected": %s,\n          "observed": %s,\n          "position": %s\n        }'
 
 
 def _json_list(items, indent: int) -> str:

@@ -16,7 +16,9 @@ and kept in their slot.  They are no ``__init__`` parameter and take no part
 in ``__eq__``, ``__hash__`` or ``__repr__``, and a ``replace``, a copy or an
 unpickled value computes its own.  Each is read through a descriptor that
 wraps its slot, so the class needs no ``__getattr__``, which would slow
-every other attribute read.
+every other attribute read.  ``__init__`` fills the slot with a marker, so
+the first read tests for it instead of catching the empty slot's
+``AttributeError``.
 """
 
 from __future__ import annotations
@@ -29,9 +31,13 @@ def derived(compute):
     return field(init=False, repr=False, compare=False, metadata={"derive": compute})
 
 
+_UNREAD = object()  # a derived field's slot before its first read
+
+
 class _Derived:
-    """A derived field's slot: reading it while empty computes the value and
-    keeps it there, so it only ever holds what its value's own fields give."""
+    """A derived field's slot: reading it while it holds ``_UNREAD`` computes
+    the value and keeps it there, so it only ever holds what its value's own
+    fields give."""
 
     __slots__ = ("get", "set", "compute")
 
@@ -41,17 +47,18 @@ class _Derived:
     def __get__(self, obj, cls=None):
         if obj is None:
             return self
-        try:
-            return self.get(obj)
-        except AttributeError:  # the slot is empty
+        value = self.get(obj)
+        if value is _UNREAD:
             value = self.compute(obj)
             self.set(obj, value)
-            return value
+        return value
 
     def __set__(self, obj, value):
-        """Drop ``value``.  Only the dataclass's ``__setstate__`` gets here (a
-        frozen class's ``__setattr__`` raises first), with the original's
-        value; a copy or an unpickled value computes its own when read."""
+        """Mark the slot unread, dropping ``value``.  Only the dataclass's
+        ``__setstate__`` gets here (a frozen class's ``__setattr__`` raises
+        first), with the original's value; a copy or an unpickled value
+        computes its own when read."""
+        self.set(obj, _UNREAD)
 
 
 def value_type(cls):
@@ -69,8 +76,9 @@ def value_type(cls):
         if not f.init or f.kw_only or f.default_factory is not MISSING:
             raise TypeError(f"{cls.__qualname__}.{f.name}: not a plain positional field")
         names.append(f.name)
-    namespace = {f"_set_{n}": getattr(cls, n).__set__ for n in names}
-    body = [f"_set_{n}(self, {n})" for n in names]
+    namespace = {f"_set_{n}": getattr(cls, n).__set__ for n in (*names, *derive)}
+    namespace["_UNREAD"] = _UNREAD
+    body = [f"_set_{n}(self, {n})" for n in names] + [f"_set_{n}(self, _UNREAD)" for n in derive]
     if hasattr(cls, "__post_init__"):
         body.append("self.__post_init__()")
     source = f"def __init__(self, {', '.join(names)}):\n    " + "\n    ".join(body)

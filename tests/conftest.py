@@ -12,6 +12,7 @@ from corpus import (  # noqa: F401  (re-exported: tests import these from confte
     JOIN_SPLITS,
     M1_DSL,
     OR_FED_JOINS,
+    composed_models,
     join_split_model,
     or_fed_join_model,
 )

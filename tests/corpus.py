@@ -71,3 +71,12 @@ process "or-fed join {join} to {target}" {{
   trans t2 {{ from C.a on e1, D.a on e2 join {join} to S3 }}
 }}
 """)
+
+
+def composed_models():
+    """(key, model) for the join x split models, then the or-fed join models."""
+    for join, split in JOIN_SPLITS:
+        for variant in JOIN_SPLIT_VARIANTS:
+            yield f"join {join} split {split} {variant}", join_split_model(join, split, variant)
+    for join, target in OR_FED_JOINS:
+        yield f"or-fed join {join} to {target}", or_fed_join_model(join, target)

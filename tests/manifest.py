@@ -22,15 +22,7 @@ import hashlib
 import json
 import sys
 
-from corpus import (
-    DATA_DIR,
-    FIXTURE_DSL,
-    JOIN_SPLIT_VARIANTS,
-    JOIN_SPLITS,
-    OR_FED_JOINS,
-    join_split_model,
-    or_fed_join_model,
-)
+from corpus import DATA_DIR, FIXTURE_DSL, composed_models
 from flowspec import canon, dot, dsl, emit, feature, generator, infer, patterns, replay, skeletons, xmlio
 
 MANIFEST = DATA_DIR / "manifest.json"
@@ -54,11 +46,7 @@ def models():
     rung = generator.GeneratorLimits(162, 160)
     for seed in range(4):
         yield f"n=160 {seed}", generator.random_model(seed, rung)
-    for join, split in JOIN_SPLITS:
-        for variant in JOIN_SPLIT_VARIANTS:
-            yield f"join {join} split {split} {variant}", join_split_model(join, split, variant)
-    for join, target in OR_FED_JOINS:
-        yield f"or-fed join {join} to {target}", or_fed_join_model(join, target)
+    yield from composed_models()
 
 
 def _reverse(doc) -> str:

@@ -390,48 +390,54 @@ def _parse_outcome(text):
         return exc.code, exc.reason
 
 
+def _scales_linearly(run, build, n=1_000_000):
+    """``run(build(n))``, after asserting that it takes under 3 times as
+    long as ``run(build(n // 2))``.  Each is the best of 3 timings, taken in
+    turns in this one test, so the bound reads no machine speed: a linear
+    scan about doubles, a quadratic one about quadruples."""
+    texts = [build(n // 2), build(n)]
+    best = [float("inf")] * 2
+    for _ in range(3):
+        for k, text in enumerate(texts):
+            start = time.perf_counter()
+            outcome = run(text)
+            best[k] = min(best[k], time.perf_counter() - start)
+    assert best[1] < 3 * best[0], (repr(texts[1][-20:]), best)
+    return outcome
+
+
 @pytest.mark.parametrize("base", [M1_DSL, M1_DSL.rstrip().removesuffix("}")], ids=["valid", "unclosed"])
 def test_blank_runs_scan_in_linear_time(base):
     # one regex match takes all the blanks before a token, and it never
-    # backtracks into them
-    padded = [
-        base + " " * 1_000_000,
-        base + "# c\n" * 100_000,
-        base + "#" + "c" * 1_000_000,
-        base + " \t# x\r\n" * 100_000,
-        " " * 1_000_000 + base,
+    # backtracks into them; each pad is about n characters long
+    pads = [
+        lambda n: base + " " * n,
+        lambda n: base + "# c\n" * (n // 4),
+        lambda n: base + "#" + "c" * n,
+        lambda n: base + " \t# x\r\n" * (n // 8),
+        lambda n: " " * n + base,
     ]
     expected = _parse_outcome(base)
-    for text in padded:
-        start = time.perf_counter()
-        outcome = _parse_outcome(text)
-        elapsed = time.perf_counter() - start
-        assert outcome == expected, repr(text[-20:])
-        assert elapsed < 1.0, (repr(text[-20:]), elapsed)
+    for pad in pads:
+        assert _scales_linearly(_parse_outcome, pad) == expected, repr(pad(20)[-20:])
     # a token per character or two: the error is the one at the first
-    for tail in ["," * 1_000_000, "{ " * 500_000]:
-        start = time.perf_counter()
-        outcome = _parse_outcome(base + tail)
-        elapsed = time.perf_counter() - start
-        assert outcome == _parse_outcome(base + tail[:2]), repr(tail[:2])
-        assert elapsed < 1.0, (repr(tail[:2]), elapsed)
+    for unit in [",", "{ "]:
+        outcome = _scales_linearly(_parse_outcome, lambda n: base + unit * (n // len(unit)))
+        assert outcome == _parse_outcome(base + (unit * 2)[:2]), repr(unit)
 
 
 @pytest.mark.parametrize("tail", ["@", '"ab'], ids=["stray", "unterminated"])
 def test_errors_after_long_runs_are_placed_in_linear_time(tail):
     # the span of a diagnostic comes from one more scan up to its token
-    padded = [
-        M1_DSL + " " * 1_000_000 + tail,
-        M1_DSL + "# c\n" * 250_000 + tail,
-        " " * 1_000_000 + M1_DSL + tail,
-        M1_DSL + "ab " * 333_333 + tail,
+    pads = [
+        lambda n: M1_DSL + " " * n + tail,
+        lambda n: M1_DSL + "# c\n" * (n // 4) + tail,
+        lambda n: " " * n + M1_DSL + tail,
+        lambda n: M1_DSL + "ab " * (n // 3) + tail,
     ]
-    for text in padded:
-        start = time.perf_counter()
-        outcome = _parsed(_Parser, text)
-        elapsed = time.perf_counter() - start
-        assert outcome == _parsed(dsl_reference._Parser, text), repr(text[-20:])
-        assert elapsed < 1.0, (repr(text[-20:]), elapsed)
+    for pad in pads:
+        outcome = _scales_linearly(lambda text: _parsed(_Parser, text), pad)
+        assert outcome == _parsed(dsl_reference._Parser, pad(1_000_000)), repr(pad(20)[-20:])
 
 
 # -- differential test against the depth-counting trans capture ------------

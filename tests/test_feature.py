@@ -24,7 +24,7 @@ from flowspec.feature import (
 from flowspec.generator import random_model
 from flowspec.model import is_ident
 
-from conftest import DATA_DIR, FIXTURE_DSL
+from conftest import DATA_DIR, FIXTURE_DSL, composed_models
 
 SEQUENCE_TEXT = """\
 GIVEN S1
@@ -633,6 +633,53 @@ def test_clause_traps_read_as_the_per_keyword_reading(keyword, text):
     # and after a trip through the text
     doc = parse_feature(format_feature(FeatureDoc(scenarios=(Scenario("trap", tuple(steps.values())),))))
     _assert_views_match_reference(doc.scenarios[0])
+
+
+def _assert_typed_views_rebuild_plain_views(scenario):
+    """``given``, ``when`` and ``then`` are the plain views rebuilt as typed
+    values: an ``(atom, negated)`` pair per GIVEN and WHEN term, a tuple of
+    names per THEN chunk, or None for both."""
+    given, when, then = scenario.views
+    for pairs, typed in ((given, scenario.given), (when, scenario.when)):
+        if pairs is None:
+            assert typed is None
+            continue
+        assert all(type(p) is tuple and type(p[0]) is str and type(p[1]) is bool for p in pairs)
+        assert typed == tuple(Term(atom, negated) for atom, negated in pairs)
+    if then is None:
+        assert scenario.then is None
+        return
+    assert all(type(c) is tuple and c and all(type(a) is str for a in c) for c in then)
+    assert scenario.then == tuple(ActionSeq(chunk) for chunk in then)
+
+
+def _corpus_models():
+    for name, text in FIXTURE_DSL.items():
+        yield name, parse_dsl(text)
+    yield from composed_models()
+
+
+def test_typed_views_rebuild_the_plain_views():
+    scenarios = 0
+    for name, model in _corpus_models():
+        for mode in ("strict", "paper_exact"):
+            doc = emit_feature(model, mode)
+            back = parse_feature(format_feature(doc))
+            assert len(back.scenarios) == len(doc.scenarios), (name, mode)
+            for scenario in (*doc.scenarios, *back.scenarios):
+                _assert_typed_views_rebuild_plain_views(scenario)
+                assert scenario.structured, (name, mode, scenario.name)
+                scenarios += 1
+    for text in CLAUSE_TRAPS:
+        for keyword in ("Given", "When", "Then"):
+            steps = {"Given": Step("Given", "S1"), "When": Step("When", "e1"), "Then": Step("Then", "a1")}
+            steps[keyword] = Step(keyword, text)
+            trap = Scenario("trap", tuple(steps.values()))
+            back = parse_feature(format_feature(FeatureDoc(scenarios=(trap,)))).scenarios[0]
+            for scenario in (trap, back):
+                _assert_typed_views_rebuild_plain_views(scenario)
+                scenarios += 1
+    assert scenarios > 400
 
 
 def test_replace_reads_the_new_steps():

@@ -549,14 +549,14 @@ def reference_offers(doc, kinds, counts):
     literal of an atom winning, and its WHEN events without ``_done``."""
     out = {}
     for scenario in doc.scenarios:
-        given, when, _ = scenario.views
-        if not any(kinds[term.atom] == "state" and counts.get(term.atom, 0) >= 1 for term in given):
+        given, when, _ = scenario.views  # (atom, negated) pairs
+        if not any(kinds[atom] == "state" and counts.get(atom, 0) >= 1 for atom, _ in given):
             continue
         valuation = {}
-        for term in given:
-            if kinds[term.atom] != "state":
-                valuation.setdefault(term.atom, not term.negated)
-        events = {term.atom for term in when if term.atom != "_done"}
+        for atom, negated in given:
+            if kinds[atom] != "state":
+                valuation.setdefault(atom, not negated)
+        events = {atom for atom, _ in when if atom != "_done"}
         out.setdefault((tuple(sorted(events)), tuple(sorted(valuation.items()))), (events, valuation))
     return out
 

@@ -257,6 +257,48 @@ def test_a_state_inside_a_strict_then_sequence_splits_it(m9):
         assert verdict.passed is passed, (then, verdict.mismatches)
 
 
+# m9's t2 from S1 on ev2 runs the trace a3; a4; a5; a6 into S2 and S3.  A
+# THEN whose runs, joined in the order written, equal the trace passes at
+# once; any other is judged run by run and, in strict mode, by its multiset.
+TRACE = "a3; a4; a5; a6"
+
+
+@pytest.mark.parametrize("then", [
+    "a3; a4 AND a5; a6 AND S2 AND S3",
+    "a5; a6 AND a3; a4 AND S3 AND S2",  # AND groups out of trace order
+    "a6 AND a5 AND a4 AND a3 AND S2 AND S3",
+])
+@pytest.mark.parametrize("mode", ["strict", "paper_exact"])
+def test_and_groups_in_any_order_pass(m9, mode, then):
+    scenario = parse_feature(f"GIVEN S1\nWHEN ev2\nTHEN {then}\n").scenarios[0]
+    assert replay_scenario(m9, scenario, mode) == Verdict(True, (), ("t2",))
+
+
+@pytest.mark.parametrize("then, strict, paper", [
+    # a missing action: strict sees the multiset differ, paper-exact embeds
+    ("a3; a4 AND a5 AND S2 AND S3", [("a3; a4; a5", TRACE, "then trace")], []),
+    ("a6 AND a3 AND S2 AND S3", [("a6; a3", TRACE, "then trace")], []),
+    # an extra action, alone or inside a sequence
+    (
+        "a3; a4 AND a5; a6 AND a9 AND S2 AND S3",
+        [("a9", TRACE, "then actions[2]"), ("a3; a4; a5; a6; a9", TRACE, "then trace")],
+        [("a9", TRACE, "then actions[2]")],
+    ),
+    (
+        "a3; a4; a5; a6; a9 AND S2 AND S3",
+        [("a3; a4; a5; a6; a9", TRACE, "then actions[0]"), ("a3; a4; a5; a6; a9", TRACE, "then trace")],
+        [("a3; a4; a5; a6; a9", TRACE, "then actions[0]")],
+    ),
+    # the right multiset, one sequence out of order
+    ("a4; a3 AND a5; a6 AND S2 AND S3", [("a4; a3", TRACE, "then actions[0]")], [("a4; a3", TRACE, "then actions[0]")]),
+])
+def test_a_trace_difference_lists_every_mismatch(m9, then, strict, paper):
+    scenario = parse_feature(f"GIVEN S1\nWHEN ev2\nTHEN {then}\n").scenarios[0]
+    for mode, mismatches in (("strict", strict), ("paper_exact", paper)):
+        verdict = replay_scenario(m9, scenario, mode)
+        assert verdict == Verdict(not mismatches, tuple(mismatches), ("t2",)), mode
+
+
 # -- the atom-kind table ---------------------------------------------------
 
 
